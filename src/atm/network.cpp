@@ -18,20 +18,19 @@ util::Result<Vci> VciAllocator::allocate(std::uint16_t mod, std::uint16_t rem) {
   std::uint32_t first = kFirstSwitchedVci;
   if (first % mod != rem) first += mod - (first % mod - rem + mod) % mod;
   const std::uint32_t key = (std::uint32_t(mod) << 16) | rem;
-  std::uint32_t& hint = hints_.try_emplace(key, first).first->second;
-  for (std::uint32_t v = hint; v <= kMaxVci; v += mod) {
-    if (!used_.contains(static_cast<Vci>(v))) {
-      used_.insert(static_cast<Vci>(v));
-      hint = v + mod;
-      return static_cast<Vci>(v);
-    }
+  ClassState& cls = classes_.try_emplace(key, ClassState{first, {}}).first->second;
+  while (!cls.holes.empty()) {
+    auto node = cls.holes.extract(cls.holes.begin());
+    const Vci v = node.value();
+    if (used_.insert(std::move(node)).inserted) return v;
   }
-  // Wrap: scan the class from the switched floor up to the hint.
-  for (std::uint32_t v = first; v < hint && v <= kMaxVci; v += mod) {
-    if (!used_.contains(static_cast<Vci>(v))) {
-      used_.insert(static_cast<Vci>(v));
-      hint = v + mod;
-      return static_cast<Vci>(v);
+  // The frontier only moves forward, so this scan is amortized O(1) per
+  // allocation over the allocator's lifetime.
+  for (; cls.frontier <= kMaxVci; cls.frontier += mod) {
+    const auto v = static_cast<Vci>(cls.frontier);
+    if (used_.insert(v).second) {
+      cls.frontier += mod;
+      return v;
     }
   }
   return Errc::no_resources;
@@ -44,13 +43,20 @@ util::Result<void> VciAllocator::reserve(Vci vci) {
 }
 
 void VciAllocator::release(Vci vci) noexcept {
-  used_.erase(vci);
-  if (vci < kFirstSwitchedVci) return;
-  // Lower every residue-class hint that skipped past the freed VCI.
-  for (auto& [key, hint] : hints_) {
+  auto node = used_.extract(vci);
+  if (node.empty() || vci < kFirstSwitchedVci) return;
+  // Every class the freed VCI belongs to and whose frontier has passed it
+  // gains a hole.  The first such class takes over used_'s set node, so a
+  // release/allocate cycle within one class allocates nothing.
+  for (auto& [key, cls] : classes_) {
     const std::uint32_t mod = key >> 16;
     const std::uint32_t rem = key & 0xffffu;
-    if (vci % mod == rem && vci < hint) hint = vci;
+    if (vci % mod != rem || vci >= cls.frontier) continue;
+    if (node.empty()) {
+      cls.holes.insert(vci);
+    } else {
+      node = std::move(cls.holes.insert(std::move(node)).node);
+    }
   }
 }
 

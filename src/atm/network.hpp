@@ -48,10 +48,20 @@ class VciAllocator {
   [[nodiscard]] std::size_t in_use() const noexcept { return used_.size(); }
 
  private:
+  /// Free-VCI bookkeeping for one residue class.  Every class member in
+  /// [first, frontier) that is free sits in `holes`; holes may also hold
+  /// members taken since by another class or by reserve(), which
+  /// allocate() discards when it meets them.  So the lowest valid hole, or
+  /// failing that the first free member at or past the frontier, is the
+  /// lowest free VCI of the class.
+  struct ClassState {
+    std::uint32_t frontier;
+    std::set<Vci> holes;
+  };
+
   std::set<Vci> used_;
-  /// Next-candidate hint per residue class, keyed (mod << 16) | rem; keeps
-  /// allocation O(log n) even with millions of live VCIs per link.
-  std::map<std::uint32_t, std::uint32_t> hints_;
+  /// Keyed (mod << 16) | rem.
+  std::map<std::uint32_t, ClassState> classes_;
 };
 
 /// Identifies an established VC within the network controller.

@@ -25,9 +25,7 @@ std::string LeakReport::describe() const {
 }
 
 Testbed::Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)) {
-  sim_ = std::make_unique<sim::Simulator>(
-      cfg_.use_legacy_engine ? sim::Simulator::Engine::legacy_heap
-                             : sim::Simulator::Engine::pooled);
+  sim_ = std::make_unique<sim::Simulator>();
   net_ = std::make_unique<atm::AtmNetwork>(*sim_, cfg_.switch_setup);
   net_->set_default_coalescing(cfg_.cell_quantum);
 }

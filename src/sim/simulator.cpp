@@ -17,12 +17,16 @@ std::string to_string(SimDuration d) {
   return buf;
 }
 
-Simulator::Simulator(Engine engine) : engine_(engine) { obs_.bind_clock(&now_); }
+Simulator::Simulator() { obs_.bind_clock(&now_); }
 
 Simulator::~Simulator() {
-  // Destroy queued callables without running them.
+  // Destroy the callables of still-pending events without running them.
+  // The generation is bumped first, so a destructor that re-enters
+  // cancel() for its own event gets false.
   auto scrap = [this](const Ref& r) {
     EventRec& rc = rec(r.rec);
+    if (rc.gen != r.gen) return;
+    ++rc.gen;
     rc.thunk(rc, /*run=*/false);
   };
   for (const Ref& r : active_) scrap(r);
@@ -45,12 +49,11 @@ std::uint32_t Simulator::alloc_rec() {
 }
 
 EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
-  EventId id = next_id_++;
-  next_seq_++;  // kept in lockstep with ids so both engines agree on order
-  Ref r{when.ns(), id, idx};
+  const std::uint32_t gen = ++rec(idx).gen;  // even (free) -> odd (pending)
+  Ref r{when.ns(), next_seq_++, idx, gen};
   std::int64_t slot = r.when >> kGranShift;
   // slot < active_slot_ happens when the window was advanced past `now`
-  // (run_until peeked at a far event); the active heap orders by (when, id)
+  // (run_until peeked at a far event); the active heap orders by (when, seq)
   // and is always drained before the ring, so early events stay correct.
   if (slot <= active_slot_) {
     active_.push_back(r);
@@ -66,7 +69,7 @@ EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
   }
   ++size_;
   peak_pending_ = std::max(peak_pending_, pending());
-  return id;
+  return (EventId{gen} << 32) | idx;
 }
 
 void Simulator::activate_slot(std::int64_t abs_slot) {
@@ -137,62 +140,44 @@ bool Simulator::refill() {
   }
 }
 
+Simulator::Ref Simulator::pop_active() {
+  std::pop_heap(active_.begin(), active_.end(), RefLater{});
+  Ref r = active_.back();
+  active_.pop_back();
+  --size_;
+  return r;
+}
+
 void Simulator::dispatch_ref(const Ref& r) {
   EventRec& rc = rec(r.rec);
-  if (!cancelled_.empty()) {
-    if (auto it = cancelled_.find(r.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      rc.thunk(rc, /*run=*/false);
-      free_rec(r.rec);
-      return;
-    }
+  if (rc.gen != r.gen) {  // cancelled: callable already destroyed
+    --stale_;
+    return;
   }
+  ++rc.gen;  // running: cancel() of this id now returns false
   now_ = SimTime(r.when);
-  auto thunk = rc.thunk;
-  thunk(rc, /*run=*/true);
+  rc.thunk(rc, /*run=*/true);
   free_rec(r.rec);
 }
 
-EventId Simulator::legacy_schedule_at(SimTime when, std::function<void()> fn) {
-  EventId id = next_id_++;
-  legacy_queue_.push(LegacyEntry{when, next_seq_++, id, std::move(fn)});
-  peak_pending_ = std::max(peak_pending_, pending());
-  return id;
-}
-
-void Simulator::legacy_dispatch(LegacyEntry& e) {
-  if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-    cancelled_.erase(it);
-    return;
-  }
-  now_ = e.when;
-  auto fn = std::move(e.fn);
-  fn();
-}
-
 bool Simulator::cancel(EventId id) {
-  // Lazy cancellation: the entry stays queued but is skipped at dispatch.
-  if (id == 0 || id >= next_id_) return false;
-  return cancelled_.insert(id).second;
+  const auto idx = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  if ((gen & 1u) == 0 || idx >= chunks_.size() * kChunkSize) return false;
+  EventRec& rc = rec(idx);
+  if (rc.gen != gen) return false;
+  // Retire before destroying: the callable's destructor may re-enter.
+  ++rc.gen;
+  ++stale_;
+  rc.thunk(rc, /*run=*/false);
+  free_rec(idx);
+  return true;
 }
 
 std::size_t Simulator::run() {
   std::size_t n = 0;
-  if (engine_ == Engine::legacy_heap) {
-    while (!legacy_queue_.empty()) {
-      LegacyEntry e = std::move(const_cast<LegacyEntry&>(legacy_queue_.top()));
-      legacy_queue_.pop();
-      legacy_dispatch(e);
-      ++n;
-    }
-    return n;
-  }
   while (refill()) {
-    std::pop_heap(active_.begin(), active_.end(), RefLater{});
-    Ref r = active_.back();
-    active_.pop_back();
-    --size_;
-    dispatch_ref(r);
+    dispatch_ref(pop_active());
     ++n;
   }
   return n;
@@ -200,22 +185,8 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
-  if (engine_ == Engine::legacy_heap) {
-    while (!legacy_queue_.empty() && legacy_queue_.top().when <= deadline) {
-      LegacyEntry e = std::move(const_cast<LegacyEntry&>(legacy_queue_.top()));
-      legacy_queue_.pop();
-      legacy_dispatch(e);
-      ++n;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return n;
-  }
   while (refill() && active_.front().when <= deadline.ns()) {
-    std::pop_heap(active_.begin(), active_.end(), RefLater{});
-    Ref r = active_.back();
-    active_.pop_back();
-    --size_;
-    dispatch_ref(r);
+    dispatch_ref(pop_active());
     ++n;
   }
   if (now_ < deadline) now_ = deadline;

@@ -4,19 +4,19 @@
 // callbacks at future instants; run() dispatches them in (time, insertion)
 // order, so simulations are fully deterministic.
 //
-// Two interchangeable engines produce byte-identical dispatch order:
+// Events live in a chunked pool of small-buffer-optimized records (captures
+// up to 48 bytes never touch the allocator).  Near-future events go into a
+// 1024-slot bucket ring (4.096 us granularity, ~4.2 ms horizon); far events
+// fall back to a binary heap and migrate into the ring as the window
+// advances.  Within a bucket, events are ordered by (time, schedule
+// sequence), which is exactly the classic (time, insertion) order.
 //
-//  * Engine::pooled (default) — events live in a chunked pool of
-//    small-buffer-optimized records (captures up to 48 bytes never touch
-//    the allocator).  Near-future events go into a 1024-slot bucket ring
-//    (4.096 us granularity, ~4.2 ms horizon); far events fall back to a
-//    binary heap and migrate into the ring as the window advances.  Within
-//    a bucket, events are ordered by (time, id); ids are issued in schedule
-//    order, so dispatch order is exactly the classic (time, insertion)
-//    order.
-//
-//  * Engine::legacy_heap — the original std::function binary heap, kept so
-//    determinism tests can assert both engines replay a seed identically.
+// Cancellation is generation-stamped.  An EventId packs a pool record index
+// with the record's generation, which is odd while the event is pending and
+// bumped when it is cancelled or starts running.  cancel() destroys the
+// callable and frees the record at once; the queued reference goes stale
+// and dispatch skips it after comparing one integer.  Byte-identical replay
+// is pinned by golden digests in tests/determinism_test.cpp.
 #pragma once
 
 #include <array>
@@ -24,12 +24,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,21 +36,18 @@
 
 namespace xunet::sim {
 
-/// Handle for a scheduled event; used to cancel timers.
+/// Handle for a scheduled event; used to cancel timers.  The high half is
+/// the record's generation (odd, so a valid id is never 0), the low half
+/// the pool record index.
 using EventId = std::uint64_t;
 
 /// Discrete-event simulator: event queue + clock + per-simulation logger.
 class Simulator {
  public:
-  /// Event-queue implementation.  Both dispatch in identical order.
-  enum class Engine { pooled, legacy_heap };
-
-  explicit Simulator(Engine engine = Engine::pooled);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] Engine engine() const noexcept { return engine_; }
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -72,31 +66,29 @@ class Simulator {
   template <typename F>
   EventId schedule_at(SimTime when, F&& fn) {
     assert(when >= now_);
-    if (engine_ == Engine::legacy_heap)
-      return legacy_schedule_at(when, std::function<void()>(std::forward<F>(fn)));
     std::uint32_t idx = alloc_rec();
     bind(rec(idx), std::forward<F>(fn));
     return insert_ref(when, idx);
   }
 
-  /// Cancel a scheduled event.  Returns true if the event was still pending.
+  /// Cancel a scheduled event and destroy its callable now.  Returns true
+  /// only if the event was still pending: false once it has started
+  /// running, fired, or been cancelled.
   bool cancel(EventId id);
 
-  /// Run events until the queue empties.  Returns the number dispatched.
+  /// Run events until the queue empties.  Returns the number of queue
+  /// entries popped (cancelled ones included).
   std::size_t run();
 
   /// Run events with timestamp <= deadline; the clock ends at `deadline`
-  /// even if the queue empties earlier.  Returns the number dispatched.
+  /// even if the queue empties earlier.  Returns the number popped.
   std::size_t run_until(SimTime deadline);
 
   /// Advance by `d` from the current time (convenience over run_until).
   std::size_t run_for(SimDuration d) { return run_until(now_ + d); }
 
   /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    std::size_t queued = (engine_ == Engine::legacy_heap) ? legacy_queue_.size() : size_;
-    return queued - cancelled_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return size_ - stale_; }
 
   /// High-water mark of pending() over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
@@ -110,8 +102,6 @@ class Simulator {
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
  private:
-  // ---- pooled engine -----------------------------------------------------
-
   static constexpr std::size_t kSboBytes = 48;
   static constexpr unsigned kGranShift = 12;  ///< 4096 ns bucket granularity
   static constexpr std::size_t kSlots = 1024;  ///< ring horizon ~4.19 ms
@@ -120,24 +110,27 @@ class Simulator {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   /// Type-erased event record.  Callables whose capture fits kSboBytes are
-  /// stored inline; larger ones spill to a single heap allocation.
+  /// stored inline; larger ones spill to a single heap allocation whose
+  /// pointer is kept in the inline buffer.
   struct EventRec {
     using Thunk = void (*)(EventRec&, bool run);
     Thunk thunk = nullptr;
-    void* heap = nullptr;
+    std::uint32_t gen = 0;  ///< odd while pending, even once retired
     alignas(std::max_align_t) unsigned char sbo[kSboBytes];
   };
 
-  /// Queue handle: (when, id) is the dispatch key, rec indexes the pool.
+  /// Queue handle: (when, seq) is the dispatch key, rec indexes the pool,
+  /// and gen tells a live reference from one whose event was cancelled.
   struct Ref {
     std::int64_t when;
-    EventId id;
+    std::uint64_t seq;
     std::uint32_t rec;
+    std::uint32_t gen;
   };
   struct RefLater {
     bool operator()(const Ref& a, const Ref& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
@@ -153,9 +146,9 @@ class Simulator {
         f->~Fn();
       };
     } else {
-      r.heap = new Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(r.sbo)) Fn*(new Fn(std::forward<F>(fn)));
       r.thunk = [](EventRec& rr, bool run) {
-        Fn* f = static_cast<Fn*>(rr.heap);
+        Fn* f = *std::launder(reinterpret_cast<Fn**>(rr.sbo));
         if (run) (*f)();
         delete f;
       };
@@ -172,43 +165,17 @@ class Simulator {
   bool refill();               ///< make active_ non-empty if any event exists
   void activate_slot(std::int64_t abs_slot);
   void drain_overflow();       ///< pull overflow events now inside the window
+  Ref pop_active();
   void dispatch_ref(const Ref& r);
-  [[nodiscard]] bool occ(std::size_t ring_idx) const noexcept {
-    return (occ_[ring_idx >> 6] >> (ring_idx & 63)) & 1u;
-  }
   void set_occ(std::size_t ring_idx) noexcept { occ_[ring_idx >> 6] |= 1ull << (ring_idx & 63); }
   void clear_occ(std::size_t ring_idx) noexcept {
     occ_[ring_idx >> 6] &= ~(1ull << (ring_idx & 63));
   }
 
-  // ---- legacy engine -----------------------------------------------------
-
-  struct LegacyEntry {
-    SimTime when;
-    std::uint64_t seq;  ///< tie-break so equal-time events run FIFO
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId legacy_schedule_at(SimTime when, std::function<void()> fn);
-  void legacy_dispatch(LegacyEntry& e);
-
-  // ---- state -------------------------------------------------------------
-
-  Engine engine_;
   SimTime now_{};
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::size_t peak_pending_ = 0;
-  std::unordered_set<EventId> cancelled_;
 
-  // Pooled engine state.
   std::vector<std::unique_ptr<EventRec[]>> chunks_;
   std::vector<std::uint32_t> free_list_;
   std::vector<Ref> active_;    ///< min-heap of events in the active slot
@@ -217,10 +184,8 @@ class Simulator {
   std::array<std::uint64_t, kSlots / 64> occ_{};
   std::int64_t active_slot_ = 0;  ///< window start; active_ holds this slot
   std::size_t ring_count_ = 0;
-  std::size_t size_ = 0;  ///< queued events (including lazily-cancelled)
-
-  // Legacy engine state.
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyLater> legacy_queue_;
+  std::size_t size_ = 0;   ///< queued refs, stale ones included
+  std::size_t stale_ = 0;  ///< queued refs whose event was cancelled
 
   util::Logger logger_;
   obs::Observability obs_;

@@ -53,20 +53,22 @@ const TcpLayer::Conn* TcpLayer::find(ConnId id) const {
   return it == conns_.end() ? nullptr : it->second.get();
 }
 
+void TcpLayer::add_tuple(const Conn& c) {
+  if (by_tuple_.emplace(c.tuple, c.id).second) ++port_refs_[c.tuple.local_port];
+}
+
+void TcpLayer::drop_tuple(const Conn& c) {
+  if (by_tuple_.erase(c.tuple) == 0) return;
+  std::uint32_t* refs = port_refs_.find(c.tuple.local_port);
+  assert(refs != nullptr && *refs > 0);
+  if (--*refs == 0) port_refs_.erase(c.tuple.local_port);
+}
+
 std::uint16_t TcpLayer::alloc_ephemeral_port() {
   for (int attempts = 0; attempts < 64 * 1024; ++attempts) {
     std::uint16_t p = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ >= 65535 ? 10'000 : next_ephemeral_ + 1;
-    bool taken = listeners_.contains(p);
-    if (!taken) {
-      for (const auto& [tuple, id] : by_tuple_) {
-        if (tuple.local_port == p) {
-          taken = true;
-          break;
-        }
-      }
-    }
-    if (!taken) return p;
+    if (!listeners_.contains(p) && !port_refs_.contains(p)) return p;
   }
   return 0;
 }
@@ -97,7 +99,7 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   c.snd_una = iss;
   c.snd_nxt = iss + 1;
   c.on_connect = std::move(on_done);
-  by_tuple_.emplace(c.tuple, c.id);
+  add_tuple(c);
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
 
@@ -310,7 +312,7 @@ void TcpLayer::handle_listen(std::uint16_t port, const Segment& s,
   next_iss_ += 0x10000;
   c.snd_una = iss;
   c.snd_nxt = iss + 1;
-  by_tuple_.emplace(c.tuple, c.id);
+  add_tuple(c);
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
   emit(c, Flags{.syn = true, .ack = true}, {}, iss);
@@ -337,7 +339,7 @@ void TcpLayer::release(ConnId id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Conn& c = *it->second;
-  by_tuple_.erase(c.tuple);
+  drop_tuple(c);
   if (c.on_released) {
     auto h = c.on_released;
     node_.simulator().schedule(sim::SimDuration{}, [h, id] { h(id); });

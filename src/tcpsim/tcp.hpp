@@ -19,6 +19,7 @@
 #include "ip/node.hpp"
 #include "sim/timer.hpp"
 #include "tcpsim/segment.hpp"
+#include "util/flat_map.hpp"
 
 namespace xunet::tcp {
 
@@ -159,12 +160,18 @@ class TcpLayer {
   void release(ConnId id);
   Conn* find(ConnId id);
   const Conn* find(ConnId id) const;
+  /// Enter / remove a connection's tuple in by_tuple_, keeping port_refs_.
+  void add_tuple(const Conn& c);
+  void drop_tuple(const Conn& c);
   std::uint16_t alloc_ephemeral_port();
 
   ip::IpNode& node_;
   TcpConfig cfg_;
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
   std::map<TupleKey, ConnId> by_tuple_;
+  /// Live by_tuple_ entries per local port; a port is absent once its
+  /// count drops to zero, so the table is sized by live ports.
+  util::FlatMap<std::uint16_t, std::uint32_t> port_refs_;
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
   ConnId next_id_ = 1;
   std::uint16_t next_ephemeral_ = 10'000;

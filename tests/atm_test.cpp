@@ -2,8 +2,13 @@
 // network controller (routing, admission, PVCs, teardown).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "atm/network.hpp"
 #include "atm/qos.hpp"
+#include "util/rng.hpp"
 
 namespace xunet::atm {
 namespace {
@@ -41,30 +46,61 @@ TEST(Qos, MalformedStringsRejected) {
   EXPECT_FALSE(parse_qos("bw=1x").ok());
 }
 
+// A Qos in Qos's own 40-byte layout, with the padding declared as fields.
+// gtest names each case after the bytes of its parameter, padding included.
+// Its internal copies of a plain Qos go field by field, so that padding held
+// stale heap bytes and the case names changed from run to run.  Copies of this
+// struct carry every byte, which keeps the names fixed.  `pad` lets a case
+// keep the name it was first listed under.
+struct QosBytes {
+  ServiceClass service_class;
+  std::array<unsigned char, 7> pad;
+  std::uint64_t bandwidth_bps;
+  std::uint64_t pcr_bps;
+  std::uint64_t scr_bps;
+  std::uint32_t mbs_cells;
+  std::uint32_t tail_pad = 0;
+
+  QosBytes(const Qos& q, std::array<unsigned char, 7> p = {})
+      : service_class(q.service_class),
+        pad(p),
+        bandwidth_bps(q.bandwidth_bps),
+        pcr_bps(q.pcr_bps),
+        scr_bps(q.scr_bps),
+        mbs_cells(q.mbs_cells) {}
+
+  [[nodiscard]] Qos qos() const {
+    return {service_class, bandwidth_bps, pcr_bps, scr_bps, mbs_cells};
+  }
+};
+static_assert(sizeof(QosBytes) == sizeof(Qos));
+
 struct NegotiateCase {
-  Qos offered;
-  Qos limit;
-  Qos expect;
+  QosBytes offered;
+  QosBytes limit;
+  QosBytes expect;
 };
 
 class QosNegotiate : public ::testing::TestWithParam<NegotiateCase> {};
 
 TEST_P(QosNegotiate, ServerMayOnlyShrink) {
-  const auto& c = GetParam();
-  Qos granted = negotiate(c.offered, c.limit);
-  EXPECT_EQ(granted, c.expect);
+  const Qos offered = GetParam().offered.qos();
+  const Qos limit = GetParam().limit.qos();
+  Qos granted = negotiate(offered, limit);
+  EXPECT_EQ(granted, GetParam().expect.qos());
   // The granted QoS never exceeds either side.
-  EXPECT_LE(granted.bandwidth_bps, c.offered.bandwidth_bps);
-  EXPECT_LE(granted.bandwidth_bps, c.limit.bandwidth_bps);
+  EXPECT_LE(granted.bandwidth_bps, offered.bandwidth_bps);
+  EXPECT_LE(granted.bandwidth_bps, limit.bandwidth_bps);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, QosNegotiate,
     ::testing::Values(
-        NegotiateCase{{ServiceClass::guaranteed, 100}, {ServiceClass::guaranteed, 200}, {ServiceClass::guaranteed, 100}},
-        NegotiateCase{{ServiceClass::guaranteed, 300}, {ServiceClass::predicted, 200}, {ServiceClass::predicted, 200}},
-        NegotiateCase{{ServiceClass::best_effort, 0}, {ServiceClass::guaranteed, 200}, {ServiceClass::best_effort, 0}},
-        NegotiateCase{{ServiceClass::predicted, 500}, {ServiceClass::guaranteed, 100}, {ServiceClass::predicted, 100}}));
+        NegotiateCase{Qos{ServiceClass::guaranteed, 100}, Qos{ServiceClass::guaranteed, 200}, Qos{ServiceClass::guaranteed, 100}},
+        NegotiateCase{Qos{ServiceClass::guaranteed, 300}, Qos{ServiceClass::predicted, 200}, Qos{ServiceClass::predicted, 200}},
+        NegotiateCase{QosBytes{Qos{ServiceClass::best_effort, 0}, {0xAD, 0x9E, 0x2A}},
+                      Qos{ServiceClass::guaranteed, 200}, Qos{ServiceClass::best_effort, 0}},
+        NegotiateCase{Qos{ServiceClass::predicted, 500}, Qos{ServiceClass::guaranteed, 100}, Qos{ServiceClass::predicted, 100}}));
 
 // ----------------------------------------------------------- VciAllocator
 
@@ -104,6 +140,68 @@ TEST(VciAllocator, ExhaustionReported) {
     ASSERT_TRUE(a.allocate().ok());
   }
   EXPECT_EQ(a.allocate().error(), util::Errc::no_resources);
+}
+
+TEST(VciAllocator, MatchesLowestFreeModelUnderMixedClassChurn) {
+  // Brute-force model: a used-bitmap, and allocate() scans the residue
+  // class upward from the switched floor for the first free VCI.
+  std::vector<bool> used(std::size_t{kMaxVci} + 1, false);
+  std::vector<Vci> live;
+  std::size_t in_use = 0;
+  auto model_allocate = [&](std::uint32_t mod, std::uint32_t rem) -> util::Result<Vci> {
+    for (std::uint32_t v = kFirstSwitchedVci; v <= kMaxVci; ++v) {
+      if (v % mod == rem && !used[v]) {
+        used[v] = true;
+        ++in_use;
+        return static_cast<Vci>(v);
+      }
+    }
+    return util::Errc::no_resources;
+  };
+
+  // Dense classes, shard-style halves and thirds, and two sparse classes
+  // (8 and 4 members) that run dry and refill.
+  const VciPartition classes[] = {{1, 0}, {2, 0}, {2, 1}, {3, 2}, {8192, 3}, {16000, 1500}};
+  VciAllocator a;
+  util::Rng rng(2024);
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 55) {
+      const VciPartition c = classes[rng.below(std::size(classes))];
+      auto got = a.allocate(c.mod, c.rem);
+      auto want = model_allocate(c.mod, c.rem);
+      ASSERT_EQ(got.ok(), want.ok()) << "step " << step;
+      if (got.ok()) {
+        ASSERT_EQ(*got, *want) << "step " << step << " class " << c.mod << "/" << c.rem;
+        live.push_back(*got);
+      }
+    } else if (op < 90) {
+      if (live.empty()) continue;
+      const std::size_t i = rng.below(live.size());
+      const Vci v = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      a.release(v);
+      used[v] = false;
+      --in_use;
+    } else if (op < 95) {
+      // Reserve anywhere, PVC range included; taken VCIs must be refused.
+      const auto v = static_cast<Vci>(1 + rng.below(kMaxVci));
+      auto got = a.reserve(v);
+      ASSERT_EQ(got.ok(), !used[v]) << "step " << step << " vci " << v;
+      if (got.ok()) {
+        used[v] = true;
+        ++in_use;
+        live.push_back(v);
+      }
+    } else {
+      // Releasing a VCI that is not in use is a no-op.
+      const auto v = static_cast<Vci>(1 + rng.below(kMaxVci));
+      if (used[v]) continue;
+      a.release(v);
+    }
+    ASSERT_EQ(a.in_use(), in_use) << "step " << step;
+  }
 }
 
 // ---------------------------------------------------------------- CellLink

@@ -17,6 +17,7 @@
 #include "atm/switch.hpp"
 #include "core/apps.hpp"
 #include "core/testbed.hpp"
+#include "digest.hpp"
 
 namespace xunet {
 namespace {
@@ -307,9 +308,8 @@ struct SwitchRig {
   int p_out;
 
   explicit SwitchRig(std::uint64_t out_rate_bps, std::size_t queue_cells,
-                     int inputs = 1,
-                     sim::Simulator::Engine engine = sim::Simulator::Engine::pooled)
-      : sim(engine), sw(sim, "uut", sim::microseconds(10), queue_cells),
+                     int inputs = 1)
+      : sw(sim, "uut", sim::microseconds(10), queue_cells),
         sink(sim) {
     for (int i = 0; i < inputs; ++i) {
       const int p = sw.add_port();
@@ -817,11 +817,11 @@ TEST(Abr, SourceConvergesToTheStampedExplicitRate) {
 
 // ===================================================================
 // Determinism: the full scheduling/policing pipeline replays
-// byte-identically across runs and event engines.
+// byte-identically across runs, pinned by a golden digest.
 // ===================================================================
 
-std::string scheduler_transcript(sim::Simulator::Engine engine) {
-  SwitchRig rig(3'000'000, 128, 3, engine);
+std::string scheduler_transcript() {
+  SwitchRig rig(3'000'000, 128, 3);
   rig.sw.set_discard_policy(atm::DiscardPolicy::epd_ppd);
   atm::Qos g;
   g.service_class = atm::ServiceClass::guaranteed;
@@ -854,17 +854,20 @@ std::string scheduler_transcript(sim::Simulator::Engine engine) {
   return t;
 }
 
-TEST(QosDeterminism, SchedulerReplayIsByteIdenticalAcrossEngines) {
-  const std::string pooled = scheduler_transcript(sim::Simulator::Engine::pooled);
-  const std::string legacy =
-      scheduler_transcript(sim::Simulator::Engine::legacy_heap);
-  ASSERT_GT(pooled.size(), 1000u) << "transcript suspiciously small";
-  EXPECT_EQ(pooled, legacy);
+/// Digest of the 22,139-byte transcript, recorded when a second,
+/// independent event engine still cross-checked the dispatch order.
+constexpr std::uint64_t kSchedulerTranscriptDigest = 0x61982529d5591033ull;
+
+TEST(QosDeterminism, SchedulerReplayMatchesGoldenDigest) {
+  const std::string t = scheduler_transcript();
+  ASSERT_GT(t.size(), 1000u) << "transcript suspiciously small";
+  EXPECT_EQ(golden::fnv1a64(t), kSchedulerTranscriptDigest)
+      << std::hex << "digest 0x" << golden::fnv1a64(t) << std::dec << " over "
+      << t.size() << " bytes";
 }
 
 TEST(QosDeterminism, SchedulerReplayIsByteIdenticalAcrossRuns) {
-  EXPECT_EQ(scheduler_transcript(sim::Simulator::Engine::pooled),
-            scheduler_transcript(sim::Simulator::Engine::pooled));
+  EXPECT_EQ(scheduler_transcript(), scheduler_transcript());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // sim_test.cpp — unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "util/alloc_hook.hpp"
 
 namespace xunet::sim {
 namespace {
@@ -136,23 +139,119 @@ TEST(Simulator, PeakPendingTracksHighWaterMark) {
   EXPECT_GE(sim.peak_pending(), 50u);
 }
 
-TEST(Simulator, BothEnginesAgreeOnDispatchOrder) {
-  auto run_with = [](Simulator::Engine e) {
-    Simulator sim(e);
-    std::vector<int> order;
-    sim.schedule(milliseconds(2), [&] { order.push_back(2); });
-    sim.schedule(milliseconds(1), [&] {
-      order.push_back(1);
-      sim.schedule(nanoseconds(-1), [&] { order.push_back(10); });
-      sim.schedule(milliseconds(5), [&] { order.push_back(4); });
-    });
-    sim.schedule(milliseconds(2), [&] { order.push_back(3); });
-    sim.schedule(seconds(20), [&] { order.push_back(5); });
+TEST(Simulator, DispatchOrderMatchesGolden) {
+  // Mixes same-instant FIFO, a clamped negative delay scheduled from inside
+  // a callback, and a far event beyond the ring horizon.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(milliseconds(2), [&] { order.push_back(2); });
+  sim.schedule(milliseconds(1), [&] {
+    order.push_back(1);
+    sim.schedule(nanoseconds(-1), [&] { order.push_back(10); });
+    sim.schedule(milliseconds(5), [&] { order.push_back(4); });
+  });
+  sim.schedule(milliseconds(2), [&] { order.push_back(3); });
+  sim.schedule(seconds(20), [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 10, 2, 3, 4, 5}));
+}
+
+TEST(Simulator, CancelAfterFireReturnsFalse) {
+  Simulator sim;
+  EventId id = sim.schedule(milliseconds(1), [] {});
+  sim.run();
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  // The freed record is reused; the old id must not reach the new event.
+  bool ran = false;
+  sim.schedule(milliseconds(1), [&] { ran = true; });
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(sim.cancel(0));
+  EXPECT_FALSE(sim.cancel(~EventId{0}));
+}
+
+TEST(Simulator, EventCancellingItselfGetsFalse) {
+  Simulator sim;
+  EventId id = 0;
+  bool result = true;
+  id = sim.schedule(milliseconds(1), [&] { result = sim.cancel(id); });
+  sim.run();
+  EXPECT_FALSE(result);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// Counts destructions of the live instance only (moved-from shells don't
+/// count), and optionally cancels an event from its destructor.
+struct DtorProbe {
+  int* dtors;
+  Simulator* sim = nullptr;
+  EventId* cancel_on_dtor = nullptr;
+  bool* cancel_result = nullptr;
+  bool live = true;
+  explicit DtorProbe(int* d) : dtors(d) {}
+  DtorProbe(DtorProbe&& o) noexcept
+      : dtors(o.dtors), sim(o.sim), cancel_on_dtor(o.cancel_on_dtor),
+        cancel_result(o.cancel_result), live(o.live) {
+    o.live = false;
+  }
+  ~DtorProbe() {
+    if (!live) return;
+    ++*dtors;
+    if (cancel_on_dtor != nullptr) *cancel_result = sim->cancel(*cancel_on_dtor);
+  }
+};
+
+TEST(Simulator, CancelDestroysCallableOnceAtCancelTime) {
+  int dtors = 0;
+  {
+    Simulator sim;
+    EventId id = sim.schedule(milliseconds(1), [p = DtorProbe(&dtors)] {});
+    EXPECT_EQ(dtors, 0);
+    EXPECT_TRUE(sim.cancel(id));
+    EXPECT_EQ(dtors, 1);
+    EXPECT_EQ(sim.pending(), 0u);
     sim.run();
-    return order;
-  };
-  EXPECT_EQ(run_with(Simulator::Engine::pooled),
-            run_with(Simulator::Engine::legacy_heap));
+    EXPECT_EQ(dtors, 1);
+
+    // Cancelled but never run past: ~Simulator must not destroy it again.
+    EventId id2 = sim.schedule(milliseconds(1), [p = DtorProbe(&dtors)] {});
+    EXPECT_TRUE(sim.cancel(id2));
+    EXPECT_EQ(dtors, 2);
+  }
+  EXPECT_EQ(dtors, 2);
+}
+
+TEST(Simulator, CallableDestructorMayReenterCancel) {
+  int dtors = 0;
+  bool reentrant_result = true;
+  Simulator sim;
+  EventId id = 0;
+  DtorProbe probe(&dtors);
+  probe.sim = &sim;
+  probe.cancel_on_dtor = &id;
+  probe.cancel_result = &reentrant_result;
+  id = sim.schedule(milliseconds(1), [p = std::move(probe)] {});
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(dtors, 1);
+  EXPECT_FALSE(reentrant_result);  // already retired when the dtor ran
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, PendingStaysExactAcrossCancelAndDispatch) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(sim.schedule(microseconds(i), [] {}));
+  for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(sim.cancel(ids[i]));
+  EXPECT_EQ(sim.pending(), 50u);
+  sim.run_until(SimTime(49'500));  // events 0..49: 25 live, 25 cancelled
+  EXPECT_EQ(sim.pending(), 25u);
+  for (EventId id : ids) (void)sim.cancel(id);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Timer, FiresOnce) {
@@ -208,6 +307,27 @@ TEST(Timer, CanRearmFromOwnCallback) {
   t.arm(milliseconds(1), tick);
   sim.run();
   EXPECT_EQ(fired, 5);
+}
+
+TEST(Timer, WarmArmCancelRearmLoopAllocatesNothing) {
+  if (!util::alloc_hook_installed()) {
+    GTEST_SKIP() << "alloc hook not linked into this binary";
+  }
+  Simulator sim;
+  std::deque<Timer> timers;
+  for (int i = 0; i < 10'000; ++i) timers.emplace_back(sim);
+  int fired = 0;
+  auto round = [&] {
+    for (Timer& t : timers) t.arm(milliseconds(10), [&fired] { ++fired; });
+    for (Timer& t : timers) t.cancel();
+    for (Timer& t : timers) t.arm(milliseconds(10), [&fired] { ++fired; });
+    sim.run();
+  };
+  round();  // grows the event pool and queue vectors to working size
+  const std::uint64_t before = util::alloc_count();
+  round();
+  EXPECT_EQ(util::alloc_count() - before, 0u);
+  EXPECT_EQ(fired, 20'000);
 }
 
 }  // namespace

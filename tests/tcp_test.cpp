@@ -38,6 +38,33 @@ struct TcpFixture : ::testing::Test {
     EXPECT_NE(server_conn, 0u);
     return {client_conn, server_conn};
   }
+
+  /// Burn ephemeral ports on `t` (connect, then abort at once, with the
+  /// link down) until its allocator's next candidate is `port`, wrapping
+  /// from 65535 back to 10000 if need be.
+  void advance_ephemeral_cursor(TcpLayer& t, ip::IpAddress peer, std::uint16_t port) {
+    link.set_down(true);
+    const std::uint16_t last = port == 10'000 ? 65'535 : port - 1;
+    for (int i = 0; i < 64 * 1024; ++i) {
+      auto id = t.connect(peer, 9, [](util::Result<ConnId>) {});
+      ASSERT_TRUE(id.ok());
+      const std::uint16_t got = t.local_port(*id);
+      t.abort(*id);
+      if (got == last) break;
+    }
+    link.set_down(false);
+    sim.run_for(sim::milliseconds(1));
+  }
+
+  /// Local port of a fresh connect from `t`, which is then aborted.
+  std::uint16_t probe_ephemeral_port(TcpLayer& t, ip::IpAddress peer) {
+    auto id = t.connect(peer, 9, [](util::Result<ConnId>) {});
+    EXPECT_TRUE(id.ok());
+    if (!id.ok()) return 0;
+    const std::uint16_t got = t.local_port(*id);
+    t.abort(*id);
+    return got;
+  }
 };
 
 TEST_F(TcpFixture, HandshakeEstablishesBothEnds) {
@@ -227,6 +254,56 @@ TEST_F(TcpFixture, PeerAddrAndLocalPortExposed) {
   EXPECT_EQ(ta->peer_addr(c), b.address());
   EXPECT_EQ(tb->peer_addr(s), a.address());
   EXPECT_EQ(tb->local_port(s), 7);
+}
+
+TEST_F(TcpFixture, EphemeralPortSkipsListeningPort) {
+  ASSERT_TRUE(ta->listen(10'000, [](ConnId) {}).ok());
+  EXPECT_EQ(probe_ephemeral_port(*ta, b.address()), 10'001);
+}
+
+TEST_F(TcpFixture, EphemeralPortWrapSkipsTimeWaitAndListeningPorts) {
+  auto [c, s] = establish();
+  ASSERT_EQ(ta->local_port(c), 10'000);
+  ASSERT_TRUE(ta->listen(10'001, [](ConnId) {}).ok());
+  ASSERT_TRUE(ta->close(c).ok());
+  sim.run_for(sim::milliseconds(100));
+  ASSERT_TRUE(tb->close(s).ok());
+  sim.run_for(sim::milliseconds(100));
+  ASSERT_EQ(ta->state(c), State::time_wait);
+
+  // Wrap the allocator past 65535: 10000 (TIME_WAIT) and 10001 (listener)
+  // are still held, so the first port handed out is 10002.
+  advance_ephemeral_cursor(*ta, b.address(), 10'000);
+  ASSERT_EQ(ta->state(c), State::time_wait);
+  EXPECT_EQ(probe_ephemeral_port(*ta, b.address()), 10'002);
+
+  // Once TIME_WAIT ends, the wrapped allocator hands 10000 out again.
+  sim.run_for(ta->config().msl * 2);
+  ASSERT_EQ(ta->connection_count(), 0u);
+  advance_ephemeral_cursor(*ta, b.address(), 10'000);
+  EXPECT_EQ(probe_ephemeral_port(*ta, b.address()), 10'000);
+}
+
+TEST_F(TcpFixture, EphemeralPortSharedByTwoTuplesIsFreedOnlyWhenBothGo) {
+  // Two connections accepted on b's port 10000 share that local port.
+  std::vector<ConnId> accepted;
+  ASSERT_TRUE(tb->listen(10'000, [&](ConnId id) { accepted.push_back(id); }).ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ta->connect(b.address(), 10'000, [](util::Result<ConnId>) {}).ok());
+  }
+  sim.run_for(sim::milliseconds(50));
+  ASSERT_EQ(accepted.size(), 2u);
+  tb->stop_listening(10'000);
+
+  EXPECT_EQ(probe_ephemeral_port(*tb, a.address()), 10'001);
+
+  tb->abort(accepted[0]);
+  advance_ephemeral_cursor(*tb, a.address(), 10'000);
+  EXPECT_EQ(probe_ephemeral_port(*tb, a.address()), 10'001);  // one tuple left
+
+  tb->abort(accepted[1]);
+  advance_ephemeral_cursor(*tb, a.address(), 10'000);
+  EXPECT_EQ(probe_ephemeral_port(*tb, a.address()), 10'000);
 }
 
 // Segment wire-format unit tests.
