@@ -1,5 +1,6 @@
 #include "atm/aal5.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -19,9 +20,9 @@ std::string_view to_string(Aal5Error e) noexcept {
   return "?";
 }
 
-util::Result<void> Aal5Segmenter::emit(Vci vci, const util::BytesView* spans,
-                                       std::size_t nspans, std::size_t total,
-                                       std::vector<Cell>& out) {
+util::Result<void> Aal5Segmenter::segment(Vci vci, util::BytesView payload,
+                                          std::vector<Cell>& out) {
+  const std::size_t total = payload.size();
   if (total > kMaxFramePayload) return Errc::message_too_long;
   if (vci == kInvalidVci) return Errc::invalid_argument;
 
@@ -29,35 +30,19 @@ util::Result<void> Aal5Segmenter::emit(Vci vci, const util::BytesView* spans,
   if (const std::uint8_t* s = seq_.find(vci)) seq = *s;
   seq_.insert(vci, static_cast<std::uint8_t>(seq + 1));
 
-  // CPCS-PDU = payload | pad | trailer, a multiple of the cell payload
-  // size — but the PDU is never materialized: each cell payload is filled
-  // straight from the scattered input and fed to the incremental CRC.
   const std::size_t ncells = cells_for_payload(total);
   out.resize(ncells);
   util::Crc32 crc;
-  std::size_t si = 0;    // current input span
-  std::size_t soff = 0;  // offset within it
   for (std::size_t i = 0; i < ncells; ++i) {
     Cell& c = out[i];
     c.vci = vci;
     c.end_of_frame = (i + 1 == ncells);
-    std::size_t filled = 0;
-    while (filled < kCellPayload && si < nspans) {
-      const util::BytesView& s = spans[si];
-      const std::size_t take = std::min(kCellPayload - filled, s.size() - soff);
-      if (take > 0) {
-        std::memcpy(c.payload.data() + filled, s.data() + soff, take);
-        filled += take;
-        soff += take;
-      }
-      if (soff == s.size()) {
-        ++si;
-        soff = 0;
-      }
-    }
-    std::memset(c.payload.data() + filled, 0, kCellPayload - filled);
+    const std::size_t off = i * kCellPayload;
+    const std::size_t take = off < total ? std::min(kCellPayload, total - off) : 0;
+    if (take > 0) std::memcpy(c.payload.data(), payload.data() + off, take);
+    std::memset(c.payload.data() + take, 0, kCellPayload - take);
     if (!c.end_of_frame) {
-      crc.update({c.payload.data(), kCellPayload});
+      crc.update(c.payload);
       continue;
     }
     // The data never reaches the trailer region of the final cell
@@ -82,20 +67,9 @@ util::Result<void> Aal5Segmenter::emit(Vci vci, const util::BytesView* spans,
 util::Result<std::vector<Cell>> Aal5Segmenter::segment(Vci vci,
                                                        util::BytesView payload) {
   std::vector<Cell> cells;
-  auto r = emit(vci, &payload, 1, payload.size(), cells);
+  auto r = segment(vci, payload, cells);
   if (!r) return r.error();
   return cells;
-}
-
-util::Result<void> Aal5Segmenter::segment_gather(
-    Vci vci, const std::vector<util::Buffer>& segs, std::vector<Cell>& out) {
-  spans_.clear();
-  std::size_t total = 0;
-  for (const util::Buffer& s : segs) {
-    spans_.emplace_back(s.data(), s.size());
-    total += s.size();
-  }
-  return emit(vci, spans_.data(), spans_.size(), total, out);
 }
 
 std::uint8_t Aal5Segmenter::next_seq(Vci vci) const noexcept {
@@ -125,17 +99,26 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
     // A lost end-of-frame cell would otherwise grow this buffer without
     // bound; discard and report, as the Hobbit hardware would.
     vc.partial.clear();
+    vc.crc.reset();
     fail(cell.vci, Aal5Error::oversize);
     return;
   }
+  if (vc.partial.empty()) vc.partial.reserve(vc.pdu_hint);
   vc.partial.insert(vc.partial.end(), cell.payload.begin(), cell.payload.end());
-  if (!cell.end_of_frame) return;
-
+  if (!cell.end_of_frame) {
+    vc.crc.update(cell.payload);
+    return;
+  }
+  // CRC-32 covers the whole PDU except the CRC field itself.
+  vc.crc.update({cell.payload.data(), kCellPayload - 4});
+  const std::uint32_t crc = vc.crc.value();
+  vc.crc.reset();
   util::Buffer pdu = std::move(vc.partial);
   vc.partial.clear();
+  vc.pdu_hint = std::max(vc.pdu_hint, static_cast<std::uint32_t>(pdu.size()));
 
-  // The PDU is a whole number of cells >= 1, so the trailer is present.
-  const std::uint8_t* trailer = pdu.data() + pdu.size() - kAal5TrailerBytes;
+  const std::uint8_t* trailer =
+      cell.payload.data() + kCellPayload - kAal5TrailerBytes;
   const std::uint8_t seq = trailer[0];
   const std::size_t length =
       static_cast<std::size_t>(trailer[2]) << 8 | trailer[3];
@@ -144,7 +127,7 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
                                  static_cast<std::uint32_t>(trailer[6]) << 8 |
                                  trailer[7];
 
-  if (util::crc32({pdu.data(), pdu.size() - 4}) != wire_crc) {
+  if (crc != wire_crc) {
     fail(cell.vci, Aal5Error::crc_mismatch);
     return;
   }
@@ -165,10 +148,11 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
   vc.expected_seq = static_cast<std::uint8_t>(seq + 1);
   vc.has_expected_seq = true;
 
+  pdu.resize(length);  // drop pad and trailer in place
   Aal5Frame frame;
   frame.vci = cell.vci;
   frame.seq = seq;
-  frame.payload.assign(pdu.begin(), pdu.begin() + static_cast<long>(length));
+  frame.payload = std::move(pdu);
   ++frames_;
   on_frame_(std::move(frame));
 }

@@ -20,6 +20,7 @@
 
 #include "atm/cell.hpp"
 #include "util/buffer.hpp"
+#include "util/crc32.hpp"
 #include "util/flat_map.hpp"
 #include "util/result.hpp"
 
@@ -47,7 +48,10 @@ enum class Aal5Error : std::uint8_t {
 [[nodiscard]] std::string_view to_string(Aal5Error e) noexcept;
 
 /// Per-VC segmenter: cuts frames into cells with trailer, padding, CRC and
-/// an incrementing frame sequence number.
+/// an incrementing frame sequence number.  The CPCS-PDU (payload | pad |
+/// trailer) is never built: each cell is filled straight from the payload
+/// span and fed to the CRC as it is emitted, as the Hobbit board does while
+/// it moves the frame.
 class Aal5Segmenter {
  public:
   /// Segment `payload` for `vci`.  Fails with message_too_long past
@@ -56,14 +60,10 @@ class Aal5Segmenter {
   [[nodiscard]] util::Result<std::vector<Cell>> segment(Vci vci,
                                                         util::BytesView payload);
 
-  /// Gather variant for the native send path: segment a frame scattered
-  /// across `segs` (an mbuf chain's segments) without ever building a
-  /// contiguous PDU.  Cell payloads are filled straight from the segments
-  /// and the trailer CRC-32 accumulates incrementally as cells are emitted.
-  /// `out` is overwritten (not appended to), so a hot path can reuse one
-  /// vector forever.
-  [[nodiscard]] util::Result<void> segment_gather(
-      Vci vci, const std::vector<util::Buffer>& segs, std::vector<Cell>& out);
+  /// Same, writing the cells into `out`, which is overwritten (not appended
+  /// to), so a hot path can reuse one vector forever.
+  [[nodiscard]] util::Result<void> segment(Vci vci, util::BytesView payload,
+                                           std::vector<Cell>& out);
 
   /// Sequence number the next frame on `vci` will carry.
   [[nodiscard]] std::uint8_t next_seq(Vci vci) const noexcept;
@@ -72,16 +72,16 @@ class Aal5Segmenter {
   void release(Vci vci) noexcept { seq_.erase(vci); }
 
  private:
-  util::Result<void> emit(Vci vci, const util::BytesView* spans,
-                          std::size_t nspans, std::size_t total,
-                          std::vector<Cell>& out);
-
   util::FlatMap<Vci, std::uint8_t> seq_;
-  std::vector<util::BytesView> spans_;  ///< reused gather scratch
 };
 
 /// Per-VC reassembler.  Feed cells in arrival order; completed frames and
-/// errors are reported through callbacks.
+/// errors are reported through callbacks.  Each cell is appended to the
+/// VC's frame buffer and fed to that VC's running CRC in the same step (the
+/// end-of-frame cell only up to its CRC field), so the PDU is never read a
+/// second time.  A good frame is truncated to its length in place and moved
+/// to the handler: one buffer per frame, sized up front from the largest
+/// PDU the VC has carried.
 class Aal5Reassembler {
  public:
   using FrameHandler = std::function<void(Aal5Frame)>;
@@ -110,7 +110,9 @@ class Aal5Reassembler {
 
  private:
   struct VcState {
-    util::Buffer partial;
+    util::Buffer partial;       ///< cells of the frame in progress
+    util::Crc32 crc;            ///< running CRC over `partial`
+    std::uint32_t pdu_hint = 0; ///< largest PDU seen; reserved per frame
     bool has_expected_seq = false;
     std::uint8_t expected_seq = 0;
   };

@@ -41,6 +41,7 @@ util::Result<IpAddress> parse_ip(std::string_view s) {
 
 util::Buffer serialize(const IpPacket& p) {
   util::Writer w;
+  w.reserve(kIpHeaderBytes + p.payload.size());
   w.u8(0x45);  // version 4, IHL 5
   w.u8(0);     // TOS
   w.u16(static_cast<std::uint16_t>(kIpHeaderBytes + p.payload.size()));

@@ -16,15 +16,15 @@ HobbitInterface::HobbitInterface(atm::AtmAddress addr, std::size_t mbuf_bytes)
           obs_->instant("atm", "aal5.frame", addr_.name, std::move(ids));
         }
         if (on_frame_) {
-          on_frame_(f.vci, MbufChain::from_bytes(f.payload, mbuf_bytes_));
+          on_frame_(f.vci, MbufChain::adopt(std::move(f.payload), mbuf_bytes_));
         }
       }) {}
 
 util::Result<void> HobbitInterface::send(atm::Vci vci, const MbufChain& chain) {
   if (uplink_ == nullptr) return Errc::not_connected;
-  // Segment straight over the mbuf chain's segments — the board walks the
-  // chain ("simply a pointer to an mbuf chain") and never linearizes it.
-  auto cells = seg_.segment_gather(vci, chain.segments(), tx_cells_);
+  // Segment straight from the chain's bytes ("simply a pointer to an mbuf
+  // chain"): the host CPU never copies the frame on its way to the wire.
+  auto cells = seg_.segment(vci, chain.bytes(), tx_cells_);
   if (!cells) return cells.error();
   if (XOBS_TRACING(obs_)) {
     // AAL5 trailer + SAR on the board: the host CPU pays nothing (Table 1).

@@ -28,8 +28,9 @@ class HobbitInterface : public atm::CellSink {
   /// as the Hobbit separates OAM/RM traffic from the SAR path.
   using RmHandler = std::function<void(const atm::Cell&)>;
 
-  /// `mbuf_bytes` shapes the chains the board builds on receive (the DMA
-  /// engine fills fixed-size kernel buffers).
+  /// `mbuf_bytes` shapes the chains the board hands up on receive (the DMA
+  /// engine fills fixed-size kernel buffers).  The reassembled frame buffer
+  /// itself is adopted, never copied.
   HobbitInterface(atm::AtmAddress addr, std::size_t mbuf_bytes);
 
   [[nodiscard]] const atm::AtmAddress& address() const noexcept { return addr_; }

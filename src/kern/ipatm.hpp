@@ -14,6 +14,7 @@
 
 #include "atm/types.hpp"
 #include "ip/link.hpp"
+#include "obs/metrics.hpp"
 
 namespace xunet::kern {
 
@@ -42,6 +43,8 @@ class IpOverAtm : public ip::IpEgress {
   atm::Vci send_vci_;
   atm::Vci recv_vci_;
   std::size_t mtu_;
+  obs::Counter* m_encap_ = nullptr;  ///< ipatm.<kernel>.encap
+  obs::Counter* m_decap_ = nullptr;  ///< ipatm.<kernel>.decap
   std::uint64_t out_ = 0;
   std::uint64_t in_ = 0;
 };

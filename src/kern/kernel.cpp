@@ -37,8 +37,8 @@ Kernel::Kernel(sim::Simulator& sim, std::string name, Role role,
       role_ == Role::router ? ProtoAtm::Role::router : ProtoAtm::Role::host,
       atm_addr_, cfg_.mbuf_bytes, cfg_.encap_checksum);
   proto_atm_->set_orc(*orc_);
-  orc_->set_default_handler([this](atm::Vci vci, const MbufChain& chain) {
-    pf_xunet_input(vci, chain);
+  orc_->set_default_handler([this](atm::Vci vci, MbufChain chain) {
+    pf_xunet_input(vci, std::move(chain));
   });
   if (role_ == Role::host) {
     // On a host the Orc driver's output routine calls the encapsulation
@@ -71,7 +71,7 @@ util::Result<void> Kernel::attach_atm(atm::AtmNetwork& net, atm::AtmSwitch& sw,
   }
   hobbit_->connect_uplink(**uplink);
   hobbit_->set_frame_handler([this](atm::Vci vci, MbufChain chain) {
-    orc_->input(vci, chain);
+    orc_->input(vci, std::move(chain));
   });
   orc_->set_output_target([this](atm::Vci vci, const MbufChain& chain) {
     return hobbit_->send(vci, chain);
@@ -543,8 +543,7 @@ util::Result<void> Kernel::xunet_connect(Pid pid, int fd, atm::Vci vci,
   return {};
 }
 
-util::Result<void> Kernel::xunet_output(Pid pid, int fd,
-                                        const MbufChain& chain) {
+util::Result<void> Kernel::xunet_output(Pid pid, int fd, MbufChain chain) {
   auto d = descriptor(pid, fd, Descriptor::Kind::xunet);
   if (!d) return d.error();
   XunetSock& xs = xsocks_.at(d->handle);
@@ -564,7 +563,8 @@ util::Result<void> Kernel::xunet_output(Pid pid, int fd,
     obs_->complete(cfg_.data_syscall, "kern", "xunet.send", name_,
                    std::move(ids));
   }
-  sim_.schedule(cfg_.data_syscall, [this, vci = xs.vci, chain] {
+  sim_.schedule(cfg_.data_syscall, [this, vci = xs.vci,
+                                    chain = std::move(chain)] {
     (void)orc_->output(vci, chain);
   });
   return {};
@@ -574,9 +574,8 @@ util::Result<void> Kernel::xunet_send(Pid pid, int fd, util::BytesView data) {
   return xunet_output(pid, fd, MbufChain::from_bytes(data, cfg_.mbuf_bytes));
 }
 
-util::Result<void> Kernel::xunet_send_chain(Pid pid, int fd,
-                                            const MbufChain& chain) {
-  return xunet_output(pid, fd, chain);
+util::Result<void> Kernel::xunet_send_chain(Pid pid, int fd, MbufChain chain) {
+  return xunet_output(pid, fd, std::move(chain));
 }
 
 util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
@@ -612,7 +611,7 @@ bool Kernel::xunet_usable(Pid pid, int fd) const {
   return xs.state == SocketState::bound || xs.state == SocketState::connected;
 }
 
-void Kernel::pf_xunet_input(atm::Vci vci, const MbufChain& chain) {
+void Kernel::pf_xunet_input(atm::Vci vci, MbufChain chain) {
   // Table 1 receive row: VCI-indexed PCB lookup, socket checks, sbappend,
   // reader wakeup, plus the per-mbuf chain walk.
   instr_.charge(InstrComponent::pf_xunet, InstrDir::receive,
@@ -639,7 +638,7 @@ void Kernel::pf_xunet_input(atm::Vci vci, const MbufChain& chain) {
       m_x_dropped_->inc();
       return;
     }
-    xs.rx_queue.push_back(chain.linearize());
+    xs.rx_queue.push_back(std::move(chain).take());
     m_x_rx_->inc();
     return;
   }
@@ -655,7 +654,7 @@ void Kernel::pf_xunet_input(atm::Vci vci, const MbufChain& chain) {
   }
   sim_.schedule(cfg_.data_syscall, [this, owner = xs.owner,
                                     fn = xs.on_receive,
-                                    buf = chain.linearize()] {
+                                    buf = std::move(chain).take()] {
     if (alive(owner)) fn(buf);
   });
 }

@@ -121,7 +121,7 @@ class Kernel {
   util::Result<void> xunet_connect(Pid pid, int fd, atm::Vci vci, std::uint16_t cookie);
   util::Result<void> xunet_send(Pid pid, int fd, util::BytesView data);
   /// Bench variant: send an explicitly shaped mbuf chain.
-  util::Result<void> xunet_send_chain(Pid pid, int fd, const MbufChain& chain);
+  util::Result<void> xunet_send_chain(Pid pid, int fd, MbufChain chain);
   util::Result<void> xunet_on_receive(Pid pid, int fd, DataFn fn);
   util::Result<void> xunet_on_disconnect(Pid pid, int fd, std::function<void()> fn);
   [[nodiscard]] bool xunet_usable(Pid pid, int fd) const;
@@ -232,8 +232,8 @@ class Kernel {
   /// queue it and retry until the sighost drains enough space.
   void post_durable(const AnandUpMsg& msg);
   void drain_pending_up();
-  void pf_xunet_input(atm::Vci vci, const MbufChain& chain);
-  util::Result<void> xunet_output(Pid pid, int fd, const MbufChain& chain);
+  void pf_xunet_input(atm::Vci vci, MbufChain chain);
+  util::Result<void> xunet_output(Pid pid, int fd, MbufChain chain);
   void tcp_released(tcp::ConnId conn);
 
   sim::Simulator& sim_;

@@ -3,39 +3,27 @@
 #include <cassert>
 
 namespace xunet::kern {
+namespace {
+
+std::size_t mbufs_for(std::size_t bytes, std::size_t mbuf_bytes) {
+  assert(mbuf_bytes > 0);
+  return bytes == 0 ? 1 : (bytes + mbuf_bytes - 1) / mbuf_bytes;
+}
+
+}  // namespace
 
 MbufChain MbufChain::from_bytes(util::BytesView data, std::size_t mbuf_bytes) {
-  assert(mbuf_bytes > 0);
-  MbufChain chain;
-  if (data.empty()) {
-    chain.append({});
-    return chain;
-  }
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    std::size_t n = std::min(mbuf_bytes, data.size() - offset);
-    chain.append(util::to_buffer(data.subspan(offset, n)));
-    offset += n;
-  }
-  return chain;
+  return adopt(util::to_buffer(data), mbuf_bytes);
+}
+
+MbufChain MbufChain::adopt(util::Buffer&& data, std::size_t mbuf_bytes) {
+  const std::size_t mbufs = mbufs_for(data.size(), mbuf_bytes);
+  return MbufChain(std::move(data), mbufs);
 }
 
 MbufChain MbufChain::shaped(std::size_t count, std::size_t each,
                             std::uint8_t fill) {
-  MbufChain chain;
-  for (std::size_t i = 0; i < count; ++i) {
-    chain.append(util::Buffer(each, fill));
-  }
-  return chain;
-}
-
-util::Buffer MbufChain::linearize() const {
-  util::Buffer out;
-  out.reserve(total_);
-  for (const auto& seg : segs_) {
-    out.insert(out.end(), seg.begin(), seg.end());
-  }
-  return out;
+  return MbufChain(util::Buffer(count * each, fill), count);
 }
 
 }  // namespace xunet::kern

@@ -2,52 +2,53 @@
 //
 // The paper's instruction counts are functions of the number of mbufs in a
 // message (Table 1: "+ 8 * (# of mbufs)"), and the Orc/Hobbit interface is
-// "simply a pointer to an mbuf chain".  We model a chain as a sequence of
-// byte segments; layers hand the chain around without copying, exactly the
-// property the zero-cost send rows of Table 1 rely on.
+// "simply a pointer to an mbuf chain".  A chain here is one contiguous
+// buffer plus the number of mbufs the message would occupy: the mbuf shape
+// feeds only Table 1's per-mbuf term, so the bytes never need to be split.
+// Layers hand a chain on by move, so a frame is copied once per direction
+// (application buffer in on send, cells into the reassembly buffer on
+// receive) and never again on the way through PF_XUNET, Orc and Hobbit.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/buffer.hpp"
 
 namespace xunet::kern {
 
-/// A chain of mbufs.  Each element is one mbuf's data.
+/// A message held as one buffer, shaped as `mbuf_count()` mbufs.
 class MbufChain {
  public:
   MbufChain() = default;
 
-  /// Build a chain from contiguous bytes, `mbuf_bytes` per mbuf (the last
-  /// may be short).  Empty input yields a single empty mbuf, as a
-  /// zero-length write still occupies one buffer.
+  /// Copy contiguous bytes into a chain of `mbuf_bytes` per mbuf (the last
+  /// may be short).  Empty input still counts as a single mbuf, as a
+  /// zero-length write occupies one buffer.
   static MbufChain from_bytes(util::BytesView data, std::size_t mbuf_bytes);
+
+  /// Same shape as from_bytes, but takes ownership of `data` without
+  /// copying it.
+  static MbufChain adopt(util::Buffer&& data, std::size_t mbuf_bytes);
 
   /// Build a chain with an explicit shape: `count` mbufs of `each` bytes
   /// filled with `fill` (instruction-count benches control #mbufs exactly).
   static MbufChain shaped(std::size_t count, std::size_t each,
                           std::uint8_t fill = 0xA5);
 
-  /// Append one mbuf.
-  void append(util::Buffer mbuf) {
-    total_ += mbuf.size();
-    segs_.push_back(std::move(mbuf));
-  }
+  [[nodiscard]] std::size_t mbuf_count() const noexcept { return mbufs_; }
+  [[nodiscard]] std::size_t total_bytes() const noexcept { return data_.size(); }
+  /// The message bytes, in order.
+  [[nodiscard]] util::BytesView bytes() const noexcept { return data_; }
 
-  [[nodiscard]] std::size_t mbuf_count() const noexcept { return segs_.size(); }
-  [[nodiscard]] std::size_t total_bytes() const noexcept { return total_; }
-  [[nodiscard]] const std::vector<util::Buffer>& segments() const noexcept {
-    return segs_;
-  }
-
-  /// Copy out into one contiguous buffer (the point where a real stack
-  /// would pay for a copy; only the wire serialization does this).
-  [[nodiscard]] util::Buffer linearize() const;
+  /// Release the buffer to the caller, consuming the chain.
+  [[nodiscard]] util::Buffer take() && noexcept { return std::move(data_); }
 
  private:
-  std::vector<util::Buffer> segs_;
-  std::size_t total_ = 0;
+  MbufChain(util::Buffer data, std::size_t mbufs)
+      : data_(std::move(data)), mbufs_(mbufs) {}
+
+  util::Buffer data_;
+  std::size_t mbufs_ = 0;
 };
 
 }  // namespace xunet::kern

@@ -26,7 +26,7 @@ util::Result<void> OrcDriver::output(atm::Vci vci, const MbufChain& chain) {
   return output_(vci, chain);
 }
 
-void OrcDriver::input(atm::Vci vci, const MbufChain& chain) {
+void OrcDriver::input(atm::Vci vci, MbufChain chain) {
   if (discard_.contains(vci)) {
     ++frames_discarded_;
     return;
@@ -42,10 +42,10 @@ void OrcDriver::input(atm::Vci vci, const MbufChain& chain) {
   // Table 1: device driver receive cost is the handler dispatch.
   instr_.charge(InstrComponent::orc_driver, InstrDir::receive, kOrcRecvDispatch);
   if (auto it = handlers_.find(vci); it != handlers_.end()) {
-    it->second(vci, chain);
+    it->second(vci, std::move(chain));
     return;
   }
-  if (default_handler_) default_handler_(vci, chain);
+  if (default_handler_) default_handler_(vci, std::move(chain));
 }
 
 }  // namespace xunet::kern

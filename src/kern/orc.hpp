@@ -27,7 +27,9 @@ namespace xunet::kern {
 class OrcDriver {
  public:
   using FrameFn = std::function<util::Result<void>(atm::Vci, const MbufChain&)>;
-  using Handler = std::function<void(atm::Vci, const MbufChain&)>;
+  /// Upward handlers take the chain by value: the frame is moved up, never
+  /// copied.
+  using Handler = std::function<void(atm::Vci, MbufChain)>;
 
   explicit OrcDriver(InstrCounter& instr) : instr_(instr) {}
 
@@ -67,7 +69,7 @@ class OrcDriver {
   [[nodiscard]] util::Result<void> output(atm::Vci vci, const MbufChain& chain);
 
   /// Receive path: dispatch to the per-VCI handler (or the default).
-  void input(atm::Vci vci, const MbufChain& chain);
+  void input(atm::Vci vci, MbufChain chain);
 
   [[nodiscard]] std::uint64_t frames_in() const noexcept { return frames_in_; }
   [[nodiscard]] std::uint64_t frames_out() const noexcept { return frames_out_; }

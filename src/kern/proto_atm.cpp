@@ -23,7 +23,7 @@ void ProtoAtm::control_vci_bind(atm::Vci vci, ip::IpAddress host) {
   vci_dest_[vci] = host;
   if (orc_ != nullptr) {
     orc_->set_discard(vci, false);
-    orc_->set_vci_handler(vci, [this, host](atm::Vci v, const MbufChain& c) {
+    orc_->set_vci_handler(vci, [this, host](atm::Vci v, MbufChain c) {
       (void)encap_output_to(host, v, c);
     });
   }
@@ -56,11 +56,13 @@ util::Result<void> ProtoAtm::encap_output_to(ip::IpAddress dst, atm::Vci vci,
 
   std::uint32_t& seq = send_seq_[vci];
   util::Writer w;
+  // Header (checksum, length-prefixed source, sequence, VCI) plus payload.
+  w.reserve(2 + 2 + self_.name.size() + 4 + 2 + chain.total_bytes());
   w.u16(0);                 // header checksum (0 = not checksummed)
   w.lp_string(self_.name);  // Source Address
   w.u32(seq++);             // Sequence Number
   w.u16(vci);               // VCI
-  w.bytes(chain.linearize());
+  w.bytes(chain.bytes());
   util::Buffer msg = w.take();
   if (checksum_) {
     std::uint16_t csum = util::internet_checksum(msg);
@@ -131,7 +133,7 @@ void ProtoAtm::decap_input(const ip::IpPacket& p) {
   MbufChain chain = MbufChain::from_bytes(r.rest(), mbuf_bytes_);
   if (role_ == Role::host) {
     // Upward: driver input reads from the decapsulation routine.
-    orc_->input(*vci, chain);
+    orc_->input(*vci, std::move(chain));
   } else {
     // Router: hand the mbuf chain to the Orc driver along with the VCI;
     // AAL5 trailer computation and segmentation happen on the Hobbit board.

@@ -72,6 +72,10 @@ class Writer {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Size the buffer for `n` bytes in total, so a writer that knows its
+  /// message size up front allocates once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   /// Take the finished buffer; the Writer is left empty.
   [[nodiscard]] Buffer take() { return std::move(buf_); }

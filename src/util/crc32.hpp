@@ -9,6 +9,8 @@ namespace xunet::util {
 
 /// Incremental CRC-32 engine (polynomial 0x04C11DB7, reflected form), the
 /// CRC used by AAL5.  Feed bytes in any chunking; value() is the final CRC.
+/// update() consumes eight bytes per step (slicing-by-8) and gives results
+/// bit-identical to the byte-at-a-time table method on any host byte order.
 class Crc32 {
  public:
   Crc32() noexcept = default;

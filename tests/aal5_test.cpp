@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "atm/aal5.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace xunet::atm {
@@ -198,6 +199,109 @@ TEST(Aal5, ReleaseDiscardsPartialFrame) {
   for (const Cell& cell : *fresh) c.reasm.cell_arrival(cell);
   EXPECT_EQ(c.frames.size(), 1u);
   EXPECT_TRUE(c.errors.empty());
+}
+
+// ------------------------------------------ recovery of the running CRC
+//
+// The reassembler keeps a per-VC CRC that runs as cells arrive.  Every way
+// a frame can end early must leave that state clean: the next good frame on
+// the same VC has to arrive intact.
+
+void feed(Collector& c, const std::vector<Cell>& cells) {
+  for (const Cell& cell : cells) c.reasm.cell_arrival(cell);
+}
+
+/// Recompute the trailer CRC of a segmented frame after its bytes were
+/// edited, so a test can forge a frame that passes the CRC check.
+void reseal(std::vector<Cell>& cells) {
+  util::Crc32 crc;
+  for (std::size_t i = 0; i + 1 < cells.size(); ++i) crc.update(cells[i].payload);
+  std::uint8_t* last = cells.back().payload.data();
+  crc.update({last, kCellPayload - 4});
+  const std::uint32_t v = crc.value();
+  for (int k = 0; k < 4; ++k) {
+    last[kCellPayload - 4 + k] = static_cast<std::uint8_t>(v >> (24 - 8 * k));
+  }
+}
+
+/// The frame after a failure on VCI 5 is delivered byte for byte.
+void expect_next_frame_intact(Aal5Segmenter& seg, Collector& c) {
+  const std::size_t frames = c.frames.size();
+  const std::size_t errors = c.errors.size();
+  const util::Buffer payload = make_payload(300, 99);
+  feed(c, *seg.segment(5, payload));
+  ASSERT_EQ(c.frames.size(), frames + 1);
+  EXPECT_EQ(c.errors.size(), errors);
+  EXPECT_EQ(c.frames.back().payload, payload);
+}
+
+TEST(Aal5, CleanFrameFollowsOversizeDiscard) {
+  Aal5Segmenter seg;
+  Collector c;
+  // A runaway frame (end-of-frame cell lost for good): feed non-EOM cells
+  // until the reassembler discards, then nothing more of it.
+  Cell runaway;
+  runaway.vci = 5;
+  runaway.payload.fill(0x3C);
+  while (c.errors.empty()) c.reasm.cell_arrival(runaway);
+  ASSERT_EQ(c.errors[0].second, Aal5Error::oversize);
+  expect_next_frame_intact(seg, c);
+}
+
+TEST(Aal5, CleanFrameFollowsCrcMismatch) {
+  Aal5Segmenter seg;
+  Collector c;
+  auto bad = seg.segment(5, make_payload(200, 50));
+  (*bad)[2].payload[17] ^= 0x04;
+  feed(c, *bad);
+  ASSERT_EQ(c.errors.size(), 1u);
+  ASSERT_EQ(c.errors[0].second, Aal5Error::crc_mismatch);
+  expect_next_frame_intact(seg, c);
+}
+
+TEST(Aal5, CleanFrameFollowsLengthMismatch) {
+  Aal5Segmenter seg;
+  Collector c;
+  // A frame whose length field claims one more cell than it has, resealed
+  // so only the length check can catch it.
+  auto bad = seg.segment(5, make_payload(200, 51));
+  std::uint8_t* trailer = bad->back().payload.data() + kCellPayload - kAal5TrailerBytes;
+  trailer[2] = 0;
+  trailer[3] = 250;
+  reseal(*bad);
+  feed(c, *bad);
+  ASSERT_EQ(c.errors.size(), 1u);
+  ASSERT_EQ(c.errors[0].second, Aal5Error::length_mismatch);
+  expect_next_frame_intact(seg, c);
+}
+
+TEST(Aal5, CleanFrameFollowsReleaseMidFrame) {
+  Aal5Segmenter seg;
+  Collector c;
+  auto cells = seg.segment(5, make_payload(200, 52));
+  c.reasm.cell_arrival((*cells)[0]);
+  c.reasm.cell_arrival((*cells)[1]);
+  c.reasm.release(5);
+  seg.release(5);
+  expect_next_frame_intact(seg, c);
+}
+
+TEST(Aal5, SingleBitFlipInMiddleCellOrCrcFieldFailsCrc) {
+  for (const bool in_crc_field : {false, true}) {
+    Aal5Segmenter seg;
+    Collector c;
+    auto cells = seg.segment(5, make_payload(200, 53));
+    ASSERT_EQ(cells->size(), 5u);
+    if (in_crc_field) {
+      cells->back().payload[kCellPayload - 2] ^= 0x10;
+    } else {
+      (*cells)[2].payload[30] ^= 0x01;
+    }
+    feed(c, *cells);
+    EXPECT_TRUE(c.frames.empty());
+    ASSERT_EQ(c.errors.size(), 1u);
+    EXPECT_EQ(c.errors[0].second, Aal5Error::crc_mismatch);
+  }
 }
 
 TEST(Aal5, ErrorAndFrameCountersTrack) {

@@ -15,7 +15,7 @@ TEST(Mbuf, FromBytesShapesChain) {
   MbufChain c = MbufChain::from_bytes(data, 128);
   EXPECT_EQ(c.mbuf_count(), 3u);  // 128 + 128 + 44
   EXPECT_EQ(c.total_bytes(), 300u);
-  EXPECT_EQ(c.linearize(), data);
+  EXPECT_EQ(util::to_buffer(c.bytes()), data);
 }
 
 TEST(Mbuf, EmptyDataStillOneMbuf) {
