@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace xunet::bench {
 
 /// True when the XUNET_BENCH_SHORT environment variable asks for the
@@ -56,18 +58,18 @@ class JsonReport {
       return false;
     }
     std::fprintf(f, "{\n  \"schema\": \"xunet.bench.v1\",\n  \"bench\": \"%s\",\n",
-                 escape(bench_).c_str());
+                 util::json_escape(bench_).c_str());
     std::fprintf(f, "  \"metrics\": {");
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       std::fprintf(f, "%s\n    \"%s\": %s", i ? "," : "",
-                   escape(metrics_[i].first).c_str(),
+                   util::json_escape(metrics_[i].first).c_str(),
                    number(metrics_[i].second).c_str());
     }
     std::fprintf(f, "\n  },\n  \"info\": {");
     for (std::size_t i = 0; i < infos_.size(); ++i) {
       std::fprintf(f, "%s\n    \"%s\": \"%s\"", i ? "," : "",
-                   escape(infos_[i].first).c_str(),
-                   escape(infos_[i].second).c_str());
+                   util::json_escape(infos_[i].first).c_str(),
+                   util::json_escape(infos_[i].second).c_str());
     }
     std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
@@ -77,7 +79,8 @@ class JsonReport {
 
  private:
   /// JSON numbers: integral values print without a fraction so counters
-  /// stay exact; others with enough digits to round-trip a double.
+  /// stay exact; others with nine significant digits.  (obs::json_number
+  /// keeps fixed "%.6f" because chaos artifacts round-trip through it.)
   static std::string number(double v) {
     if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
       char buf[32];
@@ -88,24 +91,6 @@ class JsonReport {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    return out;
   }
 
   std::string bench_;

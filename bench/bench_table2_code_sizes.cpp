@@ -8,7 +8,11 @@
 // source).  Absolute numbers differ — C++ with doc comments vs. 1994 C —
 // but the *relative* structure (sighost dominates; the kernel pieces are
 // each a few hundred lines) is the reproducible claim.
+#include <algorithm>
+#include <filesystem>
+
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "util/loc_scan.hpp"
 
 namespace xunet::bench {
@@ -82,6 +86,30 @@ void run() {
                   util::scan_component("sig", root + "/src/signaling").lines) +
               " lines)");
 
+  // The code-size trajectory: lines per src/ module plus the bench and tool
+  // trees, so a change's net line count is a number in BENCH_code_size.json.
+  JsonReport rep("code_size");
+  auto record = [&rep](const std::string& key, const util::ComponentSize& c) {
+    rep.metric(key + "_lines", static_cast<double>(c.lines));
+    rep.metric(key + "_code_lines", static_cast<double>(c.code_lines));
+  };
+  std::vector<std::string> modules;
+  for (const auto& e : std::filesystem::directory_iterator(root + "/src")) {
+    if (e.is_directory()) modules.push_back(e.path().filename().string());
+  }
+  std::sort(modules.begin(), modules.end());
+  for (const std::string& m : modules) {
+    record("src_" + m, util::scan_component(m, root + "/src/" + m, true));
+  }
+  record("src", whole);
+  const auto benches = util::scan_component("bench", root + "/bench", true);
+  const auto tools = util::scan_component("tools", root + "/tools", true);
+  record("bench", benches);
+  record("tools", tools);
+  rep.metric("net_lines",
+             static_cast<double>(whole.lines + benches.lines + tools.lines));
+  rep.info("scope", "*.hpp/*.cpp/*.h/*.cc; lines include comments and blanks");
+  rep.write();
 }
 
 }  // namespace

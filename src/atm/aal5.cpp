@@ -26,9 +26,7 @@ util::Result<void> Aal5Segmenter::segment(Vci vci, util::BytesView payload,
   if (total > kMaxFramePayload) return Errc::message_too_long;
   if (vci == kInvalidVci) return Errc::invalid_argument;
 
-  std::uint8_t seq = 0;
-  if (const std::uint8_t* s = seq_.find(vci)) seq = *s;
-  seq_.insert(vci, static_cast<std::uint8_t>(seq + 1));
+  const std::uint8_t seq = seq_[vci]++;
 
   const std::size_t ncells = cells_for_payload(total);
   out.resize(ncells);
@@ -138,15 +136,16 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
     fail(cell.vci, Aal5Error::length_mismatch);
     return;
   }
-  if (vc.has_expected_seq && seq != vc.expected_seq) {
-    fail(cell.vci, Aal5Error::out_of_order);
-    // Resynchronize to the received frame so one loss does not poison the VC.
-    vc.expected_seq = static_cast<std::uint8_t>(seq + 1);
-    vc.has_expected_seq = true;
-    return;
-  }
+  const bool in_order = !vc.has_expected_seq || seq == vc.expected_seq;
+  // Resynchronize to the received frame either way, so one loss does not
+  // poison the VC.  This is the last touch of `vc`: a handler may release()
+  // the VC, which frees its state.
   vc.expected_seq = static_cast<std::uint8_t>(seq + 1);
   vc.has_expected_seq = true;
+  if (!in_order) {
+    fail(cell.vci, Aal5Error::out_of_order);
+    return;
+  }
 
   pdu.resize(length);  // drop pad and trailer in place
   Aal5Frame frame;
@@ -157,6 +156,6 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
   on_frame_(std::move(frame));
 }
 
-void Aal5Reassembler::release(Vci vci) noexcept { vcs_.erase(vci); }
+void Aal5Reassembler::release(Vci vci) { vcs_.erase(vci); }
 
 }  // namespace xunet::atm

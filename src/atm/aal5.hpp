@@ -21,8 +21,8 @@
 #include "atm/cell.hpp"
 #include "util/buffer.hpp"
 #include "util/crc32.hpp"
-#include "util/flat_map.hpp"
 #include "util/result.hpp"
+#include "util/vci_index.hpp"
 
 namespace xunet::atm {
 
@@ -69,10 +69,10 @@ class Aal5Segmenter {
   [[nodiscard]] std::uint8_t next_seq(Vci vci) const noexcept;
 
   /// Forget per-VC state (on VC teardown).
-  void release(Vci vci) noexcept { seq_.erase(vci); }
+  void release(Vci vci) { seq_.erase(vci); }
 
  private:
-  util::FlatMap<Vci, std::uint8_t> seq_;
+  util::VciIndex<Vci, std::uint8_t> seq_;
 };
 
 /// Per-VC reassembler.  Feed cells in arrival order; completed frames and
@@ -95,7 +95,8 @@ class Aal5Reassembler {
   void cell_arrival(const Cell& cell);
 
   /// Forget per-VC state (on VC teardown).  Any partial frame is discarded.
-  void release(Vci vci) noexcept;
+  /// Safe to call from inside either handler.
+  void release(Vci vci);
 
   /// Count of frames that failed reassembly, by any cause.
   [[nodiscard]] std::uint64_t error_count() const noexcept { return errors_; }
@@ -121,7 +122,7 @@ class Aal5Reassembler {
 
   FrameHandler on_frame_;
   ErrorHandler on_error_;
-  util::FlatMap<Vci, VcState> vcs_;
+  util::VciIndex<Vci, VcState> vcs_;
   std::uint64_t errors_ = 0;
   std::array<std::uint64_t, 4> errors_by_cause_{};
   std::uint64_t frames_ = 0;

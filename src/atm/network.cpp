@@ -103,7 +103,6 @@ util::Result<CellLink*> AtmNetwork::attach_endpoint(
   up.vcis = shared_vcis;
   up.link = std::make_unique<CellLink>(sim_, rate_bps, propagation,
                                        sw.input(in_port));
-  up.link->set_coalescing(default_coalescing_);
   edges_.push_back(std::move(up));
   out_edges_[static_cast<std::size_t>(ep_node)].push_back(
       static_cast<int>(edges_.size()) - 1);
@@ -117,7 +116,6 @@ util::Result<CellLink*> AtmNetwork::attach_endpoint(
   down.from_port = out_port;
   down.vcis = shared_vcis;
   down.link = std::make_unique<CellLink>(sim_, rate_bps, propagation, sink);
-  down.link->set_coalescing(default_coalescing_);
   sw.set_output(out_port, *down.link);
   edges_.push_back(std::move(down));
   out_edges_[static_cast<std::size_t>(sw_node)].push_back(
@@ -142,7 +140,6 @@ void AtmNetwork::connect_switches(AtmSwitch& a, AtmSwitch& b,
     e.to_port = in_port;
     e.link = std::make_unique<CellLink>(sim_, rate_bps, propagation,
                                         to.input(in_port));
-    e.link->set_coalescing(default_coalescing_);
     from.set_output(out_port, *e.link);
     edges_.push_back(std::move(e));
     out_edges_[static_cast<std::size_t>(nfrom)].push_back(

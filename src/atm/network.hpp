@@ -101,13 +101,6 @@ class AtmNetwork {
   void connect_switches(AtmSwitch& a, AtmSwitch& b, std::uint64_t rate_bps,
                         sim::SimDuration propagation);
 
-  /// Arrival-coalescing quantum applied to every link created from now on
-  /// (receive-interrupt batching on the fast path).  Zero — the default —
-  /// keeps exact per-cell arrival instants.
-  void set_default_coalescing(sim::SimDuration q) noexcept {
-    default_coalescing_ = q;
-  }
-
   // -- VC signaling --------------------------------------------------------
 
   using SetupHandler = std::function<void(util::Result<VcHandle>)>;
@@ -264,7 +257,6 @@ class AtmNetwork {
 
   sim::Simulator& sim_;
   sim::SimDuration per_switch_setup_;
-  sim::SimDuration default_coalescing_{};
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> out_edges_;  ///< per node, indices into edges_

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "core/apps.hpp"
-#include "obs/export.hpp"
+#include "util/json.hpp"
 
 namespace xunet::chaos {
 
@@ -208,8 +208,8 @@ std::string to_artifact(const ChaosCase& c,
     out += '\n';
   }
   for (const Violation& v : outcome.violations) {
-    out += "{\"rec\":\"violation\",\"rule\":\"" + obs::json_escape(v.rule) +
-           "\",\"detail\":\"" + obs::json_escape(v.detail) + "\"}\n";
+    out += "{\"rec\":\"violation\",\"rule\":\"" + util::json_escape(v.rule) +
+           "\",\"detail\":\"" + util::json_escape(v.detail) + "\"}\n";
   }
   std::snprintf(buf, sizeof buf,
                 "{\"rec\":\"result\",\"opened\":%" PRIu64
@@ -222,7 +222,7 @@ std::string to_artifact(const ChaosCase& c,
   out += '\n';
   if (!outcome.post_mortem.empty()) {
     out += "{\"rec\":\"post_mortem\",\"trace\":\"" +
-           obs::json_escape(outcome.post_mortem) + "\"}\n";
+           util::json_escape(outcome.post_mortem) + "\"}\n";
   }
   return out;
 }

@@ -27,7 +27,6 @@ std::string LeakReport::describe() const {
 Testbed::Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)) {
   sim_ = std::make_unique<sim::Simulator>();
   net_ = std::make_unique<atm::AtmNetwork>(*sim_, cfg_.switch_setup);
-  net_->set_default_coalescing(cfg_.cell_quantum);
 }
 
 Testbed::~Testbed() = default;

@@ -62,8 +62,6 @@ struct TestbedConfig {
   /// exhaust the sub-floor PVC VCI space; calls must then stay between
   /// adjacent routers.
   bool adjacent_pvc_mesh = false;
-  /// Arrival-coalescing quantum for every ATM link; zero = exact instants.
-  sim::SimDuration cell_quantum{};
   /// build() calls bring_up() when set (the fluent pvc_mesh() sets it).
   bool auto_bring_up = false;
   /// Hook run on the freshly built (and possibly brought-up) testbed —
@@ -85,7 +83,6 @@ struct TestbedConfig {
   TestbedConfig& shards(int n) { sighost_shards = n; return *this; }
   /// Signaling PVCs between chain-adjacent routers only.
   TestbedConfig& adjacent_pvc_only() { adjacent_pvc_mesh = true; return *this; }
-  TestbedConfig& cell_coalescing(sim::SimDuration q) { cell_quantum = q; return *this; }
   TestbedConfig& fault_plan(std::function<void(Testbed&)> fn) {
     on_built = std::move(fn);
     return *this;

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/export.hpp"
+
 namespace xunet::obs {
-
-namespace {
-
-// Nanoseconds as integer-exact "µs.nnn" (same convention as the exporters).
-std::string us_fixed(std::int64_t ns) {
-  std::int64_t us = ns / 1000;
-  std::int64_t frac = ns % 1000;
-  if (frac < 0) frac = -frac;
-  std::string f = std::to_string(frac);
-  return std::to_string(us) + "." + std::string(3 - f.size(), '0') + f;
-}
-
-}  // namespace
 
 CallTraceIndex::CallTraceIndex(const TraceBuffer& buf) {
   // Complete events carry their duration; begin events need their matching
@@ -55,15 +44,17 @@ CallTraceIndex::CallTraceIndex(const TraceBuffer& buf) {
       if (rit == roots_.end() || span < rit->second) roots_[n.trace] = span;
     }
     ++counts_[n.trace];
-    if (!std::binary_search(traces_.begin(), traces_.end(), n.trace)) {
-      traces_.insert(
-          std::upper_bound(traces_.begin(), traces_.end(), n.trace), n.trace);
-    }
   }
   for (auto& [span, n] : nodes_) {
     (void)span;
     std::sort(n.children.begin(), n.children.end());
   }
+  traces_.reserve(counts_.size());
+  for (const auto& [trace, count] : counts_) {
+    (void)count;
+    traces_.push_back(trace);
+  }
+  std::sort(traces_.begin(), traces_.end());
 }
 
 std::size_t CallTraceIndex::span_count(std::uint64_t trace) const {

@@ -6,50 +6,24 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace xunet::obs {
 
 using util::Errc;
+using util::json_escape;
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+std::string us_fixed(std::int64_t ns) {
+  // Negative spans never happen in a trace, but a waterfall offset of an
+  // orphaned hop may precede its root; keep the sign and the padding.
+  const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
+                                   : static_cast<std::uint64_t>(ns);
+  std::string f = std::to_string(mag % 1000);
+  return (ns < 0 ? "-" : "") + std::to_string(mag / 1000) + "." +
+         std::string(3 - f.size(), '0') + f;
 }
 
 namespace {
-
-/// Nanosecond tick rendered as microseconds with exactly three decimals,
-/// via integer math only ("12345.678").
-std::string us_fixed(std::int64_t ns) {
-  std::int64_t us = ns / 1000;
-  std::int64_t frac = ns % 1000;
-  if (frac < 0) {  // negative durations never happen, but stay total
-    frac = -frac;
-    if (us == 0) return "-0." + std::to_string(frac);
-  }
-  std::string f = std::to_string(frac);
-  return std::to_string(us) + "." + std::string(3 - f.size(), '0') + f;
-}
 
 void append_ids(std::string& out, const TraceIds& ids) {
   if (!ids.call_id.empty()) out += ",\"call\":\"" + json_escape(ids.call_id) + "\"";

@@ -14,6 +14,7 @@
 // the nanosecond tick), so output is deterministic across libc/compilers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -32,8 +33,10 @@ inline constexpr std::string_view kJsonlSchema = "xunet.obs.v1";
 [[nodiscard]] std::string to_jsonl(const TraceBuffer& buf,
                                    const MetricsRegistry& metrics);
 
-/// Escape a string for embedding in JSON (quotes not included).
-[[nodiscard]] std::string json_escape(std::string_view s);
+/// Nanosecond tick rendered as microseconds with exactly three decimals,
+/// via integer math only ("12345.678").  The exports and the call-trace
+/// waterfall share it.
+[[nodiscard]] std::string us_fixed(std::int64_t ns);
 
 /// Deterministic JSON number rendering: exact integers without a fractional
 /// part, everything else as fixed "%.6f" (no locale, no exponent).

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "obs/export.hpp"
+#include "util/json.hpp"
 
 namespace xunet::obs {
 namespace {
@@ -63,7 +63,7 @@ std::string FlightRecorder::dump_jsonl(std::string_view reason) const {
   out += "{\"schema\":\"";
   out += kFlightSchema;
   out += "\",\"reason\":\"";
-  out += json_escape(std::string(reason));
+  out += util::json_escape(reason);
   out += "\",\"records\":";
   out += std::to_string(n);
   out += ",\"overwritten\":";
@@ -75,13 +75,13 @@ std::string FlightRecorder::dump_jsonl(std::string_view reason) const {
     out += ",\"ts_ns\":";
     out += std::to_string(r->ts.ns());
     out += ",\"comp\":\"";
-    out += json_escape(r->component);
+    out += util::json_escape(r->component);
     out += "\",\"name\":\"";
-    out += json_escape(r->name);
+    out += util::json_escape(r->name);
     out += "\",\"track\":\"";
-    out += json_escape(r->track);
+    out += util::json_escape(r->track);
     out += "\",\"detail\":\"";
-    out += json_escape(r->detail);
+    out += util::json_escape(r->detail);
     out += "\",\"vci\":";
     out += std::to_string(r->vci);
     out += "}\n";

@@ -1,6 +1,7 @@
 #include "obs/health.hpp"
 
 #include "obs/export.hpp"
+#include "util/json.hpp"
 
 namespace xunet::obs {
 
@@ -116,9 +117,9 @@ std::string HealthMonitor::to_health_jsonl() const {
     out += "{\"ts_ns\":";
     out += std::to_string(a.ts.ns());
     out += ",\"rule\":\"";
-    out += json_escape(a.rule);
+    out += util::json_escape(a.rule);
     out += "\",\"metric\":\"";
-    out += json_escape(a.metric);
+    out += util::json_escape(a.metric);
     out += "\",\"value\":";
     out += json_number(a.value);
     out += ",\"state\":\"";

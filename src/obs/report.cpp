@@ -1,9 +1,9 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
-#include <map>
 #include <string_view>
-#include <unordered_map>
+
+#include "obs/calltrace.hpp"
 
 namespace xunet::obs {
 
@@ -37,95 +37,47 @@ std::string pad(std::string_view s, std::size_t width) {
 }  // namespace
 
 std::vector<CallBreakdown> per_call_breakdown(const TraceBuffer& buf) {
-  // Pair up begin/end events per span id.  The begin event holds the ids
-  // (annotate_call patches it in place after REQ_ID arrives).
-  struct SpanRec {
-    const TraceEvent* begin = nullptr;
-    sim::SimTime end_ts{};
-    bool ended = false;
-  };
-  std::unordered_map<SpanId, SpanRec> spans;
-  for (const TraceEvent& e : buf.events()) {
-    if (e.phase == Phase::span_begin) {
-      spans[e.span].begin = &e;
-    } else if (e.phase == Phase::span_end) {
-      SpanRec& r = spans[e.span];
-      r.end_ts = e.ts;
-      r.ended = true;
-    }
-  }
-
+  const CallTraceIndex idx(buf);
   std::vector<CallBreakdown> calls;
-  std::map<std::string, std::size_t> by_id;
-  auto call_of = [&](const std::string& id) -> CallBreakdown& {
-    auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      it = by_id.emplace(id, calls.size()).first;
-      calls.push_back(CallBreakdown{});
-      calls.back().call_id = id;
-    }
-    return calls[it->second];
-  };
-
-  // Pass 1: each call's setup window is its client-side "call.open" span.
-  // Component spans outside that window belong to a different phase of the
-  // call's life (teardown also writes a maintenance record under the same
-  // key) and must not count against setup.
-  struct Window {
-    sim::SimTime begin{};
-    sim::SimTime end{};
-  };
-  std::map<std::string, Window> windows;
-  for (const auto& [id, r] : spans) {
-    (void)id;
-    if (r.begin == nullptr || !r.ended || r.begin->ids.call_id.empty()) continue;
-    if (std::string_view(r.begin->component) != "stub" ||
-        r.begin->name != "call.open") {
+  std::vector<const CallTraceNode*> stack;
+  // Trace ids are minted as calls open, so ascending trace order is
+  // call-open order.
+  for (std::uint64_t t : idx.traces()) {
+    const CallTraceNode* root = idx.root(t);
+    // Only a finished client-side open has a setup latency to decompose.
+    if (root->component != "stub" || root->name != "call.open" ||
+        root->call_id.empty() || root->dur.ns() <= 0) {
       continue;
     }
-    call_of(r.begin->ids.call_id).total += r.end_ts - r.begin->ts;
-    windows.emplace(r.begin->ids.call_id, Window{r.begin->ts, r.end_ts});
-  }
-
-  // Pass 2: attribute component durations.  The sighost "call.setup" span is
-  // that entity's view of the whole setup — it overlaps every other
-  // component, so it is not itself a part of the decomposition.
-  auto account = [&](const TraceEvent& e, sim::SimTime start,
-                     sim::SimDuration dur) {
-    if (e.ids.call_id.empty()) return;
-    std::string_view comp = e.component;
-    if (comp == "stub" || (comp == "sighost" && e.name == "call.setup")) return;
-    if (auto w = windows.find(e.ids.call_id); w != windows.end()) {
-      if (start < w->second.begin || start > w->second.end) return;
+    CallBreakdown c;
+    c.call_id = root->call_id;
+    c.total = root->dur;
+    const sim::SimTime end = root->ts + root->dur;
+    stack.assign(1, root);
+    while (!stack.empty()) {
+      const CallTraceNode* n = stack.back();
+      stack.pop_back();
+      for (SpanId kid : n->children) stack.push_back(idx.node(kid));
+      // Hops that start outside the open window belong to another phase of
+      // the call's life.  The sighost "call.setup" span is that entity's
+      // view of the whole setup: it overlaps every other part, so it is not
+      // itself one.  Stub, kernel and Orc hops fall into the remainder.
+      if (n->ts < root->ts || n->ts > end) continue;
+      if (n->component == "sighost") {
+        if (n->name == "maint.log") {
+          c.maint_log += n->dur;
+        } else if (n->name != "call.setup") {
+          c.sighost_proc += n->dur;
+        }
+      } else if (n->component == "atm" &&
+                 (n->name == "vc.setup" || n->name == "vc.setup_denied")) {
+        c.vc_install += n->dur;
+      }
     }
-    CallBreakdown& c = call_of(e.ids.call_id);
-    if (comp == "sighost" && e.name == "maint.log") {
-      c.maint_log += dur;
-    } else if (comp == "atm" &&
-               (e.name == "vc.setup" || e.name == "vc.setup_denied")) {
-      c.vc_install += dur;
-    } else if (comp == "sighost") {
-      c.sighost_proc += dur;
-    }
-  };
-
-  for (const TraceEvent& e : buf.events()) {
-    if (e.phase == Phase::complete) account(e, e.ts, e.dur);
-  }
-  for (const auto& [id, r] : spans) {
-    (void)id;
-    if (r.begin != nullptr && r.ended) {
-      account(*r.begin, r.begin->ts, r.end_ts - r.begin->ts);
-    }
-  }
-
-  // The remainder line only makes sense when an end-to-end setup span was
-  // observed; for calls without one (e.g. teardown-only maintenance) the
-  // total degrades to the sum of the parts.
-  for (CallBreakdown& c : calls) {
-    sim::SimDuration parts = c.maint_log + c.vc_install + c.sighost_proc;
+    const sim::SimDuration parts = c.maint_log + c.vc_install + c.sighost_proc;
     if (c.total < parts) c.total = parts;
     c.stub_rpc = c.total - parts;
+    calls.push_back(std::move(c));
   }
   return calls;
 }

@@ -3,14 +3,18 @@
 // The paper decomposes its ~330 ms router-to-router call-establishment time
 // and attributes the bulk to "the large amount of maintenance information
 // logged per call by the signaling entities".  This report reproduces that
-// decomposition from the trace: for every call id seen in the buffer it
-// splits the client-observed setup latency into
+// decomposition as a fold over the causal call tree (obs/calltrace.hpp):
+// for every trace rooted at a finished stub "call.open" span it splits the
+// client-observed setup latency into
 //
-//   maintenance logging   — sighost "maint.log" spans (both entities),
-//   kernel VC install     — the atm "vc.setup" span (switch programming),
-//   sighost processing    — other sighost spans attributed to the call,
+//   maintenance logging   — sighost "maint.log" hops (both entities),
+//   kernel VC install     — the atm "vc.setup" hop (switch programming),
+//   sighost processing    — other sighost hops except "call.setup",
 //   stub RPC + transit    — the remainder: user-kernel crossings of the
 //                           five RPC legs plus signaling-PVC propagation.
+//
+// Only hops that start inside the open window count.  Teardown writes its
+// maintenance record without a trace id, so it never joins the tree.
 #pragma once
 
 #include <string>
@@ -36,7 +40,7 @@ struct CallBreakdown {
 };
 
 /// Extract breakdowns for every call with a recorded end-to-end setup span,
-/// in order of first appearance in the trace.
+/// in call-open order (ascending trace id).
 [[nodiscard]] std::vector<CallBreakdown> per_call_breakdown(
     const TraceBuffer& buf);
 

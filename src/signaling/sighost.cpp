@@ -6,10 +6,26 @@ namespace xunet::sig {
 
 using util::Errc;
 
+namespace {
+
+constexpr std::uint64_t kCookieSeed = 0x5163'4057;
+// Reliable sighost<->sighost delivery over the signaling PVC: sequence
+// numbers, duplicate suppression, retransmission with exponential backoff.
+// The PVC is a bare AAL5 pipe — cells it loses are simply gone, so
+// signaling must supply its own reliability.
+constexpr sim::SimDuration kRetransmitBase = sim::milliseconds(250);
+// Uniform extra delay in [0, jitter) added per retransmission, so peers
+// that lost the same frame don't retry in lockstep.
+constexpr sim::SimDuration kRetransmitJitter = sim::milliseconds(50);
+constexpr int kRetransmitMaxAttempts = 6;
+constexpr std::uint64_t kRetransmitSeed = 0x7e57'ab1e;
+
+}  // namespace
+
 Sighost::Sighost(kern::Kernel& router, atm::AtmNetwork& net,
                  SighostConfig cfg)
-    : k_(router), net_(net), cfg_(cfg), cookies_(cfg.cookie_seed),
-      rng_(cfg.retransmit_seed),
+    : k_(router), net_(net), cfg_(cfg), cookies_(kCookieSeed),
+      rng_(kRetransmitSeed),
       obs_(&router.simulator().obs()),
       // Shard 0 keeps the router's bare name so single-shard topologies
       // (the default) produce byte-identical metric names and traces.
@@ -129,12 +145,9 @@ bool Sighost::sequenced(MsgType t) noexcept {
 }
 
 sim::SimDuration Sighost::backoff(int attempts) {
-  sim::SimDuration d = cfg_.retransmit_base * (std::int64_t{1} << attempts);
-  if (cfg_.retransmit_jitter.ns() > 0) {
-    d += sim::nanoseconds(static_cast<std::int64_t>(
-        rng_.below(static_cast<std::uint64_t>(cfg_.retransmit_jitter.ns()))));
-  }
-  return d;
+  return kRetransmitBase * (std::int64_t{1} << attempts) +
+         sim::nanoseconds(static_cast<std::int64_t>(
+             rng_.below(static_cast<std::uint64_t>(kRetransmitJitter.ns()))));
 }
 
 void Sighost::wire_send(int send_fd, const Msg& m) {
@@ -188,7 +201,7 @@ void Sighost::retransmit(const std::string& peer, std::uint32_t seq) {
   auto it = pit->second.pending.find(seq);
   if (it == pit->second.pending.end()) return;  // acked meanwhile
   PendingTx& tx = it->second;
-  if (++tx.attempts >= cfg_.retransmit_max_attempts) {
+  if (++tx.attempts >= kRetransmitMaxAttempts) {
     // Give up; the request/bind watchdog timers convert the silence into a
     // clean failure at the call level.
     ++stats_.retx_abandoned;
@@ -309,7 +322,7 @@ void Sighost::send_peer(const std::string& peer, const Msg& m) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) return;
   Msg out = m;
-  if (cfg_.reliable_peer_delivery && sequenced(m.type)) {
+  if (sequenced(m.type)) {
     out.seq = it->second.next_seq++;
     queue_retransmit(peer, out);
   }
@@ -374,7 +387,7 @@ void Sighost::on_peer_msg(const std::string& peer, const Msg& m) {
       p.pending.erase(m.seq);  // Timer destructor cancels the retransmit.
       return;
     }
-    if (m.seq != 0 && cfg_.reliable_peer_delivery) {
+    if (m.seq != 0) {
       // Ack first (even for duplicates: the original ack may have been the
       // frame that was lost), then suppress redelivery.
       Msg ack;
@@ -1329,7 +1342,7 @@ void Sighost::send_resync(const std::string& peer) {
   m.type = MsgType::peer_resync;
   m.req_id = p.resync_nonce;
   transmit_peer(p, m);
-  if (++p.resync_attempts > cfg_.retransmit_max_attempts) return;
+  if (++p.resync_attempts > kRetransmitMaxAttempts) return;
   if (!p.resync_timer)
     p.resync_timer = std::make_unique<sim::Timer>(k_.simulator());
   p.resync_timer->arm(backoff(p.resync_attempts - 1),

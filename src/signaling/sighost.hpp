@@ -70,18 +70,6 @@ struct SighostConfig {
   /// sets it to zero.
   sim::SimDuration per_call_log_cost = sim::milliseconds(128);
   bool maintenance_logging = true;
-  std::uint64_t cookie_seed = 0x5163'4057;
-  /// Reliable sighost↔sighost delivery over the signaling PVC: sequence
-  /// numbers, duplicate suppression, retransmission with exponential
-  /// backoff.  The PVC is a bare AAL5 pipe — cells it loses are simply
-  /// gone, so signaling must supply its own reliability.
-  bool reliable_peer_delivery = true;
-  sim::SimDuration retransmit_base = sim::milliseconds(250);
-  /// Uniform extra delay in [0, jitter) added per retransmission, so peers
-  /// that lost the same frame don't retry in lockstep.
-  sim::SimDuration retransmit_jitter = sim::milliseconds(50);
-  int retransmit_max_attempts = 6;
-  std::uint64_t retransmit_seed = 0x7e57'ab1e;
   /// Bounded-queue overload shedding: a CONNECT_REQ (resp. PEER_SETUP)
   /// arriving while outgoing_requests (resp. incoming_requests) is at this
   /// limit is rejected with no_buffer_space instead of growing the list.

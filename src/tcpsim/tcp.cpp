@@ -59,9 +59,9 @@ void TcpLayer::add_tuple(const Conn& c) {
 
 void TcpLayer::drop_tuple(const Conn& c) {
   if (by_tuple_.erase(c.tuple) == 0) return;
-  std::uint32_t* refs = port_refs_.find(c.tuple.local_port);
-  assert(refs != nullptr && *refs > 0);
-  if (--*refs == 0) port_refs_.erase(c.tuple.local_port);
+  auto it = port_refs_.find(c.tuple.local_port);
+  assert(it != port_refs_.end() && it->second > 0);
+  if (--it->second == 0) port_refs_.erase(it);
 }
 
 std::uint16_t TcpLayer::alloc_ephemeral_port() {

@@ -19,7 +19,6 @@
 #include "ip/node.hpp"
 #include "sim/timer.hpp"
 #include "tcpsim/segment.hpp"
-#include "util/flat_map.hpp"
 
 namespace xunet::tcp {
 
@@ -171,7 +170,7 @@ class TcpLayer {
   std::map<TupleKey, ConnId> by_tuple_;
   /// Live by_tuple_ entries per local port; a port is absent once its
   /// count drops to zero, so the table is sized by live ports.
-  util::FlatMap<std::uint16_t, std::uint32_t> port_refs_;
+  std::unordered_map<std::uint16_t, std::uint32_t> port_refs_;
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
   ConnId next_id_ = 1;
   std::uint16_t next_ephemeral_ = 10'000;

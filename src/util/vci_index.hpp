@@ -1,10 +1,11 @@
 // vci_index.hpp — a path-compressed, level-compressed binary trie over
 // unsigned integer keys (VCIs, route keys, VC ids).
 //
-// The control plane's lookup tables used to be std::maps and open-addressed
-// FlatMaps.  Ordered maps pay a pointer chase per comparison and FlatMap's
-// bucket order depends on insert/erase history, which forced every audit
-// surface to re-sort.  VciIndex follows the LPC-trie design of the Linux
+// It is the one VCI-keyed container: switch routes, the network's active
+// VCs, sighost mappings and AAL5's per-VC state all sit on it.  An ordered
+// map pays a pointer chase per comparison, and a hash table's bucket order
+// depends on insert/erase history, which would force every audit surface to
+// re-sort.  VciIndex follows the LPC-trie design of the Linux
 // FIB (fib_trie): internal nodes consume `bits` key bits at `shift`
 // (MSB-first), single-child chains are path-compressed away, and a node
 // whose subtree has churned enough is rebuilt bottom-up with the widest
@@ -14,8 +15,10 @@
 // property the chaos invariants, resync protocol and byte-identical replay
 // pin.
 //
-// API mirrors util::FlatMap (find -> V*, insert -> bool(new), for_each,
-// keys) plus emplace (no overwrite), so either can back a table.
+// API: find -> V*, insert -> bool(new), emplace (no overwrite), erase,
+// operator[], for_each and keys (both ascending).  Any mutation may rebuild
+// a subtree and move its values, so a V* or V& is void after the next
+// insert or erase.
 #pragma once
 
 #include <bit>
@@ -88,8 +91,7 @@ class VciIndex {
     return true;
   }
 
-  /// Insert-or-assign; returns true when the key was newly inserted
-  /// (FlatMap-compatible).
+  /// Insert-or-assign; returns true when the key was newly inserted.
   bool insert(K key, V value) {
     if (V* v = find(key)) {
       *v = std::move(value);

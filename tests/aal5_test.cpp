@@ -2,6 +2,9 @@
 // two guarantees of §5.4 (cell loss within a frame, out-of-order frames).
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 #include "atm/aal5.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -314,6 +317,120 @@ TEST(Aal5, ErrorAndFrameCountersTrack) {
   for (const Cell& cell : *bad) c.reasm.cell_arrival(cell);
   EXPECT_EQ(c.reasm.frame_count(), 1u);
   EXPECT_EQ(c.reasm.error_count(), 1u);
+}
+
+// ------------------------------------------ handlers and table churn
+//
+// Per-VC state lives in a VciIndex trie, where an erase frees the node and
+// may rebuild its neighbours.  A handler is free to release() the VC it is
+// told about (an application tearing the call down on a bad frame), so the
+// reassembler must not touch that VC's state once a handler has run.
+
+TEST(Aal5, HandlersMayReleaseTheirVcFromInsideTheCallback) {
+  Aal5Segmenter seg;
+  std::vector<Aal5Frame> frames;
+  std::vector<std::pair<Vci, Aal5Error>> errors;
+  Aal5Reassembler* self = nullptr;
+  Aal5Reassembler reasm(
+      [&](Aal5Frame f) {
+        const Vci v = f.vci;
+        const bool last_of_stream = f.seq == 3;
+        frames.push_back(std::move(f));
+        if (last_of_stream) self->release(v);
+      },
+      [&](Vci v, Aal5Error e) {
+        errors.emplace_back(v, e);
+        self->release(v);
+      });
+  self = &reasm;
+  constexpr Vci kFirst = 100;
+  constexpr int kVcs = 64;
+  // Per VC: frame 0, frame 2 (frame 1 lost: out of order, released in
+  // on_error), frame 3 (fresh state, released in on_frame), a corrupted
+  // frame 4 (CRC failure, released in on_error), frame 5 (fresh state).
+  std::vector<std::vector<Cell>> streams(kVcs);
+  std::vector<std::vector<util::Buffer>> good(kVcs);
+  for (int i = 0; i < kVcs; ++i) {
+    const Vci v = static_cast<Vci>(kFirst + i);
+    for (int f = 0; f < 6; ++f) {
+      util::Buffer p = make_payload(20 + 37 * f + i, 1000 * i + f);
+      auto cells = seg.segment(v, p);
+      ASSERT_TRUE(cells.ok());
+      if (f == 1) continue;
+      if (f == 4) (*cells)[0].payload[3] ^= 0x10;
+      if (f != 2 && f != 4) good[i].push_back(p);
+      streams[i].insert(streams[i].end(), cells->begin(), cells->end());
+    }
+  }
+  for (std::size_t k = 0;; ++k) {
+    bool any = false;
+    for (const auto& s : streams) {
+      if (k < s.size()) {
+        reasm.cell_arrival(s[k]);
+        any = true;
+      }
+    }
+    if (!any) break;
+  }
+  ASSERT_EQ(errors.size(), 2u * kVcs);
+  ASSERT_EQ(frames.size(), 3u * kVcs);
+  std::vector<std::size_t> next(kVcs, 0);
+  for (const Aal5Frame& f : frames) {
+    const std::size_t i = f.vci - kFirst;
+    ASSERT_LT(next[i], good[i].size());
+    EXPECT_EQ(f.payload, good[i][next[i]++]) << "vci " << f.vci;
+  }
+  for (const auto& [v, e] : errors) {
+    EXPECT_TRUE(e == Aal5Error::out_of_order || e == Aal5Error::crc_mismatch)
+        << "vci " << v << ": " << to_string(e);
+  }
+}
+
+TEST(Aal5, ManyInterleavedVcsSurviveTrieRebuildsReleaseAndRecreate) {
+  Aal5Segmenter seg;
+  Collector c;
+  util::Rng rng(2024);
+  // 320 VCIs spread over the switched range, so both the per-VC sequence
+  // table and the reassembly table grow, churn and rebuild.
+  std::vector<Vci> vcis;
+  for (int i = 0; i < 320; ++i) vcis.push_back(static_cast<Vci>(1024 + 7 * i));
+  std::map<Vci, std::deque<util::Buffer>> expected;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::vector<Cell>> streams;
+    for (Vci v : vcis) {
+      util::Buffer p = make_payload(1 + rng.below(400), rng.next());
+      auto cells = seg.segment(v, p);
+      ASSERT_TRUE(cells.ok());
+      expected[v].push_back(std::move(p));
+      streams.push_back(std::move(*cells));
+    }
+    for (std::size_t k = 0;; ++k) {
+      bool any = false;
+      for (const auto& s : streams) {
+        if (k < s.size()) {
+          c.reasm.cell_arrival(s[k]);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
+    // Tear down every third VC (a different third each round) on both
+    // sides; the next round recreates it from sequence zero.
+    for (std::size_t i = static_cast<std::size_t>(round) % 3; i < vcis.size();
+         i += 3) {
+      seg.release(vcis[i]);
+      c.reasm.release(vcis[i]);
+      EXPECT_EQ(seg.next_seq(vcis[i]), 0u);
+    }
+  }
+  EXPECT_TRUE(c.errors.empty());
+  ASSERT_EQ(c.frames.size(), 4u * vcis.size());
+  for (const Aal5Frame& f : c.frames) {
+    std::deque<util::Buffer>& q = expected[f.vci];
+    ASSERT_FALSE(q.empty()) << "vci " << f.vci;
+    EXPECT_EQ(f.payload, q.front()) << "vci " << f.vci;
+    q.pop_front();
+  }
 }
 
 // Property sweep: random loss patterns never produce a corrupted delivered

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "xunet_lint/lint.hpp"
 
 namespace {
@@ -290,6 +292,30 @@ TEST(LintJson, SchemaEnvelopeFields) {
                           "\"findings\""}) {
     EXPECT_NE(j.find(key), std::string::npos) << key;
   }
+}
+
+// A finding message carrying a quote and a raw control byte renders through
+// the shared escaper into a report that bench_json_check (the CI validator)
+// accepts.
+TEST(LintJson, HostileFindingMessageStillValidates) {
+  Report r;
+  r.files_scanned = 1;
+  Finding f;
+  f.rule = "DET-BANNED";
+  f.file = "src/x.cpp";
+  f.line = 3;
+  f.message = "call \"rand\"\x01 here";
+  r.findings.push_back(f);
+  const std::string j = xunet::lint::render_json(r);
+  EXPECT_NE(j.find(R"("message": "call \"rand\"\u0001 here")"),
+            std::string::npos)
+      << j;
+  EXPECT_TRUE(xunet::obs::validate_json(j).ok()) << j;
+  const std::string path = testing::TempDir() + "lint_hostile_message.json";
+  { std::ofstream(path) << j; }
+  const std::string cmd =
+      std::string(XUNET_BENCH_JSON_CHECK) + " " + path + " > /dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << j;
 }
 
 // ------------------------------------------------------------- self-check

@@ -5,6 +5,8 @@
 // runs produce byte-identical traces, waterfalls, dumps and alert streams).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <random>
 
 #include "core/apps.hpp"
@@ -217,18 +219,10 @@ TEST(Export, ValidatorRejectsMalformedJson) {
   EXPECT_TRUE(obs::validate_json("{\"a\":[1,2],\"b\":\"x\"}").ok());
 }
 
-// Adversarial escaping: every JSON-dangerous byte class an event string can
-// carry — quotes, backslashes, the named control escapes, and raw control
-// bytes — must come out escaped, and a trace full of them must still export
-// as valid JSON/JSONL.
-TEST(Export, JsonEscapeCoversQuotesBackslashesAndControlBytes) {
-  EXPECT_EQ(obs::json_escape("plain ascii"), "plain ascii");
-  EXPECT_EQ(obs::json_escape("q\"b\\e"), "q\\\"b\\\\e");
-  EXPECT_EQ(obs::json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
-  EXPECT_EQ(obs::json_escape(std::string_view("\x01\x1f\x00", 3)),
-            "\\u0001\\u001f\\u0000");
-}
-
+// Adversarial escaping: a trace whose strings carry every JSON-dangerous
+// byte class — quotes, backslashes, the named control escapes, and raw
+// control bytes — must still export as valid JSON/JSONL.  (util_test pins
+// the escaper itself.)
 TEST(Export, HostileEventStringsStillExportValidJson) {
   obs::TraceBuffer buf;
   buf.set_enabled(true);
@@ -762,6 +756,143 @@ TEST(TracedRun, IdenticallySeededRunsProduceByteIdenticalExports) {
   EXPECT_EQ(a.jsonl, b.jsonl);    // byte-identical regression artifact
   EXPECT_EQ(a.chrome, b.chrome);  // and the Chrome rendering with it
   EXPECT_EQ(a.report, b.report);
+}
+
+// The §9 report of the canonical run, pinned byte for byte.
+TEST(TracedRun, BreakdownReportMatchesGolden) {
+  TracedRun run = traced_canonical_run();
+  EXPECT_EQ(run.report,
+            "== per-call setup latency breakdown (paper §9 decomposition) ==\n"
+            "call mh.rt#1: total 423.735 ms\n"
+            "  maintenance logging (sighost)     256.000 ms     60.4%   <- dominant\n"
+            "  kernel VC install (atm)           7.000 ms        1.7%\n"
+            "  sighost processing                160.735 ms     37.9%\n"
+            "  stub RPC + transit (remainder)    0.000 ms        0.0%\n"
+            "aggregate: 1/1 calls dominated by maintenance logging (mean 60.4% "
+            "of setup time)\n");
+}
+
+struct SequentialCalls {
+  std::vector<obs::CallBreakdown> calls;
+  std::vector<std::string> open_order;  ///< call ids as their opens began
+};
+
+// `n` calls on the canonical testbed, each opened after the previous one
+// was set up and closed, so every call also writes teardown records.
+SequentialCalls sequential_calls_run(int n) {
+  SequentialCalls out;
+  auto tb = TestbedConfig{}.build_deferred();
+  tb->sim().obs().set_tracing(true);
+  EXPECT_TRUE(tb->bring_up().ok());
+  kern::Kernel& server_host = *tb->router(1).kernel;
+  kern::Kernel& client_host = *tb->router(0).kernel;
+  CallServer server(server_host, server_host.ip_node().address(), "seq", 4994);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+  CallClient client(client_host, client_host.ip_node().address());
+  for (int i = 0; i < n; ++i) {
+    std::optional<CallClient::Call> call;
+    client.open("berkeley.rt", "seq", "",
+                [&](util::Result<CallClient::Call> r) {
+                  EXPECT_TRUE(r.ok());
+                  if (r.ok()) call = *r;
+                });
+    tb->sim().run_for(sim::seconds(5));
+    EXPECT_TRUE(call.has_value());
+    if (call) client.close_call(*call);
+    tb->sim().run_for(sim::seconds(1));
+  }
+  const obs::TraceBuffer& trace = tb->sim().obs().trace();
+  out.calls = obs::per_call_breakdown(trace);
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.phase == obs::Phase::span_begin &&
+        std::string_view(e.component) == "stub" && e.name == "call.open") {
+      out.open_order.push_back(e.ids.call_id);
+    }
+  }
+  return out;
+}
+
+TEST(Breakdown, CallsComeBackInCallOpenOrder) {
+  SequentialCalls run = sequential_calls_run(3);
+  ASSERT_EQ(run.open_order.size(), 3u);
+  std::vector<std::string> got;
+  for (const obs::CallBreakdown& c : run.calls) got.push_back(c.call_id);
+  EXPECT_EQ(got, run.open_order);
+}
+
+// Per-call rows of three sequential calls, keyed by call id and pinned.
+TEST(Breakdown, SequentialCallRowsMatchGolden) {
+  SequentialCalls run = sequential_calls_run(3);
+  std::map<std::string, std::string> rows;
+  for (const obs::CallBreakdown& c : run.calls) {
+    // The decomposition is exact and §9's dominant cost holds per call.
+    EXPECT_EQ((c.maint_log + c.vc_install + c.sighost_proc + c.stub_rpc).ns(),
+              c.total.ns());
+    EXPECT_TRUE(c.logging_dominant()) << c.call_id;
+    rows[c.call_id] = "total=" + std::to_string(c.total.ns()) +
+                      " maint=" + std::to_string(c.maint_log.ns()) +
+                      " vc=" + std::to_string(c.vc_install.ns()) +
+                      " sighost=" + std::to_string(c.sighost_proc.ns()) +
+                      " rpc=" + std::to_string(c.stub_rpc.ns());
+  }
+  const std::string row =
+      "total=423735376 maint=256000000 vc=7000000 sighost=160735376 rpc=0";
+  const std::map<std::string, std::string> golden = {
+      {"mh.rt#1", row}, {"mh.rt#2", row}, {"mh.rt#3", row}};
+  EXPECT_EQ(rows, golden);
+}
+
+// The fold's rules on a hand-built tree: only hops of the call's own trace
+// that start inside the open window count; the caller's call.setup and the
+// stub's own hops are not parts; untraced spans never join, even when they
+// carry the call id.
+TEST(Breakdown, FoldCountsOnlyInWindowHopsOfTheCallTree) {
+  obs::TraceBuffer buf;
+  buf.set_enabled(true);
+  auto at = [](std::int64_t us) { return sim::SimTime{} + sim::microseconds(us); };
+  obs::TraceIds root_ids;
+  root_ids.call_id = "mh.rt#1";
+  root_ids.trace_id = buf.new_trace();
+  obs::SpanId open = buf.begin(at(0), "stub", "call.open", "mh.rt", root_ids);
+  auto child = [&](obs::SpanId parent) {
+    obs::TraceIds ids;
+    ids.call_id = "mh.rt#1";
+    ids.trace_id = root_ids.trace_id;
+    ids.parent_span = parent;
+    return ids;
+  };
+  obs::SpanId setup =
+      buf.begin(at(10), "sighost", "call.setup", "mh.rt", child(open));
+  buf.complete(at(20), sim::microseconds(300), "sighost", "maint.log", "mh.rt",
+               child(setup));
+  obs::SpanId serve =
+      buf.begin(at(30), "sighost", "call.serve", "berkeley.rt", child(setup));
+  buf.complete(at(40), sim::microseconds(50), "atm", "vc.setup", "net",
+               child(serve));
+  buf.complete(at(45), sim::microseconds(5), "kern", "xunet.bind", "mh.rt",
+               child(serve));
+  buf.end(at(90), serve);
+  buf.end(at(600), setup);
+  buf.end(at(1000), open);
+  // After the window: a late hop of the same trace.
+  buf.complete(at(1500), sim::microseconds(400), "sighost", "maint.log",
+               "mh.rt", child(setup));
+  // Teardown record: same call id, no trace id.
+  obs::TraceIds teardown;
+  teardown.call_id = "mh.rt#1";
+  buf.complete(at(2000), sim::microseconds(700), "sighost", "maint.log",
+               "mh.rt", teardown);
+
+  std::vector<obs::CallBreakdown> calls = obs::per_call_breakdown(buf);
+  ASSERT_EQ(calls.size(), 1u);
+  const obs::CallBreakdown& c = calls[0];
+  EXPECT_EQ(c.call_id, "mh.rt#1");
+  EXPECT_EQ(c.total, sim::microseconds(1000));
+  EXPECT_EQ(c.maint_log, sim::microseconds(300));
+  EXPECT_EQ(c.vc_install, sim::microseconds(50));
+  EXPECT_EQ(c.sighost_proc, sim::microseconds(60));  // call.serve
+  EXPECT_EQ(c.stub_rpc, sim::microseconds(590));
 }
 
 // --------------------------------------------- causal cross-hop call tree

@@ -6,6 +6,7 @@
 #include "util/buffer.hpp"
 #include "util/checksum.hpp"
 #include "util/crc32.hpp"
+#include "util/json.hpp"
 #include "util/loc_scan.hpp"
 #include "util/logging.hpp"
 #include "util/result.hpp"
@@ -49,6 +50,18 @@ TEST(Result, ErrcNamesAreDistinct) {
   EXPECT_EQ(to_string(Errc::no_buffer_space), "no_buffer_space");
   EXPECT_EQ(to_string(Errc::too_many_files), "too_many_files");
   EXPECT_NE(to_string(Errc::rejected), to_string(Errc::cancelled));
+}
+
+// ------------------------------------------------------------------ JSON
+
+// Every JSON-dangerous byte class a string can carry — quotes, backslashes,
+// the named control escapes, and raw control bytes — comes out escaped.
+TEST(Json, EscapeCoversQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain ascii"), "plain ascii");
+  EXPECT_EQ(json_escape("q\"b\\e"), "q\\\"b\\\\e");
+  EXPECT_EQ(json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f\x00", 3)),
+            "\\u0001\\u001f\\u0000");
 }
 
 // ------------------------------------------------------------ serialization

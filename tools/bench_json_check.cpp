@@ -125,6 +125,9 @@ const std::map<std::string, std::vector<std::string>>& required_keys() {
       {"qos",
        {"cbr_reserved_mbps", "cbr_goodput_mbps", "cbr_goodput_fraction",
         "policed_cells", "ubr_shed_cells"}},
+      {"code_size",
+       {"src_lines", "src_code_lines", "bench_lines", "tools_lines",
+        "net_lines"}},
   };
   return keys;
 }

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/loc_scan.hpp"
 #include "xunet_lint/rules.hpp"
 #include "xunet_lint/scan.hpp"
@@ -45,25 +46,6 @@ std::string stem_of(const std::string& rel) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -334,16 +316,16 @@ std::string render_json(const Report& r) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"rule\": \"";
-    json_escape(out, f.rule);
+    out += util::json_escape(f.rule);
     out += "\", \"file\": \"";
-    json_escape(out, f.file);
+    out += util::json_escape(f.file);
     out += "\", \"line\": " + std::to_string(f.line);
     out += ", \"suppressed\": ";
     out += f.suppressed ? "true" : "false";
     out += ", \"reason\": \"";
-    json_escape(out, f.reason);
+    out += util::json_escape(f.reason);
     out += "\", \"message\": \"";
-    json_escape(out, f.message);
+    out += util::json_escape(f.message);
     out += "\"}";
   }
   out += first ? "]\n" : "\n  ]\n";

@@ -10,13 +10,14 @@
 #include "xunet_model/model.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "util/json.hpp"
 
 namespace xunet::model {
 namespace {
@@ -867,27 +868,6 @@ std::string render_text(const Result& r) {
   return o.str();
 }
 
-namespace {
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-}  // namespace
-
 std::string render_json(const Result& r) {
   std::string out;
   out += "{\n";
@@ -909,9 +889,9 @@ std::string render_json(const Result& r) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"kind\": \"";
-    json_escape(out, f.kind);
+    out += util::json_escape(f.kind);
     out += "\", \"detail\": \"";
-    json_escape(out, f.detail);
+    out += util::json_escape(f.detail);
     out += "\"}";
   }
   out += first ? "],\n" : "\n  ],\n";
@@ -921,7 +901,7 @@ std::string render_json(const Result& r) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape(out, n);
+    out += util::json_escape(n);
     out += "\"";
   }
   out += first ? "]\n" : "\n  ]\n";
