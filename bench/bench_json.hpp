@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -79,10 +80,14 @@ class JsonReport {
 
  private:
   /// JSON numbers: integral values print without a fraction so counters
-  /// stay exact; others with nine significant digits.  (obs::json_number
-  /// keeps fixed "%.6f" because chaos artifacts round-trip through it.)
+  /// stay exact; other finite values with nine significant digits; NaN and
+  /// ±inf as null.  (obs::json_number keeps fixed "%.6f" because chaos
+  /// artifacts round-trip through it.)  The range test precedes the int64
+  /// cast, which is undefined for non-finite values and |v| >= 2^63.
   static std::string number(double v) {
-    if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
+    if (!std::isfinite(v)) return "null";
+    if (v >= -0x1p63 && v < 0x1p63 &&
+        v == static_cast<double>(static_cast<std::int64_t>(v))) {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%" PRId64,
                     static_cast<std::int64_t>(v));

@@ -18,6 +18,7 @@
 #include "core/testbed.hpp"
 #include "obs/export.hpp"
 #include "obs/report.hpp"
+#include "util/json.hpp"
 
 using namespace xunet;
 
@@ -99,7 +100,7 @@ int main() {
   }
 
   // 1. Structural validity of both exports.
-  if (!obs::validate_json(first.chrome).ok()) {
+  if (!util::validate_json(first.chrome).ok()) {
     std::fprintf(stderr, "FAIL: Chrome trace is not valid JSON\n");
     return 1;
   }

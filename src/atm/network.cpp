@@ -60,8 +60,7 @@ void VciAllocator::release(Vci vci) noexcept {
   }
 }
 
-AtmNetwork::AtmNetwork(sim::Simulator& sim, sim::SimDuration per_switch_setup)
-    : sim_(sim), per_switch_setup_(per_switch_setup) {}
+AtmNetwork::AtmNetwork(sim::Simulator& sim) : sim_(sim) {}
 
 int AtmNetwork::add_node(Node n) {
   nodes_.push_back(std::move(n));
@@ -275,15 +274,15 @@ void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
   auto d = endpoint_nodes_.find(dst);
   if (s == endpoint_nodes_.end() || d == endpoint_nodes_.end() || src == dst) {
     ++setups_denied_;
-    trace_setup(per_switch_setup_, false);
-    finish(Errc::no_route, per_switch_setup_);
+    trace_setup(kPerSwitchSetup, false);
+    finish(Errc::no_route, kPerSwitchSetup);
     return;
   }
   std::vector<int> path = find_path(s->second, d->second);
   if (path.empty()) {
     ++setups_denied_;
-    trace_setup(per_switch_setup_, false);
-    finish(Errc::no_route, per_switch_setup_);
+    trace_setup(kPerSwitchSetup, false);
+    finish(Errc::no_route, kPerSwitchSetup);
     return;
   }
 
@@ -296,7 +295,7 @@ void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
     latency += edges_[static_cast<std::size_t>(ei)].link->propagation() * 2;
   }
   for (std::size_t i = 1; i + 1 < path.size(); ++i) ++switches_on_path;
-  latency += per_switch_setup_ * switches_on_path;
+  latency += kPerSwitchSetup * switches_on_path;
 
   auto vc = install_path(path, qos, std::nullopt, part);
   if (!vc) {

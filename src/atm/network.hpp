@@ -77,11 +77,13 @@ struct VcHandle {
   int hop_count = 0;  ///< number of links traversed
 };
 
+/// Call-processing time each switch on a path spends on a VC setup.
+inline constexpr sim::SimDuration kPerSwitchSetup = sim::milliseconds(2);
+
 /// The ATM network: topology owner + VC signaling controller.
 class AtmNetwork {
  public:
-  explicit AtmNetwork(sim::Simulator& sim,
-                      sim::SimDuration per_switch_setup = sim::milliseconds(2));
+  explicit AtmNetwork(sim::Simulator& sim);
 
   // -- Topology construction (done once, before traffic) ------------------
 
@@ -256,7 +258,6 @@ class AtmNetwork {
   void uninstall(ActiveVc& vc);
 
   sim::Simulator& sim_;
-  sim::SimDuration per_switch_setup_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> out_edges_;  ///< per node, indices into edges_

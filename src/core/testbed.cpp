@@ -8,6 +8,11 @@ namespace xunet::core {
 
 using util::Errc;
 
+namespace {
+/// Host↔router links are FDDI (ip::kFddiBps, ip::kFddiMtu) of this length.
+constexpr sim::SimDuration kHostLinkPropagation = sim::microseconds(50);
+}  // namespace
+
 std::string LeakReport::describe() const {
   std::string s;
   auto add = [&s](const char* what, std::size_t n) {
@@ -26,7 +31,7 @@ std::string LeakReport::describe() const {
 
 Testbed::Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)) {
   sim_ = std::make_unique<sim::Simulator>();
-  net_ = std::make_unique<atm::AtmNetwork>(*sim_, cfg_.switch_setup);
+  net_ = std::make_unique<atm::AtmNetwork>(*sim_);
 }
 
 Testbed::~Testbed() = default;
@@ -50,8 +55,7 @@ Router& Testbed::add_router(const std::string& atm_name, ip::IpAddress ip,
   assert(attached.ok());
   (void)attached;
   r->sw = &sw;
-  r->anand_server = std::make_unique<sig::AnandServerStub>(
-      *r->kernel, cfg_.sighost.anand_server_port);
+  r->anand_server = std::make_unique<sig::AnandServerStub>(*r->kernel);
   sig::SighostConfig scfg = cfg_.sighost;
   if (cfg_.sighost_shards > 1) {
     scfg.shard_count = static_cast<std::uint16_t>(cfg_.sighost_shards);
@@ -73,14 +77,13 @@ Host& Testbed::add_host(const std::string& name, ip::IpAddress ip,
       *sim_, name, kern::Kernel::Role::host, ip, atm::AtmAddress{name},
       cfg_.kernel);
   h->home = &via;
-  h->link = std::make_unique<ip::IpLink>(*sim_, cfg_.ip_rate_bps,
-                                         cfg_.ip_propagation, cfg_.ip_mtu);
+  h->link = std::make_unique<ip::IpLink>(*sim_, ip::kFddiBps,
+                                         kHostLinkPropagation, ip::kFddiMtu);
   h->link->attach(h->kernel->ip_node(), via.kernel->ip_node());
   h->kernel->ip_node().set_default_route(*h->link);
   via.kernel->ip_node().add_route(ip, *h->link);
   h->anand_client = std::make_unique<sig::AnandClientStub>(
-      *h->kernel, via.kernel->ip_node().address(),
-      cfg_.sighost.anand_server_port);
+      *h->kernel, via.kernel->ip_node().address());
   hosts_.push_back(std::move(h));
   return *hosts_.back();
 }
@@ -280,7 +283,6 @@ std::unique_ptr<Testbed> TestbedConfig::build() const {
       std::abort();
     }
   }
-  if (on_built) on_built(*tb);
   return tb;
 }
 

@@ -7,7 +7,6 @@
 // each optionally serving IP-connected hosts over FDDI.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,10 +40,6 @@ struct TestbedConfig {
   sig::SighostConfig sighost;         ///< default sighost config (all routers)
   std::uint64_t atm_rate_bps = atm::kDs3Bps;
   sim::SimDuration atm_propagation = sim::microseconds(500);
-  sim::SimDuration switch_setup = sim::milliseconds(2);
-  std::uint64_t ip_rate_bps = ip::kFddiBps;
-  std::size_t ip_mtu = ip::kFddiMtu;
-  sim::SimDuration ip_propagation = sim::microseconds(50);
   /// Provision classical IP-over-ATM between every router pair at bring-up
   /// (§1's Xunet IP service): cross-router IP connectivity for hosts.
   bool ip_over_atm = false;
@@ -64,9 +59,6 @@ struct TestbedConfig {
   bool adjacent_pvc_mesh = false;
   /// build() calls bring_up() when set (the fluent pvc_mesh() sets it).
   bool auto_bring_up = false;
-  /// Hook run on the freshly built (and possibly brought-up) testbed —
-  /// typically installs wire faults or schedules crashes.
-  std::function<void(Testbed&)> on_built;
 
   // -- fluent builder -------------------------------------------------------
   TestbedConfig& routers(int n) { n_routers = n; return *this; }
@@ -83,17 +75,12 @@ struct TestbedConfig {
   TestbedConfig& shards(int n) { sighost_shards = n; return *this; }
   /// Signaling PVCs between chain-adjacent routers only.
   TestbedConfig& adjacent_pvc_only() { adjacent_pvc_mesh = true; return *this; }
-  TestbedConfig& fault_plan(std::function<void(Testbed&)> fn) {
-    on_built = std::move(fn);
-    return *this;
-  }
 
   /// Build the deployment; brings it up when pvc_mesh() was requested
   /// (aborting on bring-up failure — a topology bug, not a runtime
-  /// condition), then runs the fault plan.
+  /// condition).
   [[nodiscard]] std::unique_ptr<Testbed> build() const;
-  /// Build the topology only — the caller owns bring_up(), and the fault
-  /// plan does not run.
+  /// Build the topology only — the caller owns bring_up().
   [[nodiscard]] std::unique_ptr<Testbed> build_deferred() const;
 };
 

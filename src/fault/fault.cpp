@@ -191,7 +191,6 @@ void FaultPlan::arm() {
     tb_.sim().schedule(e.when, [this, label = e.label, fn = e.fn,
                                 pm = e.post_mortem] {
       ++stats_.events_fired;
-      tb_.sim().logger().info("fault", label);
       // The fault itself is the last record before the post-mortem cut.
       obs::Observability& o = tb_.sim().obs();
       o.flight_note("fault", "event", "plan", label);

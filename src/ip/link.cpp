@@ -62,8 +62,8 @@ void IpLink::transmit(const IpNode& from, util::Buffer wire) {
                                 std::max<std::int64_t>(1, reorder_extra_.ns())))));
     ++frames_reordered_;
   }
-  sim_.schedule_at(arrival, [this, dst = dir.dst, wire = std::move(wire)] {
-    dst->frame_arrival(wire, *this);
+  sim_.schedule_at(arrival, [dst = dir.dst, wire = std::move(wire)] {
+    dst->frame_arrival(wire);
   });
 }
 

@@ -48,11 +48,6 @@ class IpNode {
 
   /// Called by links (or virtual interfaces) when a frame arrives here.
   void frame_arrival(util::BytesView wire);
-  /// Backwards-compatible overload; the ingress identity is not used.
-  void frame_arrival(util::BytesView wire, IpLink& from) {
-    (void)from;
-    frame_arrival(wire);
-  }
 
   /// Interface registration (called by IpLink::attach).
   void register_interface(IpLink& link) { interfaces_.push_back(&link); }

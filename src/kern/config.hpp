@@ -41,11 +41,6 @@ struct KernelConfig {
   /// FDDI links"); when on, IPPROTO_ATM messages carry an Internet checksum
   /// over header and data, and corrupted arrivals are dropped and counted.
   bool encap_checksum = false;
-
-  /// Cheap syscall/upcall cost on the data path (PF_XUNET and UDP send and
-  /// delivery).  Data transfer does not reschedule another process, so this
-  /// is small.
-  sim::SimDuration data_syscall = sim::microseconds(30);
 };
 
 }  // namespace xunet::kern

@@ -40,10 +40,10 @@ util::Result<void> HobbitInterface::send(atm::Vci vci, const MbufChain& chain) {
 }
 
 void HobbitInterface::cell_arrival(const atm::Cell& cell) {
-  if (cell.rm) {
-    if (on_rm_) on_rm_(cell);
-    return;
-  }
+  // Resource-management cells never reach the AAL5 reassembler: the board
+  // separates OAM/RM traffic from the SAR path, and nothing here consumes
+  // them.
+  if (cell.rm) return;
   reasm_.cell_arrival(cell);
 }
 

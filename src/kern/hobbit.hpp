@@ -23,10 +23,6 @@ class HobbitInterface : public atm::CellSink {
  public:
   /// Reassembled frame delivery to the Orc driver.
   using FrameHandler = std::function<void(atm::Vci, MbufChain)>;
-  /// Resource-management cell delivery (the ABR feedback loop).  RM cells
-  /// never reach the AAL5 reassembler; the board diverts them here, exactly
-  /// as the Hobbit separates OAM/RM traffic from the SAR path.
-  using RmHandler = std::function<void(const atm::Cell&)>;
 
   /// `mbuf_bytes` shapes the chains the board hands up on receive (the DMA
   /// engine fills fixed-size kernel buffers).  The reassembled frame buffer
@@ -40,7 +36,6 @@ class HobbitInterface : public atm::CellSink {
   [[nodiscard]] bool connected() const noexcept { return uplink_ != nullptr; }
 
   void set_frame_handler(FrameHandler h) { on_frame_ = std::move(h); }
-  void set_rm_handler(RmHandler h) { on_rm_ = std::move(h); }
 
   /// Wire the observability context (the board holds no Simulator reference;
   /// the Observability carries its own clock view).
@@ -68,7 +63,6 @@ class HobbitInterface : public atm::CellSink {
   std::vector<atm::Cell> tx_cells_;  ///< reused segmentation scratch
   atm::Aal5Reassembler reasm_;
   FrameHandler on_frame_;
-  RmHandler on_rm_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;
 };

@@ -11,6 +11,10 @@ using util::Errc;
 /// a BSD socket's receive-buffer high-water mark).
 constexpr std::size_t kXunetSocketBufferFrames = 64;
 
+/// Syscall/upcall cost on the PF_XUNET data path (send and delivery).  Data
+/// transfer does not reschedule another process, so this is small.
+constexpr sim::SimDuration kDataSyscall = sim::microseconds(30);
+
 Kernel::Kernel(sim::Simulator& sim, std::string name, Role role,
                ip::IpAddress ip_addr, atm::AtmAddress atm_addr,
                KernelConfig cfg)
@@ -560,11 +564,9 @@ util::Result<void> Kernel::xunet_output(Pid pid, int fd, MbufChain chain) {
     ids.vci = xs.vci;
     ids.fd = fd;
     ids.pid = pid;
-    obs_->complete(cfg_.data_syscall, "kern", "xunet.send", name_,
-                   std::move(ids));
+    obs_->complete(kDataSyscall, "kern", "xunet.send", name_, std::move(ids));
   }
-  sim_.schedule(cfg_.data_syscall, [this, vci = xs.vci,
-                                    chain = std::move(chain)] {
+  sim_.schedule(kDataSyscall, [this, vci = xs.vci, chain = std::move(chain)] {
     (void)orc_->output(vci, chain);
   });
   return {};
@@ -585,7 +587,7 @@ util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
   xs.on_receive = std::move(fn);
   // Drain anything sbappend()ed before the reader showed up, preserving
   // arrival order.
-  sim::SimDuration delay = cfg_.data_syscall;
+  sim::SimDuration delay = kDataSyscall;
   while (!xs.rx_queue.empty()) {
     sim_.schedule(delay, [this, owner = xs.owner, fn = xs.on_receive,
                           buf = std::move(xs.rx_queue.front())] {
@@ -649,12 +651,10 @@ void Kernel::pf_xunet_input(atm::Vci vci, MbufChain chain) {
     ids.vci = vci;
     ids.fd = xs.fd;
     ids.pid = xs.owner;
-    obs_->complete(cfg_.data_syscall, "kern", "xunet.recv", name_,
-                   std::move(ids));
+    obs_->complete(kDataSyscall, "kern", "xunet.recv", name_, std::move(ids));
   }
-  sim_.schedule(cfg_.data_syscall, [this, owner = xs.owner,
-                                    fn = xs.on_receive,
-                                    buf = std::move(chain).take()] {
+  sim_.schedule(kDataSyscall, [this, owner = xs.owner, fn = xs.on_receive,
+                                buf = std::move(chain).take()] {
     if (alive(owner)) fn(buf);
   });
 }

@@ -7,6 +7,10 @@ using util::Errc;
 namespace {
 constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kFeedback = 2;
+/// Feedback cadence: the receiver acks at least this often.
+constexpr sim::SimDuration kAckInterval = sim::milliseconds(20);
+/// Retransmission safety net when feedback itself is lost.
+constexpr sim::SimDuration kRto = sim::milliseconds(200);
 }  // namespace
 
 NativeStream::NativeStream(kern::Kernel& k, kern::Pid pid,
@@ -26,7 +30,7 @@ NativeStream::NativeStream(kern::Kernel& k, kern::Pid pid,
 NativeStream::~NativeStream() = default;
 
 util::Result<void> NativeStream::send(util::BytesView msg) {
-  if (msg.size() > cfg_.max_msg) return Errc::message_too_long;
+  if (msg.size() > kMaxMsg) return Errc::message_too_long;
   if (outstanding_.size() + queue_.size() >= cfg_.window_msgs) {
     return Errc::would_block;  // back-pressure, not loss
   }
@@ -97,7 +101,7 @@ void NativeStream::arm_rto() {
     rto_timer_.cancel();
     return;
   }
-  rto_timer_.arm(cfg_.rto, [this] {
+  rto_timer_.arm(kRto, [this] {
     // Feedback lost or the frame itself vanished: mark everything unacked
     // for retransmission (selective repeat still resends one at a time).
     for (auto& [seq, o] : outstanding_) o.nacked = true;
@@ -153,7 +157,7 @@ void NativeStream::handle_data(std::uint32_t seq, util::BytesView payload) {
     return;
   }
   if (!ack_timer_.armed()) {
-    ack_timer_.arm(cfg_.ack_interval, [this] {
+    ack_timer_.arm(kAckInterval, [this] {
       if (feedback_dirty_) send_feedback();
     });
   }

@@ -25,16 +25,13 @@
 
 namespace xunet::native {
 
+/// Largest message payload (one AAL frame carries one message).
+inline constexpr std::size_t kMaxMsg = 32 * 1024;
+
 /// Tuning knobs.
 struct StreamConfig {
-  /// Feedback cadence: the receiver acks at least this often.
-  sim::SimDuration ack_interval = sim::milliseconds(20);
-  /// Retransmission safety net when feedback itself is lost.
-  sim::SimDuration rto = sim::milliseconds(200);
   /// Maximum in-flight (unacked) messages before send() reports would_block.
   std::size_t window_msgs = 256;
-  /// Largest message payload (one AAL frame carries one message).
-  std::size_t max_msg = 32 * 1024;
 };
 
 /// One end of a reliable, ordered, rate-paced message stream over a duplex
@@ -52,7 +49,7 @@ class NativeStream {
   NativeStream& operator=(const NativeStream&) = delete;
 
   /// Queue a message for reliable in-order delivery.  would_block when the
-  /// send window is full (back-pressure), message_too_long past max_msg.
+  /// send window is full (back-pressure), message_too_long past kMaxMsg.
   util::Result<void> send(util::BytesView msg);
 
   /// In-order message delivery.

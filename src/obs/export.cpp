@@ -1,6 +1,6 @@
 #include "obs/export.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -38,11 +38,15 @@ void append_ids(std::string& out, const TraceIds& ids) {
 }  // namespace
 
 // Counter values are doubles in the event record but every producer stores
-// integral levels; render without a fractional part when exact.
+// integral levels; render without a fractional part when exact.  The range
+// test comes first: casting NaN, ±inf or |v| >= 2^63 to int64 is undefined.
 std::string json_number(double v) {
-  auto i = static_cast<std::int64_t>(v);
-  if (static_cast<double>(i) == v) return std::to_string(i);
-  char buf[64];
+  if (!std::isfinite(v)) return "null";
+  if (v >= -0x1p63 && v < 0x1p63) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v) return std::to_string(i);
+  }
+  char buf[320];  // "%.6f" of DBL_MAX: 309 integer digits
   std::snprintf(buf, sizeof buf, "%.6f", v);
   return buf;
 }
@@ -156,128 +160,15 @@ std::string to_jsonl(const TraceBuffer& buf, const MetricsRegistry& metrics) {
   return out;
 }
 
-// ---------------------------------------------------------- JSON validator
+// ------------------------------------------------------------ JSONL check
 
 namespace {
-
-/// Minimal strict JSON reader used to validate exporter output shape.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view t) : t_(t) {}
-
-  bool value() {
-    ws();
-    if (pos_ >= t_.size()) return false;
-    switch (t_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool at_end() {
-    ws();
-    return pos_ == t_.size();
-  }
-
- private:
-  void ws() {
-    while (pos_ < t_.size() && (t_[pos_] == ' ' || t_[pos_] == '\t' ||
-                                t_[pos_] == '\n' || t_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool consume(char c) {
-    ws();
-    if (pos_ < t_.size() && t_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view lit) {
-    if (t_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  bool string() {
-    if (!consume('"')) return false;
-    while (pos_ < t_.size()) {
-      char c = t_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= t_.size()) return false;
-        char e = t_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= t_.size() || !std::isxdigit(
-                    static_cast<unsigned char>(t_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(e) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-    }
-    return false;
-  }
-  bool number() {
-    std::size_t start = pos_;
-    if (pos_ < t_.size() && t_[pos_] == '-') ++pos_;
-    while (pos_ < t_.size() && std::isdigit(static_cast<unsigned char>(t_[pos_]))) ++pos_;
-    if (pos_ < t_.size() && t_[pos_] == '.') {
-      ++pos_;
-      while (pos_ < t_.size() && std::isdigit(static_cast<unsigned char>(t_[pos_]))) ++pos_;
-    }
-    if (pos_ < t_.size() && (t_[pos_] == 'e' || t_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < t_.size() && (t_[pos_] == '+' || t_[pos_] == '-')) ++pos_;
-      while (pos_ < t_.size() && std::isdigit(static_cast<unsigned char>(t_[pos_]))) ++pos_;
-    }
-    return pos_ > start && std::isdigit(static_cast<unsigned char>(t_[pos_ - 1]));
-  }
-  bool object() {
-    if (!consume('{')) return false;
-    if (consume('}')) return true;
-    do {
-      ws();
-      if (!string()) return false;
-      if (!consume(':')) return false;
-      if (!value()) return false;
-    } while (consume(','));
-    return consume('}');
-  }
-  bool array() {
-    if (!consume('[')) return false;
-    if (consume(']')) return true;
-    do {
-      if (!value()) return false;
-    } while (consume(','));
-    return consume(']');
-  }
-
-  std::string_view t_;
-  std::size_t pos_ = 0;
-};
 
 bool has_key(std::string_view line, std::string_view key) {
   return line.find("\"" + std::string(key) + "\":") != std::string_view::npos;
 }
 
 }  // namespace
-
-util::Result<void> validate_json(std::string_view text) {
-  JsonCursor c(text);
-  if (!c.value() || !c.at_end()) return Errc::protocol_error;
-  return {};
-}
 
 util::Result<void> validate_jsonl(std::string_view text) {
   std::size_t line_no = 0;
@@ -288,7 +179,7 @@ util::Result<void> validate_jsonl(std::string_view text) {
     std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.empty()) continue;
-    if (!validate_json(line).ok()) return Errc::protocol_error;
+    if (!util::validate_json(line).ok()) return Errc::protocol_error;
     if (line_no == 0) {
       if (!has_key(line, "schema")) return Errc::protocol_error;
     } else if (has_key(line, "metric")) {

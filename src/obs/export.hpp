@@ -1,6 +1,6 @@
 // export.hpp — trace/metric serialization.
 //
-// Two wire formats plus a validator:
+// Two wire formats plus a check of the second:
 //
 //  * Chrome trace_event JSON ("{"traceEvents":[...]}") — loadable in
 //    chrome://tracing or https://ui.perfetto.dev.  Tracks map to Chrome
@@ -39,15 +39,13 @@ inline constexpr std::string_view kJsonlSchema = "xunet.obs.v1";
 [[nodiscard]] std::string us_fixed(std::int64_t ns);
 
 /// Deterministic JSON number rendering: exact integers without a fractional
-/// part, everything else as fixed "%.6f" (no locale, no exponent).
+/// part, other finite values as fixed "%.6f" (no locale, no exponent), and
+/// NaN/±inf as null.
 [[nodiscard]] std::string json_number(double v);
 
-/// Strict structural check of a JSON document (objects, arrays, strings,
-/// numbers, true/false/null).  protocol_error on malformed input.
-[[nodiscard]] util::Result<void> validate_json(std::string_view text);
-
-/// Validate a JSONL export: every line is a JSON object, the first line is
-/// the schema header, and every event line carries the required keys.
+/// Validate a JSONL export: every line passes util::validate_json, the
+/// first line is the schema header, and every event line carries the
+/// required keys.
 [[nodiscard]] util::Result<void> validate_jsonl(std::string_view text);
 
 }  // namespace xunet::obs

@@ -1,10 +1,10 @@
 // obs.hpp — the per-simulation observability context.
 //
-// One Observability lives inside each sim::Simulator (next to the Logger),
-// bundling the TraceBuffer and the MetricsRegistry and carrying its own
-// view of the simulated clock, so a component holding only an
-// `Observability*` can record correctly-stamped events without a Simulator
-// reference (the Hobbit board and Orc driver use exactly that).
+// One Observability lives inside each sim::Simulator, bundling the
+// TraceBuffer and the MetricsRegistry and carrying its own view of the
+// simulated clock, so a component holding only an `Observability*` can
+// record correctly-stamped events without a Simulator reference (the
+// Hobbit board and Orc driver use exactly that).
 //
 // The XOBS_* macros are the recording interface for hot paths: when tracing
 // is off they evaluate the context pointer and one boolean — no strings are
@@ -45,9 +45,6 @@ class Observability {
                         std::move(ids));
   }
   void end(SpanId span) { trace_.end(now(), span); }
-  /// End a span at a known future/past instant (e.g. queued work that will
-  /// finish at `at` — the sighost's serialized maintenance logging).
-  void end_at(sim::SimTime at, SpanId span) { trace_.end(at, span); }
   SpanId complete(sim::SimDuration dur, const char* component,
                   std::string name, std::string track, TraceIds ids = {}) {
     return trace_.complete(now(), dur, component, std::move(name),

@@ -10,8 +10,7 @@ using util::Errc;
 
 // ----------------------------------------------------------- AnandServerStub
 
-AnandServerStub::AnandServerStub(kern::Kernel& router, std::uint16_t port)
-    : k_(router), port_(port) {}
+AnandServerStub::AnandServerStub(kern::Kernel& router) : k_(router) {}
 
 util::Result<void> AnandServerStub::start() {
   pid_ = k_.spawn("anand_server");
@@ -25,7 +24,7 @@ util::Result<void> AnandServerStub::start() {
   // Upward: block on select(); when unblocked, drain the device.
   (void)k_.anand_set_readable(pid_, anand_fd_, [this] { drain_device(); });
 
-  auto lfd = k_.tcp_listen(pid_, port_, [this](int fd) {
+  auto lfd = k_.tcp_listen(pid_, kAnandServerPort, [this](int fd) {
     Conn c;
     c.fd = fd;
     c.framer = std::make_unique<StubFramer>(
@@ -175,9 +174,8 @@ void AnandServerStub::send_to(int fd, const StubMsg& m) {
 
 // ----------------------------------------------------------- AnandClientStub
 
-AnandClientStub::AnandClientStub(kern::Kernel& host, ip::IpAddress router_ip,
-                                 std::uint16_t server_port)
-    : k_(host), router_ip_(router_ip), server_port_(server_port) {}
+AnandClientStub::AnandClientStub(kern::Kernel& host, ip::IpAddress router_ip)
+    : k_(host), router_ip_(router_ip) {}
 
 util::Result<void> AnandClientStub::start() {
   pid_ = k_.spawn("anand_client");
@@ -191,7 +189,7 @@ util::Result<void> AnandClientStub::start() {
   if (!anand_fd) return anand_fd.error();
   anand_fd_ = *anand_fd;
 
-  auto fd = k_.tcp_connect(pid_, router_ip_, server_port_,
+  auto fd = k_.tcp_connect(pid_, router_ip_, kAnandServerPort,
                            [this](util::Result<int> r) {
                              if (!r) {
                                server_fd_ = -1;

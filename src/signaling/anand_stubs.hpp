@@ -25,8 +25,7 @@ namespace xunet::sig {
 /// The router-side stub.
 class AnandServerStub {
  public:
-  explicit AnandServerStub(kern::Kernel& router,
-                           std::uint16_t port = kAnandServerPort);
+  explicit AnandServerStub(kern::Kernel& router);
 
   /// Spawn the process, open /dev/anand and the control socket, listen.
   util::Result<void> start();
@@ -53,7 +52,6 @@ class AnandServerStub {
   void send_to(int fd, const StubMsg& m);
 
   kern::Kernel& k_;
-  std::uint16_t port_;
   kern::Pid pid_ = -1;
   int listen_fd_ = -1;
   int anand_fd_ = -1;
@@ -70,8 +68,7 @@ class AnandServerStub {
 /// The host-side stub.
 class AnandClientStub {
  public:
-  AnandClientStub(kern::Kernel& host, ip::IpAddress router_ip,
-                  std::uint16_t server_port = kAnandServerPort);
+  AnandClientStub(kern::Kernel& host, ip::IpAddress router_ip);
 
   /// Spawn the process, configure IPPROTO_ATM forwarding, open /dev/anand,
   /// connect to the anand server.
@@ -85,7 +82,6 @@ class AnandClientStub {
 
   kern::Kernel& k_;
   ip::IpAddress router_ip_;
-  std::uint16_t server_port_;
   kern::Pid pid_ = -1;
   int anand_fd_ = -1;
   int server_fd_ = -1;

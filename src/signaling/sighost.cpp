@@ -25,7 +25,7 @@ constexpr std::uint64_t kRetransmitSeed = 0x7e57'ab1e;
 Sighost::Sighost(kern::Kernel& router, atm::AtmNetwork& net,
                  SighostConfig cfg)
     : k_(router), net_(net), cfg_(cfg), cookies_(kCookieSeed),
-      rng_(kRetransmitSeed),
+      rng_(kRetransmitSeed), recovery_grace_(router.simulator()),
       obs_(&router.simulator().obs()),
       // Shard 0 keeps the router's bare name so single-shard topologies
       // (the default) produce byte-identical metric names and traces.
@@ -79,7 +79,7 @@ util::Result<void> Sighost::start() {
 
   // Attach to the anand server for kernel-state indications.
   auto afd = k_.tcp_connect(
-      pid_, k_.ip_node().address(), cfg_.anand_server_port,
+      pid_, k_.ip_node().address(), kAnandServerPort,
       [this](util::Result<int> r) {
         if (!r) return;  // no anand server: indications will be unavailable
         stub_framer_ = std::make_unique<StubFramer>(
@@ -130,6 +130,7 @@ util::Result<void> Sighost::add_peer(const atm::AtmAddress& peer,
   p.recv_fd = *recv_fd;
   p.send_vci = send_vci;
   p.recv_vci = recv_vci;
+  p.resync_timer = sim::Timer(k_.simulator());
   peers_.emplace(name, std::move(p));
   return {};
 }
@@ -189,9 +190,9 @@ void Sighost::queue_retransmit(const std::string& peer, const Msg& m) {
   Peer& p = peers_.at(peer);
   PendingTx tx;
   tx.msg = m;
-  tx.timer = std::make_unique<sim::Timer>(k_.simulator());
-  tx.timer->arm(backoff(0),
-                [this, peer, seq = m.seq] { retransmit(peer, seq); });
+  tx.timer = sim::Timer(k_.simulator());
+  tx.timer.arm(backoff(0),
+               [this, peer, seq = m.seq] { retransmit(peer, seq); });
   p.pending.emplace(m.seq, std::move(tx));
 }
 
@@ -213,8 +214,8 @@ void Sighost::retransmit(const std::string& peer, std::uint32_t seq) {
   XOBS_FLIGHT(obs_, "sighost", "peer.retx", track_,
               peer + " seq=" + std::to_string(seq));
   transmit_peer(pit->second, tx.msg);
-  tx.timer->arm(backoff(tx.attempts),
-                [this, peer, seq] { retransmit(peer, seq); });
+  tx.timer.arm(backoff(tx.attempts),
+               [this, peer, seq] { retransmit(peer, seq); });
 }
 
 bool Sighost::note_received(Peer& p, std::uint32_t seq) {
@@ -236,7 +237,7 @@ void Sighost::reset_channel(Peer& p) {
 
 // ---------------------------------------------------------------- plumbing
 
-void Sighost::maintenance_log(const std::string& what, const std::string& call,
+void Sighost::maintenance_log(const std::string& call,
                               std::function<void()> then,
                               std::uint64_t trace_id, obs::SpanId parent) {
   auto guarded = [guard = std::weak_ptr<char>(alive_),
@@ -254,7 +255,6 @@ void Sighost::maintenance_log(const std::string& what, const std::string& call,
   // keep up with the 100-call burst).
   m_maint_records_->inc();
   m_maint_records_all_->inc();
-  k_.simulator().logger().info("sighost@" + k_.atm_address().name, what);
   sim::SimTime now = k_.simulator().now();
   if (busy_until_ < now) busy_until_ = now;
   if (XOBS_TRACING(obs_)) {
@@ -437,11 +437,9 @@ void Sighost::handle_export_srv(int fd, const Msg& m) {
   services_[m.service] = svc;
   ++stats_.services_registered;
   record_lists();
-  // Registration writes only a one-line record, not the heavyweight
-  // per-call maintenance information: §9 measures 17–20 ms for this RPC and
-  // attributes essentially all of it to the four context switches.
-  k_.simulator().logger().info("sighost@" + k_.atm_address().name,
-                               "EXPORT_SRV " + m.service);
+  // Registration writes no per-call maintenance information: §9 measures
+  // 17–20 ms for this RPC and attributes essentially all of it to the four
+  // context switches.
   Msg ack;
   ack.type = MsgType::service_regs;
   ack.service = m.service;
@@ -455,8 +453,6 @@ void Sighost::handle_withdraw_srv(int fd, const Msg& m) {
   if (it != services_.end() && it->second.server_ip == k_.tcp_peer(pid_, fd)) {
     services_.erase(it);
     record_lists();
-    k_.simulator().logger().info("sighost@" + k_.atm_address().name,
-                                 "WITHDRAW_SRV " + m.service);
   }
   Msg ack;
   ack.type = MsgType::service_regs;
@@ -522,8 +518,8 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   out.service = m.service;
   out.qos = m.qos;
   out.client_cookie = cookie;
-  out.timer = std::make_unique<sim::Timer>(k_.simulator());
-  out.timer->arm(cfg_.request_timeout, [this, id] {
+  out.timer = sim::Timer(k_.simulator());
+  out.timer.arm(cfg_.request_timeout, [this, id] {
     // The peer never answered (partition, dead sighost, lost PVC): fail the
     // request back to the client and withdraw it from the peer.
     auto oit = outgoing_.find(id);
@@ -563,7 +559,7 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   send_app(fd, reply);
   record_lists();
 
-  maintenance_log("CONNECT_REQ " + m.dst + ":" + m.service, key,
+  maintenance_log(key,
                   [this, id, dst = m.dst, service = m.service, qos = m.qos,
                    comment = m.comment] {
                     auto oit = outgoing_.find(id);
@@ -684,8 +680,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
   const ServeTrace serve = serve_trace_.count(key) ? serve_trace_[key]
                                                    : ServeTrace{};
   maintenance_log(
-      "PEER_SETUP " + origin + "#" + std::to_string(m.req_id) + " " + m.service,
-      call_key(origin, m.req_id), [this, origin, m] {
+      key, [this, origin, m] {
         const std::string key = call_key(origin, m.req_id);
         auto sit = services_.find(m.service);
         if (sit == services_.end()) {
@@ -781,8 +776,8 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
         inc.service = m.service;
         // Watchdog: if neither PEER_ESTABLISHED nor PEER_SETUP_FAILED ever
         // arrives (lost to a partition), the record must not live forever.
-        inc.timer = std::make_unique<sim::Timer>(k_.simulator());
-        inc.timer->arm(cfg_.request_timeout, [this, key] {
+        inc.timer = sim::Timer(k_.simulator());
+        inc.timer.arm(cfg_.request_timeout, [this, key] {
           auto iit = incoming_.find(key);
           if (iit == incoming_.end()) return;
           ++stats_.request_timeouts;
@@ -1106,8 +1101,8 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
 void Sighost::load_wait_for_bind(atm::Vci vci, Cookie cookie) {
   WaitBind wb;
   wb.cookie = cookie;
-  wb.timer = std::make_unique<sim::Timer>(k_.simulator());
-  wb.timer->arm(cfg_.wait_for_bind_timeout, [this, vci] {
+  wb.timer = sim::Timer(k_.simulator());
+  wb.timer.arm(cfg_.wait_for_bind_timeout, [this, vci] {
     ++stats_.bind_timeouts;
     teardown_vci(vci, /*notify_peer=*/true);
   });
@@ -1245,7 +1240,7 @@ void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
     down.machine = e.endpoint_ip;
     (void)k_.tcp_send(pid_, anand_fd_, serialize(down));
   }
-  maintenance_log("TEARDOWN vci=" + std::to_string(vci), e.call_key, [] {});
+  maintenance_log(e.call_key, [] {});
   record_lists();
 }
 
@@ -1262,7 +1257,7 @@ util::Result<void> Sighost::recover() {
     // Chaos-harness sabotage: pretend the audit ran and found nothing.
     // Every pre-crash call's socket and VC is now orphaned — exactly the
     // cross-layer divergence the InvariantChecker must catch.
-    maintenance_log("RECOVER rebuilt 0 calls", "", [] {});
+    maintenance_log("", [] {});
     record_lists();
     return {};
   }
@@ -1313,16 +1308,14 @@ util::Result<void> Sighost::recover() {
     k_.mark_vci_disconnected(vci);
     ++stats_.orphans_torn_down;
   }
-  maintenance_log("RECOVER rebuilt " + std::to_string(rebuilt) + " calls",
-                  "", [] {});
+  maintenance_log("", [] {});
   std::vector<std::string> names;
   names.reserve(peers_.size());
   for (const auto& [name, p] : peers_) names.push_back(name);
   for (const std::string& name : names) send_resync(name);
   if (rebuilt > 0) {
-    recovery_grace_ = std::make_unique<sim::Timer>(k_.simulator());
-    recovery_grace_->arm(cfg_.resync_grace,
-                         [this] { expire_unclaimed_recoveries(); });
+    recovery_grace_.arm(cfg_.resync_grace,
+                        [this] { expire_unclaimed_recoveries(); });
   }
   record_lists();
   return {};
@@ -1343,10 +1336,8 @@ void Sighost::send_resync(const std::string& peer) {
   m.req_id = p.resync_nonce;
   transmit_peer(p, m);
   if (++p.resync_attempts > kRetransmitMaxAttempts) return;
-  if (!p.resync_timer)
-    p.resync_timer = std::make_unique<sim::Timer>(k_.simulator());
-  p.resync_timer->arm(backoff(p.resync_attempts - 1),
-                      [this, peer] { send_resync(peer); });
+  p.resync_timer.arm(backoff(p.resync_attempts - 1),
+                     [this, peer] { send_resync(peer); });
 }
 
 void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
@@ -1387,7 +1378,7 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
     info.qos = e.qos;
     send_peer(origin, info);
   });
-  maintenance_log("RESYNC from " + origin, "", [] {});
+  maintenance_log("", [] {});
 }
 
 void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
@@ -1395,7 +1386,7 @@ void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
   if (pit == peers_.end()) return;
   Peer& p = pit->second;
   if (m.req_id != p.resync_nonce) return;  // stale nonce
-  p.resync_timer.reset();
+  p.resync_timer.cancel();
   p.resync_attempts = 0;
   p.resync_nonce = 0;
 }
@@ -1421,8 +1412,7 @@ void Sighost::handle_peer_resync_info(const std::string& origin, const Msg& m) {
   ++stats_.recovered_calls;
   m_recovered_->inc();
   fsm("fsm.recovered", e.call_key, static_cast<std::int64_t>(m.vci));
-  maintenance_log("RECOVERED vci=" + std::to_string(m.vci), e.call_key,
-                  [] {});
+  maintenance_log(e.call_key, [] {});
 }
 
 void Sighost::expire_unclaimed_recoveries() {

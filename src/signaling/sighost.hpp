@@ -54,7 +54,6 @@ struct SighostStats {
 
 struct SighostConfig {
   std::uint16_t port = kSighostPort;
-  std::uint16_t anand_server_port = kAnandServerPort;
   /// §7.2: per-VCI timer loaded when a VCI is handed to an application;
   /// "if no bind (resp. connect) indication is received before timeout,
   /// the connection is torn down."
@@ -236,7 +235,7 @@ class Sighost {
     std::string qos;
     Cookie client_cookie = 0;
     bool cancelled = false;
-    std::unique_ptr<sim::Timer> timer;  ///< request_timeout watchdog
+    sim::Timer timer;  ///< request_timeout watchdog
   };
   struct Incoming {  // incoming_requests: call awaiting server accept/reject
     std::string origin;  ///< peer sighost name
@@ -246,10 +245,10 @@ class Sighost {
     std::string qos;
     std::string service;
     bool decided = false;
-    std::unique_ptr<sim::Timer> timer;  ///< watchdog against a lost reply
+    sim::Timer timer;  ///< watchdog against a lost reply
   };
   struct WaitBind {  // wait_for_bind: VCI handed out, no indication yet
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
     Cookie cookie = 0;
   };
   struct VciEntry {  // VCI_mapping: live (or establishing) calls by VCI
@@ -276,7 +275,7 @@ class Sighost {
   struct PendingTx {  ///< one unacked sequenced message awaiting retransmit
     Msg msg;
     int attempts = 0;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
   };
   struct Peer {
     atm::AtmAddress addr;
@@ -294,7 +293,7 @@ class Sighost {
     // Resync client state (we restarted and are reconciling with them).
     std::uint32_t resync_nonce = 0;
     int resync_attempts = 0;
-    std::unique_ptr<sim::Timer> resync_timer;
+    sim::Timer resync_timer;
     // Resync server side: last nonce honored, so a retried PEER_RESYNC is
     // re-acked without resetting the channel a second time.
     std::uint32_t last_resync_seen = 0;
@@ -334,8 +333,7 @@ class Sighost {
   /// the MetricsRegistry counters the logging-cost bench reads.  When the
   /// caller knows the causal context, `trace_id`/`parent` link the record
   /// into the call's cross-host span tree.
-  void maintenance_log(const std::string& what, const std::string& call,
-                       std::function<void()> then,
+  void maintenance_log(const std::string& call, std::function<void()> then,
                        std::uint64_t trace_id = 0,
                        obs::SpanId parent = obs::kInvalidSpan);
 
@@ -397,7 +395,7 @@ class Sighost {
   TraceFn trace_;
   WireFaultFn wire_fault_;
   std::uint32_t next_resync_nonce_ = 1;
-  std::unique_ptr<sim::Timer> recovery_grace_;  ///< armed once by recover()
+  sim::Timer recovery_grace_;  ///< armed once by recover()
 
   // The five lists.  VCI_mapping sits behind the compressed-trie index:
   // O(key bits) lookups at millions of live calls, in-order traversal for

@@ -160,12 +160,17 @@ void Simulator::dispatch_ref(const Ref& r) {
   free_rec(r.rec);
 }
 
-bool Simulator::cancel(EventId id) {
+bool Simulator::scheduled(EventId id) const noexcept {
   const auto idx = static_cast<std::uint32_t>(id);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if ((gen & 1u) == 0 || idx >= chunks_.size() * kChunkSize) return false;
+  return (gen & 1u) != 0 && idx < chunks_.size() * kChunkSize &&
+         chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)].gen == gen;
+}
+
+bool Simulator::cancel(EventId id) {
+  if (!scheduled(id)) return false;
+  const auto idx = static_cast<std::uint32_t>(id);
   EventRec& rc = rec(idx);
-  if (rc.gen != gen) return false;
   // Retire before destroying: the callable's destructor may re-enter.
   ++rc.gen;
   ++stale_;

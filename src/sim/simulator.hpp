@@ -32,7 +32,6 @@
 
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
-#include "util/logging.hpp"
 
 namespace xunet::sim {
 
@@ -41,7 +40,7 @@ namespace xunet::sim {
 /// the pool record index.
 using EventId = std::uint64_t;
 
-/// Discrete-event simulator: event queue + clock + per-simulation logger.
+/// Discrete-event simulator: event queue + clock + observability context.
 class Simulator {
  public:
   Simulator();
@@ -76,6 +75,11 @@ class Simulator {
   /// running, fired, or been cancelled.
   bool cancel(EventId id);
 
+  /// True while `id` is pending: the same generation test cancel() makes,
+  /// so false once the event has started running, fired, or been
+  /// cancelled, and for a stale id whose pool record was reused.
+  [[nodiscard]] bool scheduled(EventId id) const noexcept;
+
   /// Run events until the queue empties.  Returns the number of queue
   /// entries popped (cancelled ones included).
   std::size_t run();
@@ -92,9 +96,6 @@ class Simulator {
 
   /// High-water mark of pending() over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
-
-  /// The per-simulation logger shared by every component.
-  [[nodiscard]] util::Logger& logger() noexcept { return logger_; }
 
   /// The per-simulation observability context (trace buffer + metrics),
   /// clock-bound to this simulator.  Tracing is off by default.
@@ -187,7 +188,6 @@ class Simulator {
   std::size_t size_ = 0;   ///< queued refs, stale ones included
   std::size_t stale_ = 0;  ///< queued refs whose event was cancelled
 
-  util::Logger logger_;
   obs::Observability obs_;
 };
 

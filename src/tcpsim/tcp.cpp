@@ -8,6 +8,10 @@ using util::Errc;
 
 namespace {
 
+constexpr sim::SimDuration kRto = sim::milliseconds(500);  ///< retransmit timeout
+constexpr std::size_t kMss = 1400;  ///< max segment payload
+constexpr int kMaxRetransmits = 8;  ///< then reset the connection
+
 /// Wrap-safe sequence comparison (RFC 793 arithmetic).
 [[nodiscard]] bool seq_lt(std::uint32_t a, std::uint32_t b) noexcept {
   return static_cast<std::int32_t>(a - b) < 0;
@@ -220,7 +224,7 @@ void TcpLayer::pump(Conn& c) {
   bool sent_any = false;
   while (offset < c.send_buf.size() &&
          (c.snd_nxt - c.snd_una) < cfg_.window_bytes) {
-    const std::size_t n = std::min(cfg_.mss, c.send_buf.size() - offset);
+    const std::size_t n = std::min(kMss, c.send_buf.size() - offset);
     util::Buffer chunk(c.send_buf.begin() + static_cast<long>(offset),
                        c.send_buf.begin() + static_cast<long>(offset + n));
     emit(c, Flags{.ack = true}, chunk, c.snd_nxt);
@@ -240,13 +244,13 @@ void TcpLayer::pump(Conn& c) {
 
 void TcpLayer::arm_rto(Conn& c) {
   ConnId id = c.id;
-  c.rto_timer.arm(cfg_.rto, [this, id] { on_rto(id); });
+  c.rto_timer.arm(kRto, [this, id] { on_rto(id); });
 }
 
 void TcpLayer::on_rto(ConnId id) {
   Conn* c = find(id);
   if (c == nullptr) return;
-  if (++c->retransmit_count > cfg_.max_retransmits) {
+  if (++c->retransmit_count > kMaxRetransmits) {
     if (c->state == State::syn_sent && c->on_connect) {
       auto h = std::move(c->on_connect);
       node_.simulator().schedule(sim::SimDuration{},

@@ -41,10 +41,7 @@ enum class State : std::uint8_t {
 /// Tuning knobs.  Defaults approximate a 1994 BSD stack.
 struct TcpConfig {
   sim::SimDuration msl = sim::seconds(30);     ///< TIME_WAIT holds 2×msl
-  sim::SimDuration rto = sim::milliseconds(500);
-  std::size_t mss = 1400;                      ///< max segment payload
   std::size_t window_bytes = 64 * 1024;        ///< fixed send window
-  int max_retransmits = 8;                     ///< then reset the connection
 };
 
 /// Opaque connection identifier within one TcpLayer.

@@ -1,13 +1,17 @@
-// json.hpp — the one JSON string escaper.
+// json.hpp — the one JSON string escaper and the one strict validator.
 //
 // Every JSON writer in the tree (trace/metric exports, BENCH_*.json
 // reports, the lint and model-checker reports) escapes strings through
-// this function, so hostile event names, file paths or finding messages
-// come out the same, and valid, everywhere.
+// json_escape, so hostile event names, file paths or finding messages come
+// out the same, and valid, everywhere.  Every reader that checks a
+// document's shape (the JSONL export check, trace_demo, bench_json_check)
+// goes through validate_json.
 #pragma once
 
 #include <string>
 #include <string_view>
+
+#include "util/result.hpp"
 
 namespace xunet::util {
 
@@ -15,5 +19,12 @@ namespace xunet::util {
 /// and backslash, the named control escapes, and every other byte below
 /// 0x20 as \u00XX.
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Strict RFC 8259 check of one JSON document: objects, arrays, strings,
+/// numbers, true/false/null, and nothing after the value but whitespace.
+/// Trailing commas, missing values, NaN/Infinity, leading zeros and raw
+/// control bytes inside strings are rejected.  protocol_error when
+/// malformed.
+[[nodiscard]] Result<void> validate_json(std::string_view text);
 
 }  // namespace xunet::util

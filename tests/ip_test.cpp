@@ -131,7 +131,7 @@ TEST_F(TwoHopFixture, TtlExpiryDropsForwardedPackets) {
   p.ttl = 1;
   p.id = 1;
   // Inject the frame at the router as if it arrived from the host link.
-  router.frame_arrival(serialize(p), l1);
+  router.frame_arrival(serialize(p));
   sim.run();
   EXPECT_EQ(router.dropped_ttl(), 1u);
 }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
+#include "util/json.hpp"
 #include "xunet_lint/lint.hpp"
 
 namespace {
@@ -310,12 +310,40 @@ TEST(LintJson, HostileFindingMessageStillValidates) {
   EXPECT_NE(j.find(R"("message": "call \"rand\"\u0001 here")"),
             std::string::npos)
       << j;
-  EXPECT_TRUE(xunet::obs::validate_json(j).ok()) << j;
+  EXPECT_TRUE(xunet::util::validate_json(j).ok()) << j;
   const std::string path = testing::TempDir() + "lint_hostile_message.json";
   { std::ofstream(path) << j; }
   const std::string cmd =
       std::string(XUNET_BENCH_JSON_CHECK) + " " + path + " > /dev/null";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << j;
+}
+
+// The validator is a strict parser, not a bracket counter: reports whose
+// braces balance but whose values are not JSON must fail the gate.
+TEST(BenchJsonCheck, RejectsBalancedButMalformedReports) {
+  const std::string head = R"({"schema": "xunet.bench.v1", "bench": "demo", )";
+  const std::vector<std::string> bad = {
+      head + R"("metrics": {"a":}})",
+      head + R"("metrics": {"a": [1,2,]}})",
+      head + R"("metrics": {"x": nan}})",
+      "{\"schema\":\"xunet.trace.v1\",\"reason\":\"r\",\"records\":1,"
+      "\"overwritten\":0}\n"
+      "{\"seq\":1,\"ts_ns\":0,\"comp\":\"c\",\"name\":\"n\","
+      "\"track\":\"t\",\"v\":inf}\n",
+  };
+  auto run = [](const std::string& doc, int i) {
+    const std::string path =
+        testing::TempDir() + "bench_json_check_" + std::to_string(i) + ".json";
+    { std::ofstream(path) << doc; }
+    const std::string cmd = std::string(XUNET_BENCH_JSON_CHECK) + " " + path +
+                            " > /dev/null 2>&1";
+    return std::system(cmd.c_str());
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_NE(run(bad[i], static_cast<int>(i)), 0) << bad[i];
+  }
+  // The same envelope with a well-formed body passes.
+  EXPECT_EQ(run(head + R"("metrics": {"a": 1, "b": [1, 2]}})", 99), 0);
 }
 
 // ------------------------------------------------------------- self-check

@@ -5,6 +5,7 @@
 // runs produce byte-identical traces, waterfalls, dumps and alert streams).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -17,7 +18,7 @@
 #include "obs/health.hpp"
 #include "obs/report.hpp"
 #include "util/alloc_hook.hpp"
-#include "util/logging.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace xunet {
@@ -191,7 +192,7 @@ obs::TraceBuffer small_trace() {
 TEST(Export, ChromeTraceIsValidJsonWithExpectedShape) {
   obs::TraceBuffer buf = small_trace();
   std::string json = obs::to_chrome_trace(buf);
-  ASSERT_TRUE(obs::validate_json(json).ok()) << json;
+  ASSERT_TRUE(util::validate_json(json).ok()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
@@ -213,10 +214,35 @@ TEST(Export, JsonlValidatesAndLeadsWithSchemaHeader) {
 }
 
 TEST(Export, ValidatorRejectsMalformedJson) {
-  EXPECT_FALSE(obs::validate_json("{\"a\":1").ok());
-  EXPECT_FALSE(obs::validate_json("{\"a\":}").ok());
-  EXPECT_FALSE(obs::validate_json("[1,2,]").ok());
-  EXPECT_TRUE(obs::validate_json("{\"a\":[1,2],\"b\":\"x\"}").ok());
+  EXPECT_FALSE(util::validate_json("{\"a\":1").ok());
+  EXPECT_FALSE(util::validate_json("{\"a\":}").ok());
+  EXPECT_FALSE(util::validate_json("[1,2,]").ok());
+  EXPECT_TRUE(util::validate_json("{\"a\":[1,2],\"b\":\"x\"}").ok());
+  // Numbers follow the RFC 8259 grammar exactly; strings hold no raw
+  // control bytes.
+  for (const char* bad : {"{\"x\": nan}", "[NaN]", "[inf]", "[-Infinity]", "[01]",
+                          "[.5]", "[1.]", "[1e]", "[-]", "[\"a\tb\"]", "[1] x"}) {
+    EXPECT_FALSE(util::validate_json(bad).ok()) << bad;
+  }
+  for (const char* good : {"[0]", "[-0.5]", "[1e300]", "[2E-3]", "[null]"}) {
+    EXPECT_TRUE(util::validate_json(good).ok()) << good;
+  }
+}
+
+// Casting a non-finite or out-of-range double to int64 is undefined, and a
+// printf fallback would emit "nan"/"inf", which no JSON parser accepts.
+TEST(Export, JsonNumberStaysValidForNonFiniteAndHugeValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(obs::json_number(nan), "null");
+  EXPECT_EQ(obs::json_number(inf), "null");
+  EXPECT_EQ(obs::json_number(-inf), "null");
+  EXPECT_EQ(obs::json_number(-0x1p63), "-9223372036854775808");
+  const std::string doc = "{\"nan\":" + obs::json_number(nan) + ",\"inf\":" +
+                          obs::json_number(inf) + ",\"big\":" +
+                          obs::json_number(1e300) + "}";
+  EXPECT_TRUE(util::validate_json(doc).ok()) << doc;
+  EXPECT_EQ(std::stod(obs::json_number(1e300)), 1e300);
 }
 
 // Adversarial escaping: a trace whose strings carry every JSON-dangerous
@@ -237,7 +263,7 @@ TEST(Export, HostileEventStringsStillExportValidJson) {
   mx.counter("evil\"metric\\name").inc();
   std::string chrome = obs::to_chrome_trace(buf);
   std::string jsonl = obs::to_jsonl(buf, mx);
-  EXPECT_TRUE(obs::validate_json(chrome).ok()) << chrome;
+  EXPECT_TRUE(util::validate_json(chrome).ok()) << chrome;
   EXPECT_TRUE(obs::validate_jsonl(jsonl).ok()) << jsonl;
   // No raw control byte may survive into either export (newlines are the
   // exports' own record/pretty-print separators).
@@ -266,7 +292,7 @@ testing::AssertionResult every_line_is_json(const std::string& jsonl) {
     pos = nl + 1;
     if (line.empty()) continue;
     ++lines;
-    if (!obs::validate_json(line).ok()) {
+    if (!util::validate_json(line).ok()) {
       return testing::AssertionFailure() << "bad JSONL line: " << line;
     }
   }
@@ -628,21 +654,6 @@ TEST(CallTraceIndex, OrphanedFragmentsSurfaceInsteadOfDisappearing) {
   EXPECT_NE(idx.waterfall(7).find("call.serve"), std::string::npos);
 }
 
-// -------------------------------------------------------------------- Logger
-//
-// Regression: emitted() must count suppressed-by-no-sink records too — the
-// §9 bench counts maintenance records through it before any sink exists.
-
-TEST(Logger, EmittedCountsRecordsEvenWithNoSinks) {
-  util::Logger log;  // no sinks registered
-  log.set_threshold(util::LogLevel::info);
-  log.info("sighost@mh.rt", "maintenance record");
-  log.warn("sighost@mh.rt", "another");
-  EXPECT_EQ(log.emitted(), 2u);
-  log.debug("sighost@mh.rt", "below threshold");
-  EXPECT_EQ(log.emitted(), 2u);  // threshold still filters
-}
-
 // ------------------------------------------------- end-to-end traced scenario
 
 struct TracedRun {
@@ -696,7 +707,7 @@ TEST(TracedRun, CoversAllFiveComponentsEndToEnd) {
   }
   EXPECT_GE(run.maint_records, 2u);  // both sighosts log per call
   ASSERT_TRUE(obs::validate_jsonl(run.jsonl).ok());
-  ASSERT_TRUE(obs::validate_json(run.chrome).ok());
+  ASSERT_TRUE(util::validate_json(run.chrome).ok());
 }
 
 TEST(TracedRun, BreakdownAttributesSetupTimeWithLoggingDominant) {

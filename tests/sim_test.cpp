@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
@@ -254,6 +256,36 @@ TEST(Simulator, PendingStaysExactAcrossCancelAndDispatch) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(Simulator, ScheduledIsTrueOnlyWhilePending) {
+  Simulator sim;
+  EXPECT_FALSE(sim.scheduled(0));
+  EventId a = sim.schedule(milliseconds(1), [] {});
+  EXPECT_TRUE(sim.scheduled(a));
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_FALSE(sim.scheduled(a));
+
+  EventId b = 0;
+  bool inside = true;
+  b = sim.schedule(milliseconds(1), [&] { inside = sim.scheduled(b); });
+  EXPECT_TRUE(sim.scheduled(b));
+  sim.run();
+  EXPECT_FALSE(inside);
+  EXPECT_FALSE(sim.scheduled(b));
+}
+
+TEST(Simulator, ScheduledIsFalseForStaleIdOfReusedRecord) {
+  Simulator sim;
+  EventId old_id = sim.schedule(milliseconds(1), [] {});
+  ASSERT_TRUE(sim.cancel(old_id));
+  EventId new_id = sim.schedule(milliseconds(1), [] {});
+  // The freed pool record is handed out again under a new generation.
+  ASSERT_EQ(static_cast<std::uint32_t>(new_id), static_cast<std::uint32_t>(old_id));
+  EXPECT_NE(new_id, old_id);
+  EXPECT_FALSE(sim.scheduled(old_id));
+  EXPECT_FALSE(sim.cancel(old_id));
+  EXPECT_TRUE(sim.scheduled(new_id));
+}
+
 TEST(Timer, FiresOnce) {
   Simulator sim;
   Timer t(sim);
@@ -307,6 +339,68 @@ TEST(Timer, CanRearmFromOwnCallback) {
   t.arm(milliseconds(1), tick);
   sim.run();
   EXPECT_EQ(fired, 5);
+}
+
+TEST(Timer, ArmedIsFalseInsideExpiryAndRearmWorksThere) {
+  Simulator sim;
+  Timer t(sim);
+  std::vector<bool> armed_inside;
+  int fired = 0;
+  t.arm(milliseconds(1), [&] {
+    armed_inside.push_back(t.armed());
+    ++fired;
+    t.arm(milliseconds(1), [&] {
+      armed_inside.push_back(t.armed());
+      ++fired;
+    });
+    armed_inside.push_back(t.armed());
+  });
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(armed_inside, (std::vector<bool>{false, true, false}));
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Timer, MovedFromTimerIsIdleAndItsDestructionKeepsTheEvent) {
+  Simulator sim;
+  int fired = 0;
+  std::optional<Timer> src(std::in_place, sim);
+  src->arm(milliseconds(5), [&] { ++fired; });
+  Timer dst(std::move(*src));
+  EXPECT_FALSE(src->armed());
+  EXPECT_TRUE(dst.armed());
+  src.reset();
+  EXPECT_TRUE(dst.armed());
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(dst.armed());
+}
+
+TEST(Timer, MoveAssignmentCancelsTargetsPendingExpiry) {
+  Simulator sim;
+  std::vector<int> hits;
+  Timer a(sim);
+  Timer b(sim);
+  a.arm(milliseconds(5), [&] { hits.push_back(1); });
+  b.arm(milliseconds(10), [&] { hits.push_back(2); });
+  a = std::move(b);
+  EXPECT_TRUE(a.armed());
+  EXPECT_FALSE(b.armed());
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(hits, (std::vector<int>{2}));
+}
+
+TEST(Timer, DefaultTimerIsIdleUntilABoundOneIsMovedIn) {
+  Simulator sim;
+  Timer t;
+  EXPECT_FALSE(t.armed());
+  t.cancel();
+  t = Timer(sim);
+  int fired = 0;
+  t.arm(milliseconds(1), [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(Timer, WarmArmCancelRearmLoopAllocatesNothing) {

@@ -8,7 +8,6 @@
 #include "util/crc32.hpp"
 #include "util/json.hpp"
 #include "util/loc_scan.hpp"
-#include "util/logging.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -316,28 +315,6 @@ TEST(Rng, ExponentialMeanIsRoughlyRight) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += r.exponential(5.0);
   EXPECT_NEAR(sum / n, 5.0, 0.25);
-}
-
-// ----------------------------------------------------------------- logging
-
-TEST(Logging, ThresholdFilters) {
-  Logger log;
-  CapturingSink cap;
-  log.add_sink(cap.sink());
-  log.set_threshold(LogLevel::warn);
-  log.info("x", "dropped");
-  log.warn("x", "kept");
-  ASSERT_EQ(cap.records().size(), 1u);
-  EXPECT_EQ(cap.records()[0].message, "kept");
-  EXPECT_EQ(log.emitted(), 1u);
-}
-
-TEST(Logging, EmittedCountsWithoutSinks) {
-  Logger log;
-  log.set_threshold(LogLevel::info);
-  log.info("c", "one");
-  log.info("c", "two");
-  EXPECT_EQ(log.emitted(), 2u);
 }
 
 // ------------------------------------------------------------------- table

@@ -6,22 +6,25 @@
 //
 // Usage: bench_json_check FILE...
 //
-// For each file: verify it is well-formed enough to trust (single JSON
-// object — or, for JSONL schemas, one object per line — balanced
-// structure, no truncation), carries a known schema marker
-// ("xunet.bench.v1", "xunet.lint.v1", "xunet.model.v1",
-// "xunet.trace.v1", "xunet.health.v1" or "xunet.chaos.v1"), and
-// contains every key required for its profile.
+// For each file: verify it is strict JSON (util::validate_json — one
+// object, or for JSONL schemas one object per line), carries a known
+// schema marker ("xunet.bench.v1", "xunet.lint.v1", "xunet.model.v1",
+// "xunet.trace.v1", "xunet.health.v1" or "xunet.chaos.v1"), and contains
+// every key required for its profile.
 // Exit 0 only when every file passes; a missing file is a failure (the
 // tool silently not writing its report is exactly the regression this
 // gate exists to catch).
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace {
+
+using Keys = std::vector<std::string>;
 
 std::string slurp(const char* path, bool& ok) {
   std::FILE* f = std::fopen(path, "rb");
@@ -38,81 +41,44 @@ std::string slurp(const char* path, bool& ok) {
   return out;
 }
 
-/// Structural check: one top-level object, braces/brackets balanced,
-/// strings closed, nothing after the final brace but whitespace.
-bool well_formed(const std::string& s, std::string& why) {
-  std::size_t i = 0;
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  if (i == s.size() || s[i] != '{') {
-    why = "does not start with '{'";
-    return false;
-  }
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  std::size_t end = std::string::npos;
-  for (; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth < 0) {
-        why = "unbalanced close at byte " + std::to_string(i);
-        return false;
-      }
-      if (depth == 0) {
-        end = i;
-        break;
-      }
-    }
-  }
-  if (in_string) {
-    why = "unterminated string";
-    return false;
-  }
-  if (end == std::string::npos) {
-    why = "truncated (object never closes)";
-    return false;
-  }
-  for (std::size_t j = end + 1; j < s.size(); ++j) {
-    if (!std::isspace(static_cast<unsigned char>(s[j]))) {
-      why = "trailing garbage after the object";
-      return false;
-    }
-  }
-  return true;
+/// Strict JSON whose top-level value is an object.
+bool json_object(std::string_view s) {
+  const std::size_t first = s.find_first_not_of(" \t\r\n");
+  return first != std::string_view::npos && s[first] == '{' &&
+         xunet::util::validate_json(s).ok();
 }
 
-bool has_key(const std::string& s, const std::string& key) {
-  return s.find("\"" + key + "\":") != std::string::npos;
+bool has_key(std::string_view s, std::string_view key) {
+  return s.find("\"" + std::string(key) + "\":") != std::string_view::npos;
 }
 
-/// Extract the value of "bench" (the report's name).
-std::string bench_name(const std::string& s) {
-  const std::string tag = "\"bench\": \"";
-  auto p = s.find(tag);
-  if (p == std::string::npos) return {};
-  p += tag.size();
-  auto q = s.find('"', p);
-  if (q == std::string::npos) return {};
-  return s.substr(p, q - p);
+/// The string value of the first `"key": "..."` in `s`; empty when absent.
+std::string string_value(std::string_view s, std::string_view key) {
+  std::size_t p = s.find("\"" + std::string(key) + "\":");
+  if (p == std::string_view::npos) return {};
+  p = s.find_first_not_of(' ', p + key.size() + 3);
+  if (p == std::string_view::npos || s[p] != '"') return {};
+  const std::size_t q = s.find('"', p + 1);
+  if (q == std::string_view::npos) return {};
+  return std::string(s.substr(p + 1, q - p - 1));
 }
 
-const std::map<std::string, std::vector<std::string>>& required_keys() {
-  static const std::map<std::string, std::vector<std::string>> keys = {
+/// Report every key of `keys` missing from `s`; true when none is.
+bool require(const char* path, const std::string& what, std::string_view s,
+             const Keys& keys) {
+  bool ok = true;
+  for (const std::string& key : keys) {
+    if (!has_key(s, key)) {
+      std::fprintf(stderr, "FAIL %s: %s missing required key %s\n", path,
+                   what.c_str(), key.c_str());
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+const std::map<std::string, Keys>& bench_keys() {
+  static const std::map<std::string, Keys> keys = {
       {"datapath",
        {"baseline_cells_per_sec", "cells_per_sec_wall", "speedup",
         "peak_event_queue_depth", "allocs_per_cell"}},
@@ -132,122 +98,77 @@ const std::map<std::string, std::vector<std::string>>& required_keys() {
   return keys;
 }
 
-/// JSONL observability artifacts: a header object on line 1 carrying the
-/// schema marker, then one record object per line.  Every line must be a
-/// well-formed object; header and records each have a required-key profile.
-bool check_jsonl(const char* path, const std::string& s,
-                 const char* schema_name, const char* kind,
-                 const std::vector<std::string>& header_keys,
-                 const std::vector<std::string>& record_keys) {
-  bool ok = true;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t eol = s.find('\n', pos);
-    if (eol == std::string::npos) eol = s.size();
-    const std::string line = s.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    ++line_no;
-    std::string why;
-    if (!well_formed(line, why)) {
-      std::fprintf(stderr, "FAIL %s: line %zu malformed: %s\n", path, line_no,
-                   why.c_str());
-      return false;
-    }
-    const std::vector<std::string>& keys =
-        line_no == 1 ? header_keys : record_keys;
-    for (const std::string& key : keys) {
-      if (!has_key(line, key)) {
-        std::fprintf(stderr, "FAIL %s: %s line %zu missing required key %s\n",
-                     path, kind, line_no, key.c_str());
-        ok = false;
-      }
-    }
-  }
-  if (line_no == 0) {
-    std::fprintf(stderr, "FAIL %s: empty %s document\n", path, kind);
-    return false;
-  }
-  if (ok) {
-    std::printf("OK   %s (%s, %zu lines, %s)\n", path, kind, line_no,
-                schema_name);
-  }
-  return ok;
+/// A JSONL schema: a header object on line 1 carrying the schema marker,
+/// then one record object per line.  When `rec_field` is set, each record
+/// names its type in that field and `records` holds one key profile per
+/// type; otherwise every record uses the profile under "".
+struct JsonlProfile {
+  const char* schema;
+  const char* kind;
+  Keys header;
+  std::map<std::string, Keys> records;
+  const char* rec_field = nullptr;
+};
+
+const std::vector<JsonlProfile>& jsonl_profiles() {
+  static const std::vector<JsonlProfile> profiles = {
+      {"xunet.trace.v1", "flight-recorder dump",
+       {"schema", "reason", "records", "overwritten"},
+       {{"", {"seq", "ts_ns", "comp", "name", "track"}}}},
+      {"xunet.health.v1", "health alert stream",
+       {"schema", "rules", "alerts", "ticks"},
+       {{"", {"ts_ns", "rule", "metric", "value", "state"}}}},
+      {"xunet.chaos.v1", "chaos repro",
+       {"schema", "seed", "routers", "calls", "events", "violations"},
+       {{"event", {"kind", "at_ns", "duration_ns", "node"}},
+        {"violation", {"rule", "detail"}},
+        {"result", {"opened", "delivered", "failed", "unresolved"}},
+        {"post_mortem", {"trace"}}},
+       "rec"},
+  };
+  return profiles;
 }
 
-/// xunet.chaos.v1 — chaos-harness repro artifacts.  Header line carries the
-/// case (topology + workload + seed); every record line declares its type
-/// in "rec" and must carry that type's keys.
-bool check_chaos_jsonl(const char* path, const std::string& s) {
-  static const std::map<std::string, std::vector<std::string>> rec_keys = {
-      {"event", {"kind", "at_ns", "duration_ns", "node"}},
-      {"violation", {"rule", "detail"}},
-      {"result", {"opened", "delivered", "failed", "unresolved"}},
-      {"post_mortem", {"trace"}},
-  };
+bool check_jsonl(const char* path, const std::string& s,
+                 const JsonlProfile& p) {
   bool ok = true;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos < s.size()) {
     std::size_t eol = s.find('\n', pos);
     if (eol == std::string::npos) eol = s.size();
-    const std::string line = s.substr(pos, eol - pos);
+    const std::string_view line = std::string_view(s).substr(pos, eol - pos);
     pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     ++line_no;
-    std::string why;
-    if (!well_formed(line, why)) {
-      std::fprintf(stderr, "FAIL %s: line %zu malformed: %s\n", path, line_no,
-                   why.c_str());
+    if (!json_object(line)) {
+      std::fprintf(stderr, "FAIL %s: line %zu is not a strict JSON object\n",
+                   path, line_no);
       return false;
     }
+    const std::string where =
+        std::string(p.kind) + " line " + std::to_string(line_no);
     if (line_no == 1) {
-      for (const char* key :
-           {"schema", "seed", "routers", "calls", "events", "violations"}) {
-        if (!has_key(line, key)) {
-          std::fprintf(stderr,
-                       "FAIL %s: chaos header missing required key %s\n", path,
-                       key);
-          ok = false;
-        }
-      }
+      ok &= require(path, where, line, p.header);
       continue;
     }
-    const std::string tag = "\"rec\":\"";
-    const std::size_t p = line.find(tag);
-    const std::size_t q =
-        p == std::string::npos ? p : line.find('"', p + tag.size());
-    if (p == std::string::npos || q == std::string::npos) {
-      std::fprintf(stderr, "FAIL %s: chaos line %zu has no \"rec\" type\n",
-                   path, line_no);
+    const std::string rec = p.rec_field ? string_value(line, p.rec_field) : "";
+    auto it = p.records.find(rec);
+    if (it == p.records.end()) {
+      std::fprintf(stderr, "FAIL %s: %s has unknown or missing %s \"%s\"\n",
+                   path, where.c_str(), p.rec_field, rec.c_str());
       ok = false;
       continue;
     }
-    const std::string rec = line.substr(p + tag.size(), q - p - tag.size());
-    auto it = rec_keys.find(rec);
-    if (it == rec_keys.end()) {
-      std::fprintf(stderr, "FAIL %s: chaos line %zu unknown rec \"%s\"\n",
-                   path, line_no, rec.c_str());
-      ok = false;
-      continue;
-    }
-    for (const std::string& key : it->second) {
-      if (!has_key(line, key)) {
-        std::fprintf(stderr,
-                     "FAIL %s: chaos %s line %zu missing required key %s\n",
-                     path, rec.c_str(), line_no, key.c_str());
-        ok = false;
-      }
-    }
+    ok &= require(path, where, line, it->second);
   }
   if (line_no == 0) {
-    std::fprintf(stderr, "FAIL %s: empty chaos document\n", path);
+    std::fprintf(stderr, "FAIL %s: empty %s document\n", path, p.kind);
     return false;
   }
   if (ok) {
-    std::printf("OK   %s (chaos repro, %zu lines, xunet.chaos.v1)\n", path,
-                line_no);
+    std::printf("OK   %s (%s, %zu lines, %s)\n", path, p.kind, line_no,
+                p.schema);
   }
   return ok;
 }
@@ -261,53 +182,32 @@ bool check_file(const char* path) {
   }
   // JSONL schemas first: their marker must be on the header line, and the
   // document is validated line-by-line rather than as one object.
-  const std::size_t first_eol = s.find('\n');
-  const std::string first_line =
-      first_eol == std::string::npos ? s : s.substr(0, first_eol);
-  if (first_line.find("\"xunet.trace.v1\"") != std::string::npos) {
-    return check_jsonl(path, s, "xunet.trace.v1", "flight-recorder dump",
-                      {"schema", "reason", "records", "overwritten"},
-                      {"seq", "ts_ns", "comp", "name", "track"});
+  const std::string_view first_line =
+      std::string_view(s).substr(0, s.find('\n'));
+  for (const JsonlProfile& p : jsonl_profiles()) {
+    const std::string marker = "\"" + std::string(p.schema) + "\"";
+    if (first_line.find(marker) != std::string_view::npos) {
+      return check_jsonl(path, s, p);
+    }
   }
-  if (first_line.find("\"xunet.health.v1\"") != std::string::npos) {
-    return check_jsonl(path, s, "xunet.health.v1", "health alert stream",
-                      {"schema", "rules", "alerts", "ticks"},
-                      {"ts_ns", "rule", "metric", "value", "state"});
-  }
-  if (first_line.find("\"xunet.chaos.v1\"") != std::string::npos) {
-    return check_chaos_jsonl(path, s);
-  }
-  std::string why;
-  if (!well_formed(s, why)) {
-    std::fprintf(stderr, "FAIL %s: malformed JSON: %s\n", path, why.c_str());
+  if (!json_object(s)) {
+    std::fprintf(stderr, "FAIL %s: not a strict JSON object\n", path);
     return false;
   }
   if (s.find("\"xunet.model.v1\"") != std::string::npos) {
     // Model-checker report from tools/xunet_model --json.
-    bool ok = true;
-    for (const char* key :
-         {"tool", "states", "edges", "sighost_declared", "sighost_reached",
-          "kern_declared", "kern_reached", "ok", "findings", "notes"}) {
-      if (!has_key(s, key)) {
-        std::fprintf(stderr, "FAIL %s: model report missing required key %s\n",
-                     path, key);
-        ok = false;
-      }
-    }
+    const bool ok = require(path, "model report", s,
+                            {"tool", "states", "edges", "sighost_declared",
+                             "sighost_reached", "kern_declared", "kern_reached",
+                             "ok", "findings", "notes"});
     if (ok) std::printf("OK   %s (model report)\n", path);
     return ok;
   }
   if (s.find("\"xunet.lint.v1\"") != std::string::npos) {
     // Static-analysis report from tools/xunet_lint --json.
-    bool ok = true;
-    for (const char* key :
-         {"tool", "files_scanned", "total", "unsuppressed", "findings"}) {
-      if (!has_key(s, key)) {
-        std::fprintf(stderr, "FAIL %s: lint report missing required key %s\n",
-                     path, key);
-        ok = false;
-      }
-    }
+    const bool ok = require(path, "lint report", s,
+                            {"tool", "files_scanned", "total", "unsuppressed",
+                             "findings"});
     if (ok) std::printf("OK   %s (lint report)\n", path);
     return ok;
   }
@@ -319,27 +219,20 @@ bool check_file(const char* path) {
                  path);
     return false;
   }
-  const std::string name = bench_name(s);
+  const std::string name = string_value(s, "bench");
   if (name.empty()) {
     std::fprintf(stderr, "FAIL %s: missing \"bench\" name\n", path);
     return false;
   }
-  auto it = required_keys().find(name);
-  if (it == required_keys().end()) {
+  auto it = bench_keys().find(name);
+  if (it == bench_keys().end()) {
     // Unknown bench names are allowed (new reports predate their checks)
     // as long as the envelope is valid.
     std::printf("OK   %s (bench \"%s\", no key profile)\n", path,
                 name.c_str());
     return true;
   }
-  bool ok = true;
-  for (const std::string& key : it->second) {
-    if (!has_key(s, key)) {
-      std::fprintf(stderr, "FAIL %s: bench \"%s\" missing required key %s\n",
-                   path, name.c_str(), key.c_str());
-      ok = false;
-    }
-  }
+  const bool ok = require(path, "bench \"" + name + "\"", s, it->second);
   if (ok) std::printf("OK   %s (bench \"%s\")\n", path, name.c_str());
   return ok;
 }

@@ -369,8 +369,7 @@ void rule_hyg(const Unit& u, std::vector<Finding>& out) {
       {"condition_variable", "the simulator is single-threaded by design"},
       {"future", "the simulator is single-threaded by design"},
       {"random", "randomness flows through util::Rng so runs replay"},
-      {"iostream", "components report through util::Logger / obs, not stdio "
-                   "streams"},
+      {"iostream", "components report through obs, not stdio streams"},
   };
   for (const Directive& d : u.directives) {
     if (d.text.find("#include") != 0) continue;
