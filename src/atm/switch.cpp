@@ -41,6 +41,30 @@ AtmSwitch::AtmSwitch(sim::Simulator& sim, std::string name,
         "atm.switch." + name_ + ".discard." +
         std::string(to_string(static_cast<DiscardCause>(cause))));
   }
+  // Run cells count as switched lazily; readers of the registry get them
+  // brought up to date, and tracing hands every run back to the per-cell
+  // path so each cell gets its span.
+  obs_->metrics().add_sync(this, [this](obs::MetricsRegistry::Sync why) {
+    const Cut cut = cut_now(sim_);
+    for (auto& p : ports_) {
+      if (why == obs::MetricsRegistry::Sync::tracing) {
+        materialise(*p, cut, Materialise::tracing);
+      } else {
+        account(*p, cut);
+      }
+    }
+  });
+}
+
+AtmSwitch::~AtmSwitch() {
+  obs_->metrics().remove_sync(this);
+  for (auto& p : ports_) {
+    // Pending fabric and drain events capture the Port; the Simulator may
+    // outlive this switch.
+    sim_.cancel(p->fabric_armed);
+    sim_.cancel(p->drain_armed);
+    if (p->run.vq != nullptr && p->out != nullptr) p->out->set_source(nullptr);
+  }
 }
 
 int AtmSwitch::add_port() {
@@ -117,6 +141,7 @@ util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
   Route* r = table_.find(key);
   if (r == nullptr) return Errc::not_found;
   Port& out = *ports_[static_cast<std::size_t>(r->out_port)];
+  materialise(out, cut_now(sim_), Materialise::route);
   assert(out.reserved_bps >= r->reserved_bps);
   out.reserved_bps -= r->reserved_bps;
   if (r->svc_class == ServiceClass::abr) {
@@ -174,70 +199,315 @@ std::vector<AtmSwitch::RouteInfo> AtmSwitch::route_table() const {
   return out;
 }
 
-void AtmSwitch::handle_cells(int in_port, const Cell* cells, std::size_t n) {
-  const sim::SimTime now = sim_.now();
-  const sim::SimTime ready = now + per_cell_latency_;
-  const bool tracing = XOBS_TRACING(obs_);
-  Port& ingress = *ports_[static_cast<std::size_t>(in_port)];
-  std::uint64_t switched = 0;
-  std::uint64_t unroutable = 0;
+TrainTake AtmSwitch::take_train(Port& ingress, const CellTrain& train) {
+  const bool fast = !per_cell_forced() && !XOBS_TRACING(obs_);
   // Cells of one train overwhelmingly share a VCI, so memoize the last
   // route lookup; the table cannot change mid-train.
   std::uint64_t last_key = ~std::uint64_t{0};
   Route* route = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Cell& cell = cells[i];
-    const std::uint64_t key = route_key(in_port, cell.vci);
-    if (key != last_key) {
-      route = table_.find(key);
-      last_key = key;
-    }
-    if (route == nullptr) {
-      ++unroutable;
-      continue;
-    }
-    Port& out = *ports_[static_cast<std::size_t>(route->out_port)];
-    if (out.out == nullptr) {
-      ++unroutable;
-      continue;
-    }
-    // Usage-parameter control: a contract with traffic descriptors runs the
-    // dual GCRA here, at ingress, before the cell touches the fabric.  RM
-    // cells are exempt — killing the feedback loop under overload would be
-    // self-defeating.
-    if (!cell.rm && route->police.enabled() && !route->police.police(now)) {
-      drop_cell(ingress, route->svc_class, DiscardCause::policed);
-      continue;
-    }
-    ++switched;
-    if (tracing) {
-      obs::TraceIds ids;
-      ids.vci = cell.vci;
-      obs_->complete(per_cell_latency_, "atm", "cell.fwd", name_,
-                     std::move(ids));
-    }
-    // Cross the fabric (fixed per-cell latency), then join the output port's
-    // per-VC queue.  Every cell of a train shares one ready instant, so the
-    // whole train rides a single fabric event per output port.
-    Staged& s = out.fabric.push_slot();
-    s.ready = ready;
-    s.cell = cell;
-    s.cell.vci = route->out_vci;
-    if (out.fabric_armed == 0) {
-      // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
-      // this switch; it lives exactly as long as the captured `this`.
-      out.fabric_armed = sim_.schedule_at(
-          out.fabric.front().ready, [this, &out] { fabric_deliver(out); });
+  // Cells still on the wire are taken only as one VC's run, so a run that
+  // is materialised can give its cells back ahead of everything the link
+  // still holds.
+  Vci run_vci = kInvalidVci;
+  // Arrivals over different links at one instant go in per-cell order:
+  // first hand over any other link whose cell the per-cell path delivers
+  // before this train's.
+  ingress.in = &train.link();
+  if (train.size() > 0 && train.due(0)) {
+    const TimedCell& first = train[0];
+    for (auto& p : ports_) {
+      if (p->in == nullptr || p.get() == &ingress) continue;
+      const TimedCell* other = p->in->front();
+      if (other != nullptr && other->at == first.at &&
+          delivered_before(other->order, first.order, first.at)) {
+        p->in->deliver_now();
+      }
     }
   }
-  if (switched > 0) {
-    cells_switched_ += switched;
-    m_cells_->inc(switched);
+  std::size_t n = 0;
+  for (; n < train.size(); ++n) {
+    const TimedCell& tc = train[n];
+    const bool due = train.due(n);
+    if (!due && (!fast || (run_vci != kInvalidVci && tc.cell.vci != run_vci))) break;
+    if (fast) {
+      const std::uint64_t key = route_key(ingress.index, tc.cell.vci);
+      if (key != last_key) {
+        route = table_.find(key);
+        last_key = key;
+      }
+      if (route != nullptr &&
+          run_append(ingress, *route, *ports_[static_cast<std::size_t>(route->out_port)],
+                     tc, due)) {
+        run_vci = tc.cell.vci;
+        // One frame per event: later frames wait in the link, which keeps
+        // what a run holds to about a frame.
+        if (tc.cell.end_of_frame) {
+          ++n;
+          break;
+        }
+        continue;
+      }
+    }
+    if (!due) break;
+    handle_cell(ingress, tc.cell, &tc.order);
   }
-  if (unroutable > 0) {
-    cells_unroutable_ += unroutable;
-    m_unroutable_->inc(unroutable);
+  return {n, kNever};
+}
+
+void AtmSwitch::handle_cell(Port& ingress, const Cell& cell,
+                            const DeliveryOrder* order) {
+  Route* route = table_.find(route_key(ingress.index, cell.vci));
+  Port* out = route != nullptr ? ports_[static_cast<std::size_t>(route->out_port)].get()
+                               : nullptr;
+  if (out == nullptr || out->out == nullptr) {
+    ++cells_unroutable_;
+    m_unroutable_->inc();
+    return;
   }
+  const sim::SimTime now = sim_.now();
+  // Usage-parameter control: a contract with traffic descriptors runs the
+  // dual GCRA here, at ingress, before the cell touches the fabric.  RM
+  // cells are exempt — killing the feedback loop under overload would be
+  // self-defeating.
+  if (!cell.rm && route->police.enabled() && !route->police.police(now)) {
+    drop_cell(ingress, route->svc_class, DiscardCause::policed);
+    return;
+  }
+  // This cell will compete with the port's run for the output line.  A run
+  // cell arriving at this same instant is staged now as well; stage()
+  // puts the two in per-cell delivery order.
+  if (out->run.vq != nullptr) {
+    out->run.real_until = std::max(out->run.real_until, now);
+    materialise(*out, cut_now(sim_), Materialise::other_cell);
+  }
+  ++cells_switched_;
+  m_cells_->inc();
+  if (XOBS_TRACING(obs_)) {
+    obs::TraceIds ids;
+    ids.vci = cell.vci;
+    obs_->complete(per_cell_latency_, "atm", "cell.fwd", name_, std::move(ids));
+  }
+  // Cross the fabric (fixed per-cell latency), then join the output port's
+  // per-VC queue.
+  Cell routed = cell;
+  routed.vci = route->out_vci;
+  stage(*out, now + per_cell_latency_, routed, order);
+}
+
+void AtmSwitch::stage(Port& out, sim::SimTime ready, const Cell& cell,
+                      const DeliveryOrder* order) {
+  Staged& s = out.fabric.push_slot();
+  s.ready = ready;
+  s.order = order != nullptr ? *order : DeliveryOrder{};
+  s.cell = cell;
+  if (order != nullptr) {
+    const sim::SimTime arrived{ready.ns() - per_cell_latency_.ns()};
+    for (std::size_t i = out.fabric.size() - 1; i > 0; --i) {
+      Staged& prev = out.fabric[i - 1];
+      Staged& cur = out.fabric[i];
+      if (prev.ready != ready || prev.order.head_seq == 0 ||
+          !delivered_before(cur.order, prev.order, arrived)) {
+        break;
+      }
+      std::swap(prev, cur);
+    }
+  }
+  if (out.fabric_armed == 0) arm_fabric(out, sim_.now());
+}
+
+bool AtmSwitch::run_append(Port& ingress, const Route& route, Port& out,
+                           const TimedCell& tc, bool due) {
+  if (tc.cell.rm || route.police.enabled() || out.out == nullptr ||
+      !out.out->clean()) {
+    return false;
+  }
+  Run& run = out.run;
+  const sim::SimTime ready = tc.at + per_cell_latency_;
+  if (run.vq != nullptr && (run.in_port != ingress.index || run.in_vci != tc.cell.vci)) {
+    if (!run.cells.empty()) return false;
+    // The previous run has sent everything; only its line timing remains,
+    // and the new run starts from it.
+    out.depth_gauges[band_idx(run.vq->band)]->set(0);
+    run.vq = nullptr;
+  }
+  if (run.vq != nullptr) {
+    // Predicted depth when this cell leaves the fabric: held cells whose
+    // transmission has not started by then, plus this one.  Staying below
+    // the EPD threshold means no policy can discard anything.
+    while (run.queued_from < run.cells.size() &&
+           run.cells[run.queued_from].start < ready) {
+      ++run.queued_from;
+    }
+    if (run.cells.size() - run.queued_from + 1 >= epd_threshold()) {
+      if (due) materialise(out, cut_now(sim_), Materialise::depth);
+      return false;
+    }
+  } else {
+    if (out.depth != 0 || !out.fabric.empty() || epd_threshold() < 2) return false;
+    auto it = out.vc_queues.find(route.out_vci);
+    if (it == out.vc_queues.end()) return false;
+    VcQueue& vq = *it->second;
+    if (vq.skipping_epd || vq.discarding_ppd) return false;
+    // The run takes over the line from the drain: its first cell goes when
+    // a pending drain wakeup would have served it.  That is not always when
+    // the link frees up, since a cell the link dropped still took its turn.
+    run.done = out.draining ? out.drain_at : out.out->line_free_at();
+    sim_.cancel(out.drain_armed);
+    out.drain_armed = 0;
+    out.draining = false;
+    run.vq = &vq;
+    run.in_port = ingress.index;
+    run.in_vci = tc.cell.vci;
+    run.counted = 0;
+    run.queued_from = 0;
+    run.real_until = sim::SimTime{};
+    run.last_ready = kNever;
+  }
+  const sim::SimTime prev =
+      run.cells.empty() ? run.done : run.cells.back().start + out.out->cell_time();
+  RunCell& c = run.cells.push_slot();
+  c.at = tc.at;
+  c.start = std::max(ready, prev);
+  c.order = tc.order;
+  c.cell = tc.cell;
+  c.cell.vci = route.out_vci;
+  ++cells_in_runs_;
+  if (due) {
+    // Delivered by a real link event at its own instant.
+    run.real_until = tc.at;
+    account(out, Cut{tc.at, true});
+  }
+  if (run.cells.size() == 1) out.out->set_source(&out);
+  return true;
+}
+
+void AtmSwitch::commit(Port& out, const Cut& cut) {
+  Run& run = out.run;
+  if (run.vq == nullptr) return;
+  VcQueue& vq = *run.vq;
+  const std::size_t b = band_idx(vq.band);
+  const sim::SimDuration ct = out.out->cell_time();
+  std::uint64_t counted = 0;
+  while (!run.cells.empty() && cut.passed(run.cells.front().start)) {
+    const RunCell& c = run.cells.front();
+    if (run.counted > 0) {
+      --run.counted;
+    } else {
+      ++counted;
+    }
+    // What the per-cell path does to the VC as the cell passes: track the
+    // frame, advance the band's SCFQ clock by one cell, free the line at
+    // the end of the transmission.
+    vq.in_frame = !c.cell.end_of_frame;
+    out.vtime[b] += wfq_cost(vq);
+    run.last_ready = c.at + per_cell_latency_;
+    run.done = c.start + ct;
+    out.out->send_at(c.cell, c.start);
+    run.cells.pop_front();
+    if (run.queued_from > 0) --run.queued_from;
+  }
+  if (counted > 0) {
+    cells_switched_ += counted;
+    m_cells_->inc(counted);
+  }
+}
+
+void AtmSwitch::account(Port& out, const Cut& cut) {
+  Run& run = out.run;
+  if (run.vq == nullptr) return;
+  std::uint64_t counted = 0;
+  for (; run.counted < run.cells.size(); ++run.counted, ++counted) {
+    const sim::SimTime at = run.cells[run.counted].at;
+    if (!cut.passed(at) && at > run.real_until) break;
+  }
+  if (counted > 0) {
+    cells_switched_ += counted;
+    m_cells_->inc(counted);
+  }
+  out.depth_gauges[band_idx(run.vq->band)]->set(
+      static_cast<std::int64_t>(run_queued(out, cut)));
+}
+
+std::size_t AtmSwitch::run_queued(const Port& out, const Cut& cut) const noexcept {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < out.run.cells.size(); ++i) {
+    const RunCell& c = out.run.cells[i];
+    if (!cut.passed(c.at + per_cell_latency_)) break;
+    if (!cut.passed(c.start)) ++n;
+  }
+  return n;
+}
+
+std::uint64_t AtmSwitch::Port::started(const Cut& cut) const noexcept {
+  std::uint64_t n = 0;
+  while (n < run.cells.size() && cut.passed(run.cells[n].start)) ++n;
+  return n;
+}
+
+void AtmSwitch::Port::link_closed() {
+  run.cells.clear();
+  run.vq = nullptr;
+  out = nullptr;
+}
+
+void AtmSwitch::materialise(Port& out, const Cut& cut, Materialise cause) {
+  Run& run = out.run;
+  if (run.vq == nullptr) return;
+  if (!run.cells.empty()) ++materialised_[static_cast<std::size_t>(cause)];
+  commit(out, cut);
+  account(out, cut);
+  VcQueue& vq = *run.vq;
+  const std::size_t b = band_idx(vq.band);
+  // Every counted cell has arrived: it is either through the fabric and
+  // queued, or still crossing it.
+  for (std::size_t i = 0; i < run.counted; ++i) {
+    const RunCell& c = run.cells[i];
+    const sim::SimTime ready = c.at + per_cell_latency_;
+    if (cut.passed(ready)) {
+      vq.q.push_back(c.cell);
+      ++out.band_depth[b];
+      ++out.depth;
+      vq.in_frame = !c.cell.end_of_frame;
+      run.last_ready = ready;
+    } else {
+      Staged& s = out.fabric.push_slot();
+      s.ready = ready;
+      s.order = c.order;
+      s.cell = c.cell;
+    }
+  }
+  out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
+  if (!vq.q.empty()) activate(out, vq);
+
+  // Re-create the events the per-cell path has pending, each ordered as
+  // armed when the per-cell path arms it: the drain wakeup when the last
+  // cell started; the fabric event when its front cell arrived, or when
+  // the cell before it left the fabric if that was later.
+  const bool drain_pending = !cut.passed(run.done);
+  assert(drain_pending || vq.q.empty());
+  out.draining = drain_pending;
+  if (drain_pending) {
+    arm_drain(out, run.done, sim::SimTime{run.done.ns() - out.out->cell_time().ns()});
+  }
+  if (!out.fabric.empty()) {
+    const sim::SimTime arrived{out.fabric.front().ready.ns() - per_cell_latency_.ns()};
+    arm_fabric(out, run.last_ready != kNever && run.last_ready >= arrived ? run.last_ready
+                                                                           : arrived);
+  }
+
+  // Cells still on the wire go back to the input link, latest first.
+  CellLink* in = ports_[static_cast<std::size_t>(run.in_port)]->in;
+  if (run.counted < run.cells.size()) {
+    for (std::size_t j = run.cells.size(); j-- > run.counted;) {
+      Cell c = run.cells[j].cell;
+      c.vci = run.in_vci;
+      in->give_back(c, run.cells[j].at, run.cells[j].order);
+    }
+    in->rearm();
+  }
+  run.cells.clear();
+  run.vq = nullptr;
+  out.out->set_source(nullptr);
 }
 
 void AtmSwitch::fabric_deliver(Port& out) {
@@ -263,12 +533,21 @@ void AtmSwitch::fabric_deliver(Port& out) {
     }
     out.fabric.pop_front();
   }
-  if (out.fabric_armed == 0 && !out.fabric.empty()) {
-    // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
-    // this switch; it lives exactly as long as the captured `this`.
-    out.fabric_armed = sim_.schedule_at(out.fabric.front().ready,
-                                        [this, &out] { fabric_deliver(out); });
-  }
+  if (out.fabric_armed == 0 && !out.fabric.empty()) arm_fabric(out, now);
+}
+
+void AtmSwitch::arm_fabric(Port& out, sim::SimTime armed) {
+  // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
+  // this switch, whose destructor cancels the event.
+  out.fabric_armed = sim_.schedule_at(out.fabric.front().ready, armed,
+                                      [this, &out] { fabric_deliver(out); });
+}
+
+void AtmSwitch::arm_drain(Port& out, sim::SimTime at, sim::SimTime armed) {
+  out.drain_at = at;
+  // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
+  // this switch, whose destructor cancels the event.
+  out.drain_armed = sim_.schedule_at(at, armed, [this, &out] { drain(out); });
 }
 
 void AtmSwitch::drop_cell(Port& at, ServiceClass band, DiscardCause cause) {
@@ -427,39 +706,41 @@ void AtmSwitch::enqueue_out(Port& out, VcQueue& vq, Cell cell) {
 }
 
 void AtmSwitch::drain(Port& out) {
-  // When the output link coalesces arrivals anyway, serve a whole quantum's
-  // worth of cells per wakeup; the link's serialization clock (line_free_at_)
-  // still spaces them exactly one cell-time apart on the wire.
-  const sim::SimDuration cell_time = out.out->cell_time();
-  std::int64_t burst = 1;
-  if (out.out->coalescing().ns() > 0 && cell_time.ns() > 0) {
-    burst = std::max<std::int64_t>(1, out.out->coalescing().ns() / cell_time.ns());
-  }
-  std::int64_t sent = 0;
-  while (sent < burst) {
-    VcQueue* vq = select(out);
-    if (vq == nullptr) break;
-    const std::size_t b = band_idx(vq->band);
-    out.vtime[b] = vq->finish;
-    out.out->send(vq->q.front());
-    vq->q.pop_front();
-    --out.band_depth[b];
-    --out.depth;
-    out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
-    if (vq->q.empty()) {
-      deactivate(out, *vq);
-    } else {
-      vq->finish += wfq_cost(*vq);
-    }
-    ++sent;
-  }
-  if (sent > 0) {
-    // Serve the next batch after the line has drained what we just sent.
-    // (LIFE-REF-CAPTURE here is grandfathered in tools/xunet_lint/baseline.txt.)
-    sim_.schedule(cell_time * sent, [this, &out] { drain(out); });
+  out.drain_armed = 0;
+  VcQueue* vq = select(out);
+  if (vq == nullptr) {
+    out.draining = false;
     return;
   }
-  out.draining = false;
+  const std::size_t b = band_idx(vq->band);
+  out.vtime[b] = vq->finish;
+  out.out->send(vq->q.front());
+  vq->q.pop_front();
+  --out.band_depth[b];
+  --out.depth;
+  out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
+  if (vq->q.empty()) {
+    deactivate(out, *vq);
+  } else {
+    vq->finish += wfq_cost(*vq);
+  }
+  // Serve the next cell once the line has sent this one.
+  arm_drain(out, sim_.now() + out.out->cell_time(), sim_.now());
+}
+
+std::uint64_t AtmSwitch::cells_switched() const noexcept {
+  const Cut cut = cut_now(sim_);
+  std::uint64_t n = cells_switched_;
+  for (const auto& p : ports_) {
+    const Run& run = p->run;
+    if (run.vq == nullptr) continue;
+    for (std::size_t i = run.counted; i < run.cells.size(); ++i) {
+      const sim::SimTime at = run.cells[i].at;
+      if (!cut.passed(at) && at > run.real_until) break;
+      ++n;
+    }
+  }
+  return n;
 }
 
 std::uint64_t AtmSwitch::cells_dropped(int port, ServiceClass c) const {
@@ -475,7 +756,8 @@ std::uint64_t AtmSwitch::cells_discarded(int port, DiscardCause cause) const {
 
 std::size_t AtmSwitch::queue_depth(int port) const {
   assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]->depth;
+  const Port& p = *ports_[static_cast<std::size_t>(port)];
+  return p.depth + run_queued(p, cut_now(sim_));
 }
 
 std::size_t AtmSwitch::abr_route_count(int port) const {

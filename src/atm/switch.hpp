@@ -28,10 +28,18 @@
 // tell a policer doing its job from a congested trunk.
 //
 // Fast path: the VC table is a compressed-trie index (util::VciIndex) keyed
-// by (input port, VCI), incoming trains are routed cell-by-cell but staged
-// per output port with a single armed fabric event (cells that crossed the
-// fabric by the same instant join the output queue together), and the
-// per-VC queues are allocation-free ring buffers created at route install.
+// by (input port, VCI) and the per-VC queues are allocation-free rings
+// created at route install.  An input link hands a port its whole queued
+// run of cells in one event, and the port takes up to a frame of it.  When
+// the run's VC is the only one active on its output port, the port
+// computes each cell's departure in closed form,
+// d_i = max(a_i + fabric, d_{i-1}) + cell_time, with no fabric or drain
+// events, and its output link pulls the cells in as their transmission
+// starts.  Anything that could perturb the run first materialises it:
+// cells whose instants have passed are committed and the rest return to
+// the per-cell path (the fabric, the VC queue, or the input link for cells
+// still on the wire).  Reads count the run's cells at their own instants.
+// So the fast path is exact.
 #pragma once
 
 #include <array>
@@ -84,11 +92,25 @@ inline constexpr std::size_t kDiscardCauseCount = 4;
 /// table maps (input port, VCI) to (output port, VCI); entries are installed
 /// and removed by the network signaling controller (AtmNetwork), never by
 /// the data path.
+/// What made an output port hand its closed-form run back to the per-cell
+/// path.
+enum class Materialise : std::uint8_t {
+  other_cell = 0,  ///< a cell outside the run reached the port
+  route = 1,       ///< remove_route
+  link_fault = 2,  ///< set_down, set_loss or set_corrupt on the output link
+  tracing = 3,     ///< tracing switched on
+  depth = 4,       ///< the run's next cell would reach the EPD threshold
+};
+inline constexpr std::size_t kMaterialiseCount = 5;
+
 class AtmSwitch {
  public:
   AtmSwitch(sim::Simulator& sim, std::string name,
             sim::SimDuration per_cell_latency = sim::microseconds(10),
             std::size_t port_queue_cells = 2048);
+  ~AtmSwitch();
+  AtmSwitch(const AtmSwitch&) = delete;
+  AtmSwitch& operator=(const AtmSwitch&) = delete;
 
   /// Add a port; returns its index.
   int add_port();
@@ -145,7 +167,8 @@ class AtmSwitch {
   [[nodiscard]] std::vector<RouteInfo> route_table() const;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::uint64_t cells_switched() const noexcept { return cells_switched_; }
+  /// Cells routed into the fabric, counting each at its arrival instant.
+  [[nodiscard]] std::uint64_t cells_switched() const noexcept;
   [[nodiscard]] std::uint64_t cells_unroutable() const noexcept { return cells_unroutable_; }
   /// Cells of class `c` discarded at `port`, any cause.  Policing drops
   /// count at the ingress port; queue discards count at the egress port.
@@ -157,6 +180,12 @@ class AtmSwitch {
   [[nodiscard]] std::size_t queue_depth(int port) const;
   /// Installed routes whose egress is `port`'s ABR band (RM fair share).
   [[nodiscard]] std::size_t abr_route_count(int port) const;
+  /// Closed-form runs handed back to the per-cell path for `cause`.
+  [[nodiscard]] std::uint64_t materialisations(Materialise cause) const noexcept {
+    return materialised_[static_cast<std::size_t>(cause)];
+  }
+  /// Cells that crossed this switch in closed form (a run), not per cell.
+  [[nodiscard]] std::uint64_t cells_in_runs() const noexcept { return cells_in_runs_; }
 
  private:
   /// One VC's egress queue: a FIFO of cells plus its SCFQ scheduling state
@@ -176,27 +205,72 @@ class AtmSwitch {
     bool discarding_ppd = false;  ///< dropping the rest of a frame (PPD)
   };
 
-  /// A routed cell crossing the fabric toward its output port.
+  /// A routed cell crossing the fabric toward its output port.  Cells that
+  /// reach the switch at the same instant over different links keep the
+  /// order the per-cell path delivers them in.
   struct Staged {
     sim::SimTime ready;
+    DeliveryOrder order;
     Cell cell;
   };
 
-  struct Port : CellSink {
+  /// A cell of a closed-form run: its arrival at the switch, the start of
+  /// its transmission on the output link, and the cell with its outgoing
+  /// VCI.
+  struct RunCell {
+    sim::SimTime at;
+    sim::SimTime start;
+    DeliveryOrder order;
+    Cell cell;
+  };
+
+  /// The one VC an output port is serving in closed form.  Its cells are
+  /// held here until the output link pulls them (their transmission has
+  /// started) or the run is materialised.
+  struct Run {
+    util::RingQueue<RunCell> cells;  ///< held cells, arrival order
+    VcQueue* vq = nullptr;           ///< the run's VC; null when no run
+    int in_port = -1;                ///< its link takes back cells on the wire
+    Vci in_vci = kInvalidVci;
+    std::size_t counted = 0;      ///< leading held cells counted as switched
+    std::size_t queued_from = 0;  ///< first held cell not yet sent when the
+                                  ///< last one leaves the fabric (depth)
+    sim::SimTime done{};          ///< line frees after the last sent cell
+    sim::SimTime real_until{};    ///< cells arriving by then were delivered
+                                  ///< by a real link event
+    sim::SimTime last_ready = kNever;  ///< fabric exit of the last cell to
+                                       ///< leave the fabric
+  };
+
+  struct Port final : CellSink, CellSource {
     Port(AtmSwitch& sw, int index) : owner(sw), index(index) {}
     void cell_arrival(const Cell& cell) override {
-      owner.handle_cells(index, &cell, 1);
+      owner.handle_cell(*this, cell, nullptr);
     }
-    void cells_arrival(const Cell* cells, std::size_t n) override {
-      owner.handle_cells(index, cells, n);
+    TrainTake train_arrival(const CellTrain& train) override {
+      return owner.take_train(*this, train);
     }
+    void commit(const Cut& cut) override { owner.commit(*this, cut); }
+    [[nodiscard]] sim::SimTime next_start() const noexcept override {
+      return run.cells.empty() ? kNever : run.cells.front().start;
+    }
+    [[nodiscard]] std::uint64_t started(const Cut& cut) const noexcept override;
+    void materialise_for_fault() override {
+      owner.materialise(*this, cut_now(owner.sim_), Materialise::link_fault);
+    }
+    void link_closed() override;
+
     AtmSwitch& owner;
     int index;
+    CellLink* in = nullptr;  ///< the link delivering here (after its first train)
     CellLink* out = nullptr;
     std::uint64_t reserved_bps = 0;
     /// Cells in flight across the fabric to this output port, ready-order.
     util::RingQueue<Staged> fabric;
     sim::EventId fabric_armed = 0;
+    sim::EventId drain_armed = 0;
+    sim::SimTime drain_at{};  ///< when drain_armed fires
+    Run run;
     /// Per-VC egress queues, keyed by outgoing VCI.  unique_ptr so VcQueue
     /// addresses stay stable across map rebalancing (active lists hold
     /// pointers).
@@ -234,7 +308,24 @@ class AtmSwitch {
   }
   static constexpr std::uint64_t kWfqScale = 1u << 16;
 
-  void handle_cells(int in_port, const Cell* cells, std::size_t n);
+  TrainTake take_train(Port& ingress, const CellTrain& train);
+  /// Route one cell that is due now through the fabric, cell by cell.
+  /// `order` places it among same-instant arrivals (null: after them).
+  void handle_cell(Port& ingress, const Cell& cell, const DeliveryOrder* order);
+  /// Put a routed cell into `out`'s fabric ring.
+  void stage(Port& out, sim::SimTime ready, const Cell& cell, const DeliveryOrder* order);
+  /// Append a cell to `out`'s closed-form run; false when it does not
+  /// qualify (the caller then takes the per-cell path).
+  bool run_append(Port& ingress, const Route& route, Port& out,
+                  const TimedCell& tc, bool due);
+  /// Send every run cell whose transmission started before `cut`.
+  void commit(Port& out, const Cut& cut);
+  /// Count run cells that have arrived by `cut` as switched.
+  void account(Port& out, const Cut& cut);
+  /// Hand `out`'s run back to the per-cell path as of `cut`.
+  void materialise(Port& out, const Cut& cut, Materialise cause);
+  /// Run cells queued at `cut`: through the fabric, not yet sent.
+  [[nodiscard]] std::size_t run_queued(const Port& out, const Cut& cut) const noexcept;
   void fabric_deliver(Port& out);
   void enqueue_out(Port& out, VcQueue& vq, Cell cell);
   void drop_cell(Port& at, ServiceClass band, DiscardCause cause);
@@ -244,6 +335,9 @@ class AtmSwitch {
   [[nodiscard]] VcQueue* select(Port& out);
   void stamp_rm(Port& out, Cell& cell) const;
   void drain(Port& out);
+  /// Arm the fabric event (drain wakeup) as though armed at `armed`.
+  void arm_fabric(Port& out, sim::SimTime armed);
+  void arm_drain(Port& out, sim::SimTime at, sim::SimTime armed);
   [[nodiscard]] std::size_t epd_threshold() const noexcept {
     return port_queue_cells_ - port_queue_cells_ / 4;
   }
@@ -263,6 +357,8 @@ class AtmSwitch {
   util::VciIndex<std::uint64_t, Route> table_;
   std::uint64_t cells_switched_ = 0;
   std::uint64_t cells_unroutable_ = 0;
+  std::uint64_t cells_in_runs_ = 0;
+  std::array<std::uint64_t, kMaterialiseCount> materialised_{};
 };
 
 }  // namespace xunet::atm

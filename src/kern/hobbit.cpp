@@ -47,7 +47,31 @@ void HobbitInterface::cell_arrival(const atm::Cell& cell) {
   reasm_.cell_arrival(cell);
 }
 
+atm::TrainTake HobbitInterface::train_arrival(const atm::CellTrain& train) {
+  downlink_ = &train.link();
+  std::size_t n = 0;
+  for (; n < train.size() && train.due(n); ++n) {
+    // A copy: a completed frame runs the kernel, which may commit more
+    // cells into this link.
+    const atm::Cell cell = train[n].cell;
+    cell_arrival(cell);
+  }
+  if (n == train.size() || atm::per_cell_forced()) return {n, atm::kNever};
+  // Until the next end of frame, arriving cells only grow a partial frame,
+  // which nothing observes before it completes.
+  std::size_t eof = n;
+  while (eof + 1 < train.size() && !train[eof].cell.end_of_frame) ++eof;
+  return {n, train[eof].at};
+}
+
+std::uint64_t HobbitInterface::aal5_errors() {
+  if (downlink_ != nullptr) downlink_->deliver_due();
+  return reasm_.error_count();
+}
+
 void HobbitInterface::release_vc(atm::Vci vci) {
+  // Cells that arrived before the teardown belong to the old VC state.
+  if (downlink_ != nullptr) downlink_->deliver_due();
   seg_.release(vci);
   reasm_.release(vci);
 }

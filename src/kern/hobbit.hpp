@@ -46,19 +46,24 @@ class HobbitInterface : public atm::CellSink {
 
   /// Cells from the downlink.
   void cell_arrival(const atm::Cell& cell) override;
+  /// The downlink's queued cells: reassemble the ones that have arrived and
+  /// come back at the next frame end, so a frame costs one event.
+  atm::TrainTake train_arrival(const atm::CellTrain& train) override;
 
   /// Drop SAR state for a torn-down VC.
   void release_vc(atm::Vci vci);
 
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_received() const noexcept { return frames_received_; }
-  [[nodiscard]] std::uint64_t aal5_errors() const noexcept { return reasm_.error_count(); }
+  /// Frames that failed reassembly, counting every cell arrived by now.
+  [[nodiscard]] std::uint64_t aal5_errors();
 
  private:
   atm::AtmAddress addr_;
   std::size_t mbuf_bytes_;
   obs::Observability* obs_ = nullptr;
   atm::CellLink* uplink_ = nullptr;
+  atm::CellLink* downlink_ = nullptr;  ///< learned from the first train
   atm::Aal5Segmenter seg_;
   std::vector<atm::Cell> tx_cells_;  ///< reused segmentation scratch
   atm::Aal5Reassembler reasm_;

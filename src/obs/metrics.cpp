@@ -12,12 +12,26 @@ std::string fmt_double(double v) {
 }
 }  // namespace
 
+void MetricsRegistry::add_sync(const void* owner, std::function<void(Sync)> fn) {
+  syncs_.emplace_back(owner, std::move(fn));
+}
+
+void MetricsRegistry::remove_sync(const void* owner) {
+  std::erase_if(syncs_, [owner](const auto& s) { return s.first == owner; });
+}
+
+void MetricsRegistry::sync(Sync why) const {
+  for (const auto& s : syncs_) s.second(why);
+}
+
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
+  sync(Sync::read);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
 }
 
 std::int64_t MetricsRegistry::gauge_value(const std::string& name) const {
+  sync(Sync::read);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0 : it->second.value();
 }
@@ -35,6 +49,7 @@ const Histogram* MetricsRegistry::histogram_stats(
 }
 
 std::string MetricsRegistry::render_text() const {
+  sync(Sync::read);
   std::string out;
   for (const auto& [name, c] : counters_) {
     out += name + " " + std::to_string(c.value()) + "\n";

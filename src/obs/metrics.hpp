@@ -13,9 +13,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/stats.hpp"
 
@@ -126,8 +129,14 @@ class MetricsRegistry {
   [[nodiscard]] const util::Summary* histogram_summary(const std::string& name) const;
   [[nodiscard]] const Histogram* histogram_stats(const std::string& name) const;
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const noexcept { return counters_; }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const noexcept { return gauges_; }
+  [[nodiscard]] const std::map<std::string, Counter>& counters() const {
+    sync(Sync::read);
+    return counters_;
+  }
+  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const {
+    sync(Sync::read);
+    return gauges_;
+  }
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const noexcept { return histograms_; }
 
   /// "name value" lines sorted by name; histograms render count/mean/p50/p99.
@@ -135,7 +144,20 @@ class MetricsRegistry {
 
   void reset();
 
+  /// Why a lagging source is asked to catch up.
+  enum class Sync : std::uint8_t {
+    read,     ///< a reader wants counters and gauges as of now
+    tracing,  ///< tracing is switching on: record every event from here
+  };
+  /// Register a source whose counters and gauges lag behind simulated time
+  /// (the cell fast path counts a train's cells lazily).  Every read
+  /// accessor runs `fn(Sync::read)` first.  `owner` keys removal.
+  void add_sync(const void* owner, std::function<void(Sync)> fn);
+  void remove_sync(const void* owner);
+  void sync(Sync why) const;
+
  private:
+  std::vector<std::pair<const void*, std::function<void(Sync)>>> syncs_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

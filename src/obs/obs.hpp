@@ -36,7 +36,10 @@ class Observability {
 
   /// The one branch hot paths pay when tracing is off.
   [[nodiscard]] bool tracing() const noexcept { return trace_.enabled(); }
-  void set_tracing(bool on) noexcept { trace_.set_enabled(on); }
+  void set_tracing(bool on) {
+    if (on && !tracing()) metrics_.sync(MetricsRegistry::Sync::tracing);
+    trace_.set_enabled(on);
+  }
 
   // -- clock-stamped recording helpers ------------------------------------
   SpanId begin(const char* component, std::string name, std::string track,

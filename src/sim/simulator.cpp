@@ -48,12 +48,15 @@ std::uint32_t Simulator::alloc_rec() {
   return idx;
 }
 
-EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
+EventId Simulator::insert_ref(SimTime when, SimTime armed, std::uint32_t idx) {
   const std::uint32_t gen = ++rec(idx).gen;  // even (free) -> odd (pending)
-  Ref r{when.ns(), next_seq_++, idx, gen};
+  const auto lead = static_cast<std::uint64_t>(std::max<std::int64_t>(0, when.ns() - armed.ns()));
+  const std::uint64_t order = ((kMaxLead - std::min(lead, kMaxLead)) << kSeqBits) |
+                              (next_seq_++ & ((std::uint64_t{1} << kSeqBits) - 1));
+  Ref r{when.ns(), order, idx, gen};
   std::int64_t slot = r.when >> kGranShift;
   // slot < active_slot_ happens when the window was advanced past `now`
-  // (run_until peeked at a far event); the active heap orders by (when, seq)
+  // (run_until peeked at a far event); the active heap orders by (when, order)
   // and is always drained before the ring, so early events stay correct.
   if (slot <= active_slot_) {
     active_.push_back(r);
@@ -156,7 +159,10 @@ void Simulator::dispatch_ref(const Ref& r) {
   }
   ++rc.gen;  // running: cancel() of this id now returns false
   now_ = SimTime(r.when);
+  const bool outer = dispatching_;
+  dispatching_ = true;
   rc.thunk(rc, /*run=*/true);
+  dispatching_ = outer;
   free_rec(r.rec);
 }
 

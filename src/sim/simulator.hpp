@@ -8,8 +8,10 @@
 // up to 48 bytes never touch the allocator).  Near-future events go into a
 // 1024-slot bucket ring (4.096 us granularity, ~4.2 ms horizon); far events
 // fall back to a binary heap and migrate into the ring as the window
-// advances.  Within a bucket, events are ordered by (time, schedule
-// sequence), which is exactly the classic (time, insertion) order.
+// advances.  Within a bucket, events are ordered by (time, scheduling
+// instant, schedule sequence), which is exactly the classic (time,
+// insertion) order; schedule_at() with an explicit scheduling instant lets
+// a lazily evaluated model keep the order of a step-by-step one.
 //
 // Cancellation is generation-stamped.  An EventId packs a pool record index
 // with the record's generation, which is odd while the event is pending and
@@ -64,10 +66,20 @@ class Simulator {
   /// Schedule at an absolute instant (must not be in the past).
   template <typename F>
   EventId schedule_at(SimTime when, F&& fn) {
+    return schedule_at(when, now_, std::forward<F>(fn));
+  }
+
+  /// Schedule at `when` as though scheduled at instant `armed` rather than
+  /// now: among the events due at `when`, it runs after those scheduled
+  /// before `armed` and before those scheduled after it.  A model that
+  /// evaluates lazily (the cell fast path) uses this to keep the order a
+  /// step-by-step evaluation would have produced.
+  template <typename F>
+  EventId schedule_at(SimTime when, SimTime armed, F&& fn) {
     assert(when >= now_);
     std::uint32_t idx = alloc_rec();
     bind(rec(idx), std::forward<F>(fn));
-    return insert_ref(when, idx);
+    return insert_ref(when, armed, idx);
   }
 
   /// Cancel a scheduled event and destroy its callable now.  Returns true
@@ -93,6 +105,11 @@ class Simulator {
 
   /// Number of events currently pending.
   [[nodiscard]] std::size_t pending() const noexcept { return size_ - stale_; }
+
+  /// True while an event's callback runs; false between events (inside
+  /// run() and run_until() loops, or outside them), when everything due at
+  /// now() has already run.
+  [[nodiscard]] bool dispatching() const noexcept { return dispatching_; }
 
   /// High-water mark of pending() over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
@@ -120,18 +137,26 @@ class Simulator {
     alignas(std::max_align_t) unsigned char sbo[kSboBytes];
   };
 
-  /// Queue handle: (when, seq) is the dispatch key, rec indexes the pool,
-  /// and gen tells a live reference from one whose event was cancelled.
+  /// Queue handle: (when, order) is the dispatch key, rec indexes the
+  /// pool, and gen tells a live reference from one whose event was
+  /// cancelled.  `order` packs the scheduling instant, as the lead time
+  /// when - armed (high bits, inverted so earlier arming sorts first), over
+  /// the schedule sequence (low kSeqBits).  Lead times saturate at about
+  /// 16.7 ms; past that only ordinary events remain, whose arming order is
+  /// their sequence order anyway.  So ordinary events order exactly as
+  /// (when, seq), for the first 2^40 events a Simulator schedules.
   struct Ref {
     std::int64_t when;
-    std::uint64_t seq;
+    std::uint64_t order;
     std::uint32_t rec;
     std::uint32_t gen;
   };
+  static constexpr unsigned kSeqBits = 40;
+  static constexpr std::uint64_t kMaxLead = (std::uint64_t{1} << (64 - kSeqBits)) - 1;
   struct RefLater {
     bool operator()(const Ref& a, const Ref& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return a.order > b.order;
     }
   };
 
@@ -162,7 +187,7 @@ class Simulator {
 
   std::uint32_t alloc_rec();
   void free_rec(std::uint32_t idx) { free_list_.push_back(idx); }
-  EventId insert_ref(SimTime when, std::uint32_t idx);
+  EventId insert_ref(SimTime when, SimTime armed, std::uint32_t idx);
   bool refill();               ///< make active_ non-empty if any event exists
   void activate_slot(std::int64_t abs_slot);
   void drain_overflow();       ///< pull overflow events now inside the window
@@ -174,6 +199,7 @@ class Simulator {
   }
 
   SimTime now_{};
+  bool dispatching_ = false;
   std::uint64_t next_seq_ = 0;
   std::size_t peak_pending_ = 0;
 

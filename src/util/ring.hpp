@@ -45,6 +45,15 @@ class RingQueue {
     return slot;
   }
 
+  /// Put `v` ahead of the current front (a recalled element goes back
+  /// where it came from).
+  void push_front(T v) {
+    if (size_ == cap_) grow_to(cap_ ? cap_ * 2 : 8);
+    head_ = (head_ + cap_ - 1) & (cap_ - 1);
+    buf_[head_] = std::move(v);
+    ++size_;
+  }
+
   /// Claim the next back slot for in-place writes.  The slot holds a stale
   /// previous value; the caller must overwrite every field it reads later.
   [[nodiscard]] T& push_slot() {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "atm/network.hpp"
@@ -314,6 +315,40 @@ TEST(AtmSwitch, AdmissionControlEnforcesLinkCapacity) {
   EXPECT_TRUE(sw.remove_route(p_in, 50).ok());
   EXPECT_EQ(sw.reserved_bps(p_out), 0u);
   EXPECT_TRUE(sw.install_route(p_in, 51, p_out, 61, q20).ok());
+}
+
+// A switch destroyed while cells still queue at its output port: the
+// Simulator outlives it, so every event the switch armed must go with it.
+// Covers the per-cell path (pending fabric and drain events) and the
+// closed-form run (the output link pulls from the port).
+TEST(AtmSwitch, DestroyedMidTrainLeavesNoEventBehind) {
+  for (const bool per_cell : {true, false}) {
+    force_per_cell(per_cell);
+    sim::Simulator sim;
+    struct Count final : CellSink {
+      int n = 0;
+      void cell_arrival(const Cell&) override { ++n; }
+    } sink;
+    auto sw = std::make_unique<AtmSwitch>(sim, "doomed");
+    const int p_in = sw->add_port();
+    const int p_out = sw->add_port();
+    CellLink in(sim, kOc12Bps, sim::microseconds(5), sw->input(p_in));
+    CellLink out(sim, kDs3Bps, sim::microseconds(5), sink);
+    sw->set_output(p_out, out);
+    ASSERT_TRUE(sw->install_route(p_in, 100, p_out, 200, Qos{}).ok());
+    Cell c;
+    c.vci = 100;
+    for (int i = 0; i < 20; ++i) in.send(c);
+    // Every cell has reached the switch; the DS3 output needs ~190 us.
+    sim.run_until(sim::SimTime{} + sim::microseconds(40));
+    ASSERT_GT(sw->queue_depth(p_out), 0u);
+    sw.reset();
+    sim.run();
+    EXPECT_GT(sink.n, 0);
+    EXPECT_LT(sink.n, 20);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+  force_per_cell(false);
 }
 
 TEST(AtmSwitch, RemoveUnknownRouteFails) {
