@@ -25,19 +25,19 @@ IpEgress* IpNode::route_for(IpAddress dst) const {
 }
 
 util::Result<void> IpNode::send(IpAddress dst, IpProto proto,
-                                util::BytesView payload) {
+                                util::Buffer payload) {
   IpPacket p;
   p.src = addr_;
   p.dst = dst;
   p.protocol = proto;
   p.id = next_id_++;
-  p.payload = util::to_buffer(payload);
+  p.payload = std::move(payload);
   if (dst == addr_) {
     // Loopback: deliver on the next event-loop turn, like a software
     // interrupt, so callers never reenter themselves synchronously.
-    sim_.schedule(sim::SimDuration{}, [this, p = std::move(p)]() mutable {
-      deliver_local(std::move(p));
-    });
+    auto up = [this, p = std::move(p)]() mutable { deliver_local(std::move(p)); };
+    static_assert(sim::Simulator::stored_inline<decltype(up)>);
+    sim_.schedule(sim::SimDuration{}, std::move(up));
     return {};
   }
   IpEgress* egress = route_for(dst);
@@ -68,9 +68,7 @@ util::Result<void> IpNode::emit(IpEgress& egress, const IpPacket& p) {
     frag.id = p.id;
     frag.frag_offset = static_cast<std::uint16_t>(offset);
     frag.more_fragments = offset + n < p.payload.size();
-    frag.payload.assign(p.payload.begin() + static_cast<long>(offset),
-                        p.payload.begin() + static_cast<long>(offset + n));
-    egress.transmit(*this, serialize(frag));
+    egress.transmit(*this, serialize(frag, util::BytesView(p.payload).subspan(offset, n)));
     ++fragments_sent_;
     offset += n;
   }
@@ -113,7 +111,7 @@ void IpNode::deliver_or_reassemble(IpPacket p) {
     r.have_last = true;
     r.total = p.frag_offset + p.payload.size();
   }
-  r.pieces[p.frag_offset] = p.payload;
+  r.pieces[p.frag_offset] = std::move(p.payload);
   if (!r.have_last) return;
   // Complete when the byte ranges tile [0, total) exactly.
   std::size_t covered = 0;
@@ -143,7 +141,7 @@ void IpNode::deliver_local(IpPacket p) {
     return;
   }
   ++delivered_;
-  it->second(p);
+  it->second(std::move(p));
 }
 
 void IpNode::sweep_reassembly() {

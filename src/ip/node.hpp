@@ -23,8 +23,9 @@ inline constexpr sim::SimDuration kReassemblyTimeout = sim::seconds(30);
 /// One IP stack.
 class IpNode {
  public:
-  /// Handler for a locally delivered datagram of a given protocol.
-  using ProtoHandler = std::function<void(const IpPacket&)>;
+  /// Handler for a locally delivered datagram of a given protocol.  It may
+  /// take the packet's payload.
+  using ProtoHandler = std::function<void(IpPacket&&)>;
 
   IpNode(sim::Simulator& sim, std::string name, IpAddress addr);
 
@@ -43,8 +44,10 @@ class IpNode {
 
   /// Send `payload` to `dst` as protocol `proto`, fragmenting to the
   /// egress MTU.  Fails with no_route when no interface matches and
-  /// message_too_long when a fragment cannot carry even 8 bytes.
-  util::Result<void> send(IpAddress dst, IpProto proto, util::BytesView payload);
+  /// message_too_long when a fragment cannot carry even 8 bytes.  The
+  /// payload is taken over: a loopback datagram carries the caller's
+  /// buffer up to the receiving protocol without a copy.
+  util::Result<void> send(IpAddress dst, IpProto proto, util::Buffer payload);
 
   /// Called by links (or virtual interfaces) when a frame arrives here.
   void frame_arrival(util::BytesView wire);

@@ -39,12 +39,14 @@ util::Result<IpAddress> parse_ip(std::string_view s) {
   return IpAddress{value};
 }
 
-util::Buffer serialize(const IpPacket& p) {
+util::Buffer serialize(const IpPacket& p) { return serialize(p, p.payload); }
+
+util::Buffer serialize(const IpPacket& p, util::BytesView payload) {
   util::Writer w;
-  w.reserve(kIpHeaderBytes + p.payload.size());
+  w.reserve(kIpHeaderBytes + payload.size());
   w.u8(0x45);  // version 4, IHL 5
   w.u8(0);     // TOS
-  w.u16(static_cast<std::uint16_t>(kIpHeaderBytes + p.payload.size()));
+  w.u16(static_cast<std::uint16_t>(kIpHeaderBytes + payload.size()));
   w.u16(p.id);
   // Flags(3) + fragment offset(13), offset in 8-byte units.
   std::uint16_t ff = static_cast<std::uint16_t>((p.frag_offset / 8) & 0x1FFF);
@@ -55,12 +57,9 @@ util::Buffer serialize(const IpPacket& p) {
   w.u16(0);  // checksum placeholder
   w.u32(p.src.value);
   w.u32(p.dst.value);
-  util::Buffer out = w.take();
-  std::uint16_t csum = util::internet_checksum({out.data(), kIpHeaderBytes});
-  out[10] = static_cast<std::uint8_t>(csum >> 8);
-  out[11] = static_cast<std::uint8_t>(csum);
-  out.insert(out.end(), p.payload.begin(), p.payload.end());
-  return out;
+  w.patch_u16(10, util::internet_checksum(w.view()));
+  w.bytes(payload);
+  return w.take();
 }
 
 util::Result<IpPacket> parse_ip_packet(util::BytesView wire) {

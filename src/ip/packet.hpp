@@ -34,8 +34,12 @@ struct IpPacket {
   }
 };
 
-/// Serialize with a correct header checksum.
+/// Serialize with a correct header checksum, header and payload in one
+/// exact-size buffer.
 [[nodiscard]] util::Buffer serialize(const IpPacket& p);
+/// The same with `payload` carried in place of p.payload (a fragment's
+/// slice of its datagram, written without an intermediate copy).
+[[nodiscard]] util::Buffer serialize(const IpPacket& p, util::BytesView payload);
 
 /// Parse and verify; protocol_error on truncation or checksum failure.
 [[nodiscard]] util::Result<IpPacket> parse_ip_packet(util::BytesView wire);

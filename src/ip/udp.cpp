@@ -31,12 +31,13 @@ util::Result<std::uint16_t> UdpLayer::bind_ephemeral(Handler handler) {
 util::Result<void> UdpLayer::send(IpAddress dst, std::uint16_t dst_port,
                                   std::uint16_t src_port, util::BytesView data) {
   util::Writer w;
+  w.reserve(kUdpHeaderBytes + data.size());
   w.u16(src_port);
   w.u16(dst_port);
   w.u16(static_cast<std::uint16_t>(kUdpHeaderBytes + data.size()));
   w.u16(0);  // checksum unused in the simulation (links verify integrity)
   w.bytes(data);
-  return node_.send(dst, IpProto::udp, w.view());
+  return node_.send(dst, IpProto::udp, w.take());
 }
 
 void UdpLayer::packet_arrival(const IpPacket& p) {

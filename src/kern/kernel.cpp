@@ -372,16 +372,14 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
   // data and close events that beat the application's handler registration
   // are buffered on the socket, never dropped.
   tcp_->set_released_handler(conn, [this](tcp::ConnId c) { tcp_released(c); });
-  tcp_->set_receive_handler(conn, [this, handle](util::BytesView data) {
+  tcp_->set_receive_handler(conn, [this, handle](util::Buffer data) {
     auto it = tsocks_.find(handle);
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
     if (ts.app_receive) {
-      sim_.schedule(cfg_.context_switch, [this, owner = ts.owner,
-                                          fn = ts.app_receive,
-                                          buf = util::to_buffer(data)] {
-        if (alive(owner)) fn(buf);
-      });
+      deliver_tcp(ts.app_receive, std::move(data));
+    } else if (ts.pending_data.empty()) {
+      ts.pending_data = std::move(data);
     } else {
       ts.pending_data.insert(ts.pending_data.end(), data.begin(), data.end());
     }
@@ -399,6 +397,14 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
       ts.pending_close = reason;
     }
   });
+}
+
+void Kernel::deliver_tcp(std::shared_ptr<const TcpReceiver> to, util::Buffer data) {
+  auto up = [this, to = std::move(to), data = std::move(data)] {
+    if (alive(to->owner)) to->fn(data);
+  };
+  static_assert(sim::Simulator::stored_inline<decltype(up)>);
+  sim_.schedule(cfg_.context_switch, std::move(up));
 }
 
 void Kernel::tcp_released(tcp::ConnId conn) {
@@ -449,14 +455,12 @@ util::Result<void> Kernel::tcp_on_receive(Pid pid, int fd, DataFn fn) {
   auto it = tsocks_.find(d->handle);
   if (it == tsocks_.end() || it->second.listener) return Errc::not_connected;
   TcpSock& ts = it->second;
-  ts.app_receive = std::move(fn);
-  if (!ts.pending_data.empty()) {
+  ts.app_receive =
+      fn ? std::make_shared<const TcpReceiver>(TcpReceiver{ts.owner, std::move(fn)})
+         : nullptr;
+  if (ts.app_receive && !ts.pending_data.empty()) {
     // Deliver whatever arrived before the handler existed.
-    sim_.schedule(cfg_.context_switch,
-                  [this, owner = ts.owner, fn = ts.app_receive,
-                   buf = std::move(ts.pending_data)] {
-                    if (alive(owner)) fn(buf);
-                  });
+    deliver_tcp(ts.app_receive, std::move(ts.pending_data));
     ts.pending_data.clear();
   }
   return {};

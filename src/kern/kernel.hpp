@@ -200,6 +200,13 @@ class Kernel {
     /// process reads are queued, bounded like a real socket buffer.
     std::deque<util::Buffer> rx_queue;
   };
+  /// An application's TCP receive upcall.  Deliveries already queued
+  /// share it, so each is one pointer and the payload, within the event
+  /// store; a handler replaced meanwhile still gets what was queued to it.
+  struct TcpReceiver {
+    Pid owner = -1;
+    DataFn fn;
+  };
   struct TcpSock {
     Pid owner = -1;
     int fd = -1;
@@ -211,7 +218,7 @@ class Kernel {
     bool released = false;  ///< the connection left the TCP state machine
     // Events that arrived before the application installed its handlers are
     // buffered here so nothing is lost to registration races.
-    DataFn app_receive;
+    std::shared_ptr<const TcpReceiver> app_receive;
     CloseFn app_close;
     util::Buffer pending_data;
     std::optional<util::Errc> pending_close;
@@ -227,6 +234,8 @@ class Kernel {
   void cleanup_descriptor(Proc& p, int fd, bool process_dying);
   /// Wire kernel-owned receive/close handlers for a fresh connection.
   void attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn);
+  /// Hand `data` to the application one context switch from now.
+  void deliver_tcp(std::shared_ptr<const TcpReceiver> to, util::Buffer data);
   void close_xunet(XunetSock& xs);
   /// Post an up-indication that must not be lost to a full anand buffer:
   /// queue it and retry until the sighost drains enough space.

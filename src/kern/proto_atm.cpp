@@ -74,7 +74,7 @@ util::Result<void> ProtoAtm::encap_output_to(ip::IpAddress dst, atm::Vci vci,
   // IP send cost (count from Clark et al., as in the paper).
   instr_.charge(InstrComponent::ip_layer, InstrDir::send, kIpSend);
   ++encapsulated_;
-  return node_.send(dst, ip::IpProto::atm, msg);
+  return node_.send(dst, ip::IpProto::atm, std::move(msg));
 }
 
 void ProtoAtm::decap_input(const ip::IpPacket& p) {

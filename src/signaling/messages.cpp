@@ -1,5 +1,9 @@
 #include "signaling/messages.hpp"
 
+#include <cassert>
+
+#include "util/checksum.hpp"
+
 namespace xunet::sig {
 
 using util::Errc;
@@ -41,19 +45,9 @@ namespace {
 // would acknowledge a message that was never delivered and silently
 // remove it from the retransmit queue.  Detected corruption is loss, and
 // loss is what the reliable-delivery layer already handles.
-std::uint16_t fletcher16(util::BytesView data) {
-  std::uint32_t a = 0, b = 0;
-  for (std::uint8_t byte : data) {
-    a = (a + byte) % 255;
-    b = (b + a) % 255;
-  }
-  return static_cast<std::uint16_t>((b << 8) | a);
-}
-
-}  // namespace
-
-util::Buffer serialize(const Msg& m) {
-  util::Writer w;
+void write_msg(util::Writer& w, const Msg& m) {
+  const std::size_t at = w.size();
+  w.u16(0);  // the checksum, patched in once the body is written
   w.u8(static_cast<std::uint8_t>(m.type));
   w.u32(m.req_id);
   w.u32(m.seq);
@@ -68,84 +62,75 @@ util::Buffer serialize(const Msg& m) {
   w.lp_string(m.qos);
   w.lp_string(m.dst);
   w.lp_string(m.comment);
-  util::Buffer body = w.take();
-  util::Writer out;
-  out.u16(fletcher16(body));
-  out.bytes(body);
-  return out.take();
+  w.patch_u16(at, util::fletcher16(w.view().subspan(at + 2)));
+}
+
+}  // namespace
+
+util::Buffer serialize(const Msg& m) {
+  util::Writer w;
+  w.reserve(wire_size(m));
+  write_msg(w, m);
+  return w.take();
 }
 
 util::Result<Msg> parse_msg(util::BytesView wire) {
-  util::Reader r(wire);
-  auto sum = r.u16();
-  if (!sum) return Errc::protocol_error;
-  if (*sum != fletcher16(wire.subspan(2))) return Errc::protocol_error;
+  if (wire.size() < kMsgFixedBytes) return Errc::protocol_error;
+  const std::uint8_t* p = wire.data();
+  if (util::load_u16(p) != util::fletcher16(wire.subspan(2))) {
+    return Errc::protocol_error;
+  }
+  if (p[2] < static_cast<std::uint8_t>(MsgType::export_srv) ||
+      p[2] > static_cast<std::uint8_t>(MsgType::peer_resync_info)) {
+    return Errc::protocol_error;
+  }
   Msg m;
-  auto type = r.u8();
-  auto req_id = r.u32();
-  auto seq = r.u32();
-  auto cookie = r.u16();
-  auto vci = r.u16();
-  auto vci2 = r.u16();
-  auto port = r.u16();
-  auto error = r.u8();
-  auto trace_id = r.u64();
-  auto parent_span = r.u64();
-  if (!type || !req_id || !seq || !cookie || !vci || !vci2 || !port || !error ||
-      !trace_id || !parent_span) {
-    return Errc::protocol_error;
+  m.type = static_cast<MsgType>(p[2]);
+  m.req_id = util::load_u32(p + 3);
+  m.seq = util::load_u32(p + 7);
+  m.cookie = util::load_u16(p + 11);
+  m.vci = util::load_u16(p + 13);
+  m.vci2 = util::load_u16(p + 15);
+  m.port = util::load_u16(p + 17);
+  m.error = p[19];
+  m.trace_id = util::load_u64(p + 20);
+  m.parent_span = util::load_u64(p + 28);
+  util::Reader r(wire.subspan(kMsgFixedBytes));
+  for (std::string* s : {&m.service, &m.qos, &m.dst, &m.comment}) {
+    auto v = r.lp_bytes();
+    if (!v) return Errc::protocol_error;
+    s->assign(reinterpret_cast<const char*>(v->data()), v->size());
   }
-  if (*type < static_cast<std::uint8_t>(MsgType::export_srv) ||
-      *type > static_cast<std::uint8_t>(MsgType::peer_resync_info)) {
-    return Errc::protocol_error;
-  }
-  m.type = static_cast<MsgType>(*type);
-  m.req_id = *req_id;
-  m.seq = *seq;
-  m.cookie = *cookie;
-  m.vci = *vci;
-  m.vci2 = *vci2;
-  m.port = *port;
-  m.error = *error;
-  m.trace_id = *trace_id;
-  m.parent_span = *parent_span;
-  auto service = r.lp_string();
-  auto qos = r.lp_string();
-  auto dst = r.lp_string();
-  auto comment = r.lp_string();
-  if (!service || !qos || !dst || !comment || !r.exhausted()) {
-    return Errc::protocol_error;
-  }
-  m.service = std::move(*service);
-  m.qos = std::move(*qos);
-  m.dst = std::move(*dst);
-  m.comment = std::move(*comment);
+  if (!r.exhausted()) return Errc::protocol_error;
   return m;
 }
 
 util::Buffer frame(const Msg& m) {
-  util::Buffer body = serialize(m);
+  const std::size_t n = wire_size(m);
+  assert(n <= kMaxMsgBytes);
   util::Writer w;
-  w.u16(static_cast<std::uint16_t>(body.size()));
-  w.bytes(body);
+  w.reserve(2 + n);
+  w.u16(static_cast<std::uint16_t>(n));
+  write_msg(w, m);
   return w.take();
 }
 
 void MsgFramer::feed(util::BytesView chunk) {
-  pending_.insert(pending_.end(), chunk.begin(), chunk.end());
-  for (;;) {
-    if (pending_.size() < 2) return;
-    std::size_t len = static_cast<std::size_t>(pending_[0]) << 8 | pending_[1];
-    if (pending_.size() < 2 + len) return;
-    auto parsed = parse_msg({pending_.data() + 2, len});
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<long>(2 + len));
-    if (parsed) {
-      on_msg_(*parsed);
-    } else if (on_err_) {
-      on_err_(parsed.error());
+  util::feed_stream(pending_, chunk, [this](util::BytesView data) {
+    std::size_t used = 0;
+    while (data.size() - used >= 2) {
+      const std::size_t len = util::load_u16(data.data() + used);
+      if (data.size() - used - 2 < len) break;
+      auto parsed = parse_msg(data.subspan(used + 2, len));
+      used += 2 + len;
+      if (parsed) {
+        on_msg_(*parsed);
+      } else if (on_err_) {
+        on_err_(parsed.error());
+      }
     }
-  }
+    return used;
+  });
 }
 
 }  // namespace xunet::sig

@@ -93,18 +93,36 @@ struct Msg {
   std::uint64_t parent_span = 0;
 };
 
-/// Serialize to wire bytes (no length prefix).
+/// Wire bytes of a message before its strings: the Fletcher-16 checksum
+/// and the fixed fields from `type` to `parent_span`.
+inline constexpr std::size_t kMsgFixedBytes = 2 + 34;
+/// Largest serialized message.  frame()'s u16 length prefix carries its
+/// size, so this also bounds every u16 string prefix inside it.
+inline constexpr std::size_t kMaxMsgBytes = 0xFFFF;
+
+/// Exact bytes serialize() writes for a message whose four strings total
+/// `string_bytes`.  Input from outside is checked against kMaxMsgBytes
+/// with this before it becomes a message.
+[[nodiscard]] constexpr std::size_t wire_size(std::size_t string_bytes) noexcept {
+  return kMsgFixedBytes + 4 * 2 + string_bytes;
+}
+[[nodiscard]] inline std::size_t wire_size(const Msg& m) noexcept {
+  return wire_size(m.service.size() + m.qos.size() + m.dst.size() + m.comment.size());
+}
+
+/// Serialize to wire bytes (no length prefix), one exact-size buffer.
 [[nodiscard]] util::Buffer serialize(const Msg& m);
 /// Parse wire bytes; protocol_error on malformed input.
 [[nodiscard]] util::Result<Msg> parse_msg(util::BytesView wire);
 
-/// Frame a message for a TCP stream: u16 length + body.
+/// Frame a message for a TCP stream: u16 length + body, in one buffer.
 [[nodiscard]] util::Buffer frame(const Msg& m);
 
 /// Incremental de-framer for a TCP byte stream.  Feed arbitrary chunks;
 /// complete messages come out through the callback.  A malformed body
 /// surfaces as protocol_error through the error callback and the framer
-/// resynchronizes at the next length boundary.
+/// resynchronizes at the next length boundary.  Whole messages are parsed
+/// straight from the chunk; only a partial tail is buffered.
 class MsgFramer {
  public:
   using MsgHandler = std::function<void(const Msg&)>;

@@ -36,7 +36,9 @@ inline constexpr std::size_t kStubMsgBytes = 10;
 
 [[nodiscard]] util::Buffer serialize(const StubMsg& m);
 
-/// Fixed-size de-framer: feed stream chunks, get whole messages.
+/// Fixed-size de-framer: feed stream chunks, get whole messages.  Whole
+/// messages are read straight from the chunk; only a partial tail is
+/// buffered.
 class StubFramer {
  public:
   using Handler = std::function<void(const StubMsg&)>;

@@ -63,6 +63,16 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Largest callable stored in its event record.
+  static constexpr std::size_t kSboBytes = 48;
+  /// True when a callable of type F is stored in its event record, with no
+  /// heap allocation of its own.
+  template <typename F>
+  static constexpr bool stored_inline =
+      sizeof(std::decay_t<F>) <= kSboBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
   /// Schedule at an absolute instant (must not be in the past).
   template <typename F>
   EventId schedule_at(SimTime when, F&& fn) {
@@ -120,7 +130,6 @@ class Simulator {
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
  private:
-  static constexpr std::size_t kSboBytes = 48;
   static constexpr unsigned kGranShift = 12;  ///< 4096 ns bucket granularity
   static constexpr std::size_t kSlots = 1024;  ///< ring horizon ~4.19 ms
   static constexpr std::size_t kSlotMask = kSlots - 1;
@@ -163,8 +172,7 @@ class Simulator {
   template <typename F>
   static void bind(EventRec& r, F&& fn) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kSboBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (stored_inline<Fn>) {
       ::new (static_cast<void*>(r.sbo)) Fn(std::forward<F>(fn));
       r.thunk = [](EventRec& rr, bool run) {
         Fn* f = std::launder(reinterpret_cast<Fn*>(rr.sbo));

@@ -28,10 +28,19 @@ struct Segment {
   util::Buffer payload;
 };
 
-/// Header bytes on the wire for this model (ports, seq, ack, flags, window).
-inline constexpr std::size_t kTcpHeaderBytes = 14;
+/// Header bytes on the wire for this model (ports, seq, ack, flags, a
+/// reserved byte, window).
+inline constexpr std::size_t kTcpHeaderBytes = 16;
 
+/// The header of `s` (not its payload) in a buffer reserved for
+/// `payload_bytes` more, which the caller appends: one allocation for the
+/// whole segment.
+[[nodiscard]] util::Writer write_header(const Segment& s, std::size_t payload_bytes);
+/// Header and payload in one exact-size buffer.
 [[nodiscard]] util::Buffer serialize(const Segment& s);
-[[nodiscard]] util::Result<Segment> parse_segment(util::BytesView wire);
+
+/// Parse a segment, taking `wire` over: the header is cut off in place and
+/// the rest becomes the payload without a copy.
+[[nodiscard]] util::Result<Segment> parse_segment(util::Buffer wire);
 
 }  // namespace xunet::tcp

@@ -42,7 +42,7 @@ std::string_view to_string(State s) noexcept {
 TcpLayer::TcpLayer(ip::IpNode& node, TcpConfig cfg)
     : node_(node), cfg_(cfg) {
   node_.register_protocol(ip::IpProto::tcp,
-                          [this](const ip::IpPacket& p) { segment_arrival(p); });
+                          [this](ip::IpPacket&& p) { segment_arrival(std::move(p)); });
 }
 
 TcpLayer::~TcpLayer() = default;
@@ -107,13 +107,13 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
 
-  emit(c, Flags{.syn = true}, {}, iss);
+  emit(c, Flags{.syn = true}, iss);
   arm_rto(c);
   return id;
 }
 
-void TcpLayer::emit(Conn& c, Flags flags, util::BytesView payload,
-                    std::uint32_t seq) {
+void TcpLayer::emit(Conn& c, Flags flags, std::uint32_t seq,
+                    std::size_t offset, std::size_t n) {
   Segment s;
   s.src_port = c.tuple.local_port;
   s.dst_port = c.tuple.peer_port;
@@ -121,9 +121,11 @@ void TcpLayer::emit(Conn& c, Flags flags, util::BytesView payload,
   s.flags = flags;
   if (flags.ack) s.ack = c.rcv_nxt;
   s.window = static_cast<std::uint16_t>(cfg_.window_bytes / 1024);
-  s.payload = util::to_buffer(payload);
+  util::Writer w = write_header(s, n);
+  const auto from = c.send_buf.begin() + static_cast<long>(offset);
+  w.bytes(from, from + static_cast<long>(n));
   ++segments_sent_;
-  (void)node_.send(c.tuple.peer, ip::IpProto::tcp, serialize(s));
+  (void)node_.send(c.tuple.peer, ip::IpProto::tcp, w.take());
 }
 
 void TcpLayer::send_rst(ip::IpAddress dst, std::uint16_t dst_port,
@@ -152,7 +154,9 @@ util::Result<void> TcpLayer::send(ConnId id, util::BytesView data) {
 }
 
 void TcpLayer::set_receive_handler(ConnId id, ReceiveHandler h) {
-  if (Conn* c = find(id)) c->on_receive = std::move(h);
+  if (Conn* c = find(id)) {
+    c->on_receive = h ? std::make_shared<const ReceiveHandler>(std::move(h)) : nullptr;
+  }
 }
 void TcpLayer::set_close_handler(ConnId id, CloseHandler h) {
   if (Conn* c = find(id)) c->on_close = std::move(h);
@@ -225,16 +229,14 @@ void TcpLayer::pump(Conn& c) {
   while (offset < c.send_buf.size() &&
          (c.snd_nxt - c.snd_una) < cfg_.window_bytes) {
     const std::size_t n = std::min(kMss, c.send_buf.size() - offset);
-    util::Buffer chunk(c.send_buf.begin() + static_cast<long>(offset),
-                       c.send_buf.begin() + static_cast<long>(offset + n));
-    emit(c, Flags{.ack = true}, chunk, c.snd_nxt);
+    emit(c, Flags{.ack = true}, c.snd_nxt, offset, n);
     c.snd_nxt += static_cast<std::uint32_t>(n);
     offset += n;
     sent_any = true;
   }
   if (c.fin_queued && !c.fin_sent && offset == c.send_buf.size()) {
     c.fin_seq = c.snd_nxt;
-    emit(c, Flags{.ack = true, .fin = true}, {}, c.snd_nxt);
+    emit(c, Flags{.ack = true, .fin = true}, c.snd_nxt);
     c.snd_nxt += 1;
     c.fin_sent = true;
     sent_any = true;
@@ -264,10 +266,10 @@ void TcpLayer::on_rto(ConnId id) {
   ++retransmits_;
   switch (c->state) {
     case State::syn_sent:
-      emit(*c, Flags{.syn = true}, {}, c->snd_una);
+      emit(*c, Flags{.syn = true}, c->snd_una);
       break;
     case State::syn_rcvd:
-      emit(*c, Flags{.syn = true, .ack = true}, {}, c->snd_una);
+      emit(*c, Flags{.syn = true, .ack = true}, c->snd_una);
       break;
     default:
       // Go-Back-N: rewind and resend everything outstanding.
@@ -279,10 +281,10 @@ void TcpLayer::on_rto(ConnId id) {
   arm_rto(*c);
 }
 
-void TcpLayer::segment_arrival(const ip::IpPacket& p) {
-  auto parsed = parse_segment(p.payload);
+void TcpLayer::segment_arrival(ip::IpPacket&& p) {
+  auto parsed = parse_segment(std::move(p.payload));
   if (!parsed) return;
-  const Segment& s = *parsed;
+  Segment& s = *parsed;
   TupleKey key{p.src, s.src_port, s.dst_port};
   if (auto it = by_tuple_.find(key); it != by_tuple_.end()) {
     Conn* c = find(it->second);
@@ -319,7 +321,7 @@ void TcpLayer::handle_listen(std::uint16_t port, const Segment& s,
   add_tuple(c);
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
-  emit(c, Flags{.syn = true, .ack = true}, {}, iss);
+  emit(c, Flags{.syn = true, .ack = true}, iss);
   arm_rto(c);
 }
 
@@ -351,7 +353,7 @@ void TcpLayer::release(ConnId id) {
   conns_.erase(it);
 }
 
-void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
+void TcpLayer::handle_for_conn(Conn& c, Segment& s, ip::IpAddress src) {
   (void)src;
   if (s.flags.rst) {
     if (c.state == State::syn_sent && c.on_connect) {
@@ -374,7 +376,7 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
       c.state = State::established;
       c.retransmit_count = 0;
       c.rto_timer.cancel();
-      emit(c, Flags{.ack = true}, {}, c.snd_nxt);
+      emit(c, Flags{.ack = true}, c.snd_nxt);
       if (c.on_connect) {
         auto h = std::move(c.on_connect);
         ConnId id = c.id;
@@ -386,7 +388,7 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
   if (c.state == State::syn_rcvd) {
     if (s.flags.syn && !s.flags.ack) {
       // Retransmitted SYN: resend our SYN|ACK.
-      emit(c, Flags{.syn = true, .ack = true}, {}, c.snd_una);
+      emit(c, Flags{.syn = true, .ack = true}, c.snd_una);
       return;
     }
     if (s.flags.ack && seq_lt(c.snd_una, s.ack)) {
@@ -446,24 +448,26 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
 
   // --- in-order data delivery (Go-Back-N receiver) ---
   bool advanced = false;
-  if (!s.payload.empty()) {
+  const auto len = static_cast<std::uint32_t>(s.payload.size());
+  if (len > 0) {
     if (s.seq == c.rcv_nxt) {
-      c.rcv_nxt += static_cast<std::uint32_t>(s.payload.size());
+      c.rcv_nxt += len;
       advanced = true;
       if (c.on_receive) {
-        auto h = c.on_receive;
-        node_.simulator().schedule(
-            sim::SimDuration{},
-            [h, data = s.payload] { h(data); });
+        auto up = [h = c.on_receive, data = std::move(s.payload)]() mutable {
+          (*h)(std::move(data));
+        };
+        static_assert(sim::Simulator::stored_inline<decltype(up)>);
+        node_.simulator().schedule(sim::SimDuration{}, std::move(up));
       }
     } else {
       // Out of order: discard, re-ACK what we have.
-      emit(c, Flags{.ack = true}, {}, c.snd_nxt);
+      emit(c, Flags{.ack = true}, c.snd_nxt);
     }
   }
 
   // --- FIN processing ---
-  std::uint32_t fin_seq = s.seq + static_cast<std::uint32_t>(s.payload.size());
+  std::uint32_t fin_seq = s.seq + len;
   if (s.flags.fin && fin_seq == c.rcv_nxt) {
     c.rcv_nxt += 1;
     advanced = true;
@@ -486,7 +490,7 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
   }
   if (advanced || (s.flags.fin && seq_lt(fin_seq, c.rcv_nxt))) {
     // ACK new data/FIN, and re-ACK retransmitted FINs (incl. in TIME_WAIT).
-    emit(c, Flags{.ack = true}, {}, c.snd_nxt);
+    emit(c, Flags{.ack = true}, c.snd_nxt);
   }
 }
 

@@ -55,8 +55,8 @@ class TcpLayer {
   using AcceptHandler = std::function<void(ConnId)>;
   /// Outcome of a connect(): ok (established) or an error.
   using ConnectHandler = std::function<void(util::Result<ConnId>)>;
-  /// In-order received bytes.
-  using ReceiveHandler = std::function<void(util::BytesView)>;
+  /// In-order received bytes, handed over with the segment's buffer.
+  using ReceiveHandler = std::function<void(util::Buffer)>;
   /// The connection will deliver no more data: peer FIN (ok) or reset.
   using CloseHandler = std::function<void(util::Errc)>;
   /// The connection object is fully gone (left TIME_WAIT / closed); the
@@ -129,9 +129,10 @@ class TcpLayer {
     int retransmit_count = 0;
     // Receive side.
     std::uint32_t rcv_nxt = 0;
-    // Upcalls.
+    // Upcalls.  Deliveries already queued share the receive handler, so
+    // each one is a pointer and the payload, within the event store.
     ConnectHandler on_connect;
-    ReceiveHandler on_receive;
+    std::shared_ptr<const ReceiveHandler> on_receive;
     CloseHandler on_close;
     ReleasedHandler on_released;
     bool close_reported = false;
@@ -140,10 +141,14 @@ class TcpLayer {
     sim::Timer wait_timer;
   };
 
-  void segment_arrival(const ip::IpPacket& p);
-  void handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src);
+  void segment_arrival(ip::IpPacket&& p);
+  /// May take `s.payload` (in-order data goes up to the receive handler).
+  void handle_for_conn(Conn& c, Segment& s, ip::IpAddress src);
   void handle_listen(std::uint16_t port, const Segment& s, ip::IpAddress src);
-  void emit(Conn& c, Flags flags, util::BytesView payload, std::uint32_t seq);
+  /// Send one segment whose payload is send_buf[offset, offset + n),
+  /// written straight into its wire buffer.
+  void emit(Conn& c, Flags flags, std::uint32_t seq, std::size_t offset = 0,
+            std::size_t n = 0);
   void send_rst(ip::IpAddress dst, std::uint16_t dst_port,
                 std::uint16_t src_port, std::uint32_t seq, std::uint32_t ack);
   /// Transmit (or retransmit) everything the window allows.

@@ -147,6 +147,10 @@ void UserLib::on_channel_msg(const Msg& m) {
 
 void UserLib::export_service(const std::string& name,
                              std::uint16_t notify_port, VoidFn on_done) {
+  if (sig::wire_size(name.size()) > sig::kMaxMsgBytes) {
+    on_done(Errc::message_too_long);  // its EXPORT_SRV could not be framed
+    return;
+  }
   // create_receive_connection: listen once for per-call connections.
   if (notify_listen_fd_ < 0) {
     auto lfd = k_.tcp_listen(pid_, notify_port, [this](int fd) {
@@ -416,6 +420,14 @@ void UserLib::retry_open(const std::string& dst, const std::string& service,
                          OpenOptions opts, sim::SimTime give_up,
                          sim::SimDuration backoff, OpenFn on_done,
                          std::shared_ptr<CookieFn> on_req_id) {
+  if (sig::wire_size(dst.size() + service.size() + comment.size() + qos.size()) >
+      sig::kMaxMsgBytes) {
+    // Its CONNECT_REQ could not be framed: a wrapped length prefix would
+    // desynchronise the channel and lose the requests behind it.
+    if (*on_req_id) (*on_req_id)(Errc::message_too_long);
+    on_done(Errc::message_too_long);
+    return;
+  }
   CookieFn per_attempt;
   if (*on_req_id) {
     per_attempt = [on_req_id](util::Result<sig::Cookie> c) {

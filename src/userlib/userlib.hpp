@@ -81,7 +81,8 @@ class UserLib {
 
   /// Register `name` with the signaling entity and start listening on
   /// `notify_port` for forwarded incoming calls (this call performs both
-  /// the paper's export_service and create_receive_connection).
+  /// the paper's export_service and create_receive_connection).  A name
+  /// too long for one EXPORT_SRV fails at once with message_too_long.
   void export_service(const std::string& name, std::uint16_t notify_port,
                       VoidFn on_done);
 
@@ -122,7 +123,8 @@ class UserLib {
   /// transient_error) under exponential backoff until success, a permanent
   /// error, or `opts.deadline` elapsing — whichever comes first.  `on_done`
   /// fires exactly once.  `on_req_id` fires once per attempt; the latest
-  /// cookie is the one cancel_request() accepts.
+  /// cookie is the one cancel_request() accepts.  Strings too long for one
+  /// CONNECT_REQ (sig::kMaxMsgBytes) fail at once with message_too_long.
   void open_connection(const std::string& dst, const std::string& service,
                        const std::string& comment, const std::string& qos,
                        const OpenOptions& opts, OpenFn on_done,

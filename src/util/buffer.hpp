@@ -5,6 +5,7 @@
 // Writer/Reader so that byte order and bounds checking live in one place.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -38,6 +39,17 @@ using BytesView = std::span<const std::uint8_t>;
   return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
+/// Big-endian loads from raw bytes whose bounds the caller has checked.
+[[nodiscard]] inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+}
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(load_u16(p)) << 16 | load_u16(p + 2);
+}
+[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(load_u32(p)) << 32 | load_u32(p + 4);
+}
+
 /// Big-endian serializer appending to an owned Buffer.
 class Writer {
  public:
@@ -60,16 +72,30 @@ class Writer {
   }
   /// Raw bytes, no length prefix.
   void bytes(BytesView v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
-  /// Length-prefixed (u16) byte string; rejects nothing — caller enforces
-  /// limits before serializing.
+  /// Raw bytes from any byte range (e.g. a span of a deque).
+  template <typename It>
+  void bytes(It first, It last) {
+    buf_.insert(buf_.end(), first, last);
+  }
+  /// Length-prefixed (u16) byte string.  The caller rejects longer input
+  /// where it enters the system; a longer one here is a bug.
   void lp_bytes(BytesView v) {
+    assert(v.size() <= 0xFFFF);
     u16(static_cast<std::uint16_t>(v.size()));
     bytes(v);
   }
-  /// Length-prefixed (u16) text string.
+  /// Length-prefixed (u16) text string, limited as lp_bytes.
   void lp_string(std::string_view s) {
+    assert(s.size() <= 0xFFFF);
     u16(static_cast<std::uint16_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
+  }
+  /// Overwrite the two bytes already written at `at`, e.g. a checksum
+  /// over what follows it.
+  void patch_u16(std::size_t at, std::uint16_t v) {
+    assert(at + 2 <= buf_.size());
+    buf_[at] = static_cast<std::uint8_t>(v >> 8);
+    buf_[at + 1] = static_cast<std::uint8_t>(v);
   }
 
   /// Size the buffer for `n` bytes in total, so a writer that knows its
@@ -97,23 +123,18 @@ class Reader {
   }
   [[nodiscard]] Result<std::uint16_t> u16() {
     if (remaining() < 2) return Errc::protocol_error;
-    auto hi = data_[pos_], lo = data_[pos_ + 1];
     pos_ += 2;
-    return static_cast<std::uint16_t>((hi << 8) | lo);
+    return load_u16(data_.data() + pos_ - 2);
   }
   [[nodiscard]] Result<std::uint32_t> u32() {
-    auto hi = u16();
-    if (!hi) return hi.error();
-    auto lo = u16();
-    if (!lo) return lo.error();
-    return (static_cast<std::uint32_t>(*hi) << 16) | *lo;
+    if (remaining() < 4) return Errc::protocol_error;
+    pos_ += 4;
+    return load_u32(data_.data() + pos_ - 4);
   }
   [[nodiscard]] Result<std::uint64_t> u64() {
-    auto hi = u32();
-    if (!hi) return hi.error();
-    auto lo = u32();
-    if (!lo) return lo.error();
-    return (static_cast<std::uint64_t>(*hi) << 32) | *lo;
+    if (remaining() < 8) return Errc::protocol_error;
+    pos_ += 8;
+    return load_u64(data_.data() + pos_ - 8);
   }
   /// Fixed-size raw byte run.
   [[nodiscard]] Result<BytesView> bytes(std::size_t n) {
@@ -145,5 +166,22 @@ class Reader {
   BytesView data_;
   std::size_t pos_ = 0;
 };
+
+/// One chunk of a byte stream for a de-framer that keeps a partial message
+/// in `tail` between chunks.  `take(bytes)` consumes whole messages from
+/// the front of `bytes` and returns how many bytes it used; the rest is
+/// kept.  With nothing held, `bytes` is the chunk itself, so a chunk of
+/// whole messages is never copied.
+template <typename Take>
+void feed_stream(Buffer& tail, BytesView chunk, Take&& take) {
+  const bool held = !tail.empty();
+  if (held) tail.insert(tail.end(), chunk.begin(), chunk.end());
+  const std::size_t used = take(held ? BytesView(tail) : chunk);
+  if (held) {
+    tail.erase(tail.begin(), tail.begin() + static_cast<long>(used));
+  } else {
+    tail.assign(chunk.begin() + static_cast<long>(used), chunk.end());
+  }
+}
 
 }  // namespace xunet::util

@@ -17,4 +17,26 @@ std::uint16_t internet_checksum(BytesView data) noexcept {
   return static_cast<std::uint16_t>(~sum & 0xFFFFu);
 }
 
+std::uint16_t fletcher16(BytesView data) noexcept {
+  // Both sums are reduced once per block rather than once per byte.  After
+  // n bytes from reduced sums (< 255), b is at most 254 + 254n +
+  // 255n(n+1)/2, which stays below 2^32 for n <= 5802.
+  constexpr std::size_t kBlock = 5802;
+  std::uint32_t a = 0, b = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const std::size_t n = left < kBlock ? left : kBlock;
+    for (std::size_t i = 0; i < n; ++i) {
+      a += p[i];
+      b += a;
+    }
+    a %= 255;
+    b %= 255;
+    p += n;
+    left -= n;
+  }
+  return static_cast<std::uint16_t>((b << 8) | a);
+}
+
 }  // namespace xunet::util

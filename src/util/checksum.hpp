@@ -1,5 +1,6 @@
 // checksum.hpp — 16-bit one's-complement Internet checksum (RFC 1071),
-// used by the simulated IP header.
+// used by the simulated IP header, and Fletcher-16, which guards the
+// signaling messages.
 #pragma once
 
 #include <cstdint>
@@ -16,5 +17,9 @@ namespace xunet::util {
 [[nodiscard]] inline bool checksum_ok(BytesView data) noexcept {
   return internet_checksum(data) == 0;
 }
+
+/// Fletcher-16 (sums modulo 255) over a byte run: the second sum in the
+/// high byte, the first in the low byte.
+[[nodiscard]] std::uint16_t fletcher16(BytesView data) noexcept;
 
 }  // namespace xunet::util

@@ -147,6 +147,35 @@ TEST_F(LibFixture, OpenToEmptyDestinationFails) {
   EXPECT_EQ(*err, util::Errc::no_route);
 }
 
+TEST_F(LibFixture, OversizedOpenFailsAndTheChannelStaysInSync) {
+  CallServer server(r1(), r1().ip_node().address(), "sync", 4920);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid pid = r0().spawn("big-comment");
+  app::UserLib lib(r0(), pid, r0().ip_node().address());
+  // A 70,000-byte comment cannot fit one CONNECT_REQ: its u16 length
+  // prefix would wrap, and sighost's framer would then misread the valid
+  // request sent right behind it on the same channel.
+  std::optional<util::Errc> big;
+  std::optional<util::Errc> big_cookie;
+  lib.open_connection("berkeley.rt", "sync", std::string(70'000, 'c'), "",
+                      [&](util::Result<app::OpenResult> r) { big = r.error(); },
+                      [&](util::Result<sig::Cookie> c) { big_cookie = c.error(); });
+  std::optional<util::Result<app::OpenResult>> next;
+  lib.open_connection("berkeley.rt", "sync", "", "",
+                      [&](util::Result<app::OpenResult> r) { next = r; });
+  std::optional<util::Errc> big_export;
+  lib.export_service(std::string(70'000, 's'), 4921,
+                     [&](util::Result<void> r) { big_export = r.error(); });
+  tb->sim().run_for(sim::seconds(5));
+  EXPECT_EQ(big, util::Errc::message_too_long);
+  EXPECT_EQ(big_cookie, util::Errc::message_too_long);
+  EXPECT_EQ(big_export, util::Errc::message_too_long);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_TRUE(next->ok()) << util::to_string(next->error());
+}
+
 TEST_F(LibFixture, AwaitQueuesWhenRequestsArriveFirst) {
   kern::Pid pid = r1().spawn("lazy-await");
   app::UserLib lib(r1(), pid, r1().ip_node().address());
