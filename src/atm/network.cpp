@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <optional>
 
 namespace xunet::atm {
@@ -149,33 +148,31 @@ void AtmNetwork::connect_switches(AtmSwitch& a, AtmSwitch& b,
 }
 
 std::vector<int> AtmNetwork::find_path(int src, int dst) const {
-  std::vector<int> prev(nodes_.size(), -1);
-  std::deque<int> queue{src};
-  std::vector<bool> seen(nodes_.size(), false);
-  seen[static_cast<std::size_t>(src)] = true;
-  while (!queue.empty()) {
-    int n = queue.front();
-    queue.pop_front();
+  // bfs_prev_[n] is the node n was reached from (-1 for src, kUnseen until
+  // reached).  Both scratch vectors keep their capacity, so a lookup
+  // allocates only the path it returns.
+  constexpr int kUnseen = -2;
+  bfs_prev_.assign(nodes_.size(), kUnseen);
+  bfs_prev_[static_cast<std::size_t>(src)] = -1;
+  bfs_queue_.assign(1, src);
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    const int n = bfs_queue_[head];
     if (n == dst) break;
     for (int ei : out_edges_[static_cast<std::size_t>(n)]) {
       int m = edges_[static_cast<std::size_t>(ei)].to;
       // Paths may not transit other endpoints.
       if (m != dst && nodes_[static_cast<std::size_t>(m)].kind == Node::Kind::endpoint) continue;
-      if (!seen[static_cast<std::size_t>(m)]) {
-        seen[static_cast<std::size_t>(m)] = true;
-        prev[static_cast<std::size_t>(m)] = n;
-        queue.push_back(m);
+      if (bfs_prev_[static_cast<std::size_t>(m)] == kUnseen) {
+        bfs_prev_[static_cast<std::size_t>(m)] = n;
+        bfs_queue_.push_back(m);
       }
     }
   }
-  if (!seen[static_cast<std::size_t>(dst)]) return {};
+  if (bfs_prev_[static_cast<std::size_t>(dst)] == kUnseen) return {};
   std::vector<int> path;
-  for (int n = dst; n != -1; n = prev[static_cast<std::size_t>(n)]) {
-    path.push_back(n);
-    if (n == src) break;
-  }
+  for (int n = dst; n != -1; n = bfs_prev_[static_cast<std::size_t>(n)]) path.push_back(n);
   std::reverse(path.begin(), path.end());
-  return path.front() == src ? path : std::vector<int>{};
+  return path;
 }
 
 int AtmNetwork::edge_between(int a, int b) const {

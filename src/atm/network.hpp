@@ -270,6 +270,9 @@ class AtmNetwork {
   /// surfaces need no re-sort.
   util::VciIndex<VcId, ActiveVc> active_;
   VcId next_vc_id_ = 1;
+  /// find_path's BFS predecessor table and queue, reused across lookups.
+  mutable std::vector<int> bfs_prev_;
+  mutable std::vector<int> bfs_queue_;
   std::uint64_t setups_attempted_ = 0;
   std::uint64_t setups_denied_ = 0;
 };

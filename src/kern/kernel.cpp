@@ -236,7 +236,7 @@ void Kernel::cleanup_descriptor(Proc& p, int fd, bool process_dying) {
     case Descriptor::Kind::xunet: {
       auto it = xsocks_.find(d.handle);
       if (it != xsocks_.end()) {
-        close_xunet(it->second);
+        close_xunet(it->first, it->second);
         xsocks_.erase(it);
       }
       free_fd(p, fd);
@@ -514,7 +514,7 @@ util::Result<int> Kernel::xunet_socket(Pid pid) {
   XunetSock xs;
   xs.owner = pid;
   xs.fd = *fd;
-  xsocks_.emplace(handle, xs);
+  xsocks_.emplace(handle, std::move(xs));
   return *fd;
 }
 
@@ -525,11 +525,11 @@ util::Result<void> Kernel::xunet_bind(Pid pid, int fd, atm::Vci vci,
   XunetSock& xs = xsocks_.at(d->handle);
   if (xs.state != SocketState::created) return Errc::already_connected;
   if (vci == atm::kInvalidVci) return Errc::invalid_argument;
-  if (xsock_by_vci_.contains(vci)) return Errc::address_in_use;
+  if (bound_xsock(vci) != nullptr) return Errc::address_in_use;
   xs.state = SocketState::bound;
   xs.vci = vci;
   xs.cookie = cookie;
-  xsock_by_vci_.emplace(vci, d->handle);
+  xsocks_by_vci_.emplace(vci, d->handle);
   // "The kernel passes messages upwards ... when it binds or connects to a
   // PF_XUNET socket."  A full pseudo-device buffer silently loses this.
   (void)anand_.post(AnandUpMsg{AnandUpType::bind_indication, vci, cookie, pid});
@@ -546,6 +546,7 @@ util::Result<void> Kernel::xunet_connect(Pid pid, int fd, atm::Vci vci,
   xs.state = SocketState::connected;
   xs.vci = vci;
   xs.cookie = cookie;
+  xsocks_by_vci_.emplace(vci, d->handle);
   (void)anand_.post(
       AnandUpMsg{AnandUpType::connect_indication, vci, cookie, pid});
   return {};
@@ -591,14 +592,13 @@ util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
   xs.on_receive = std::move(fn);
   // Drain anything sbappend()ed before the reader showed up, preserving
   // arrival order.
-  sim::SimDuration delay = kDataSyscall;
-  while (!xs.rx_queue.empty()) {
-    sim_.schedule(delay, [this, owner = xs.owner, fn = xs.on_receive,
-                          buf = std::move(xs.rx_queue.front())] {
+  for (util::Buffer& buf : xs.rx_queue) {
+    sim_.schedule(kDataSyscall, [this, owner = xs.owner, fn = xs.on_receive,
+                                 buf = std::move(buf)] {
       if (alive(owner)) fn(buf);
     });
-    xs.rx_queue.pop_front();
   }
+  xs.rx_queue.clear();
   return {};
 }
 
@@ -625,18 +625,13 @@ void Kernel::pf_xunet_input(atm::Vci vci, MbufChain chain) {
                     kPfxRecvWakeup);
   instr_.charge(InstrComponent::pf_xunet, InstrDir::receive,
                 kPerMbufWalk * chain.mbuf_count());
-  auto it = xsock_by_vci_.find(vci);
-  if (it == xsock_by_vci_.end()) {
+  XunetSock* bound = bound_xsock(vci);
+  if (bound == nullptr) {
     ++x_dropped_;
     m_x_dropped_->inc();
     return;
   }
-  XunetSock& xs = xsocks_.at(it->second);
-  if (xs.state != SocketState::bound) {
-    ++x_dropped_;
-    m_x_dropped_->inc();
-    return;
-  }
+  XunetSock& xs = *bound;
   if (!xs.on_receive) {
     // sbappend: the process has not read yet; queue in the socket buffer.
     if (xs.rx_queue.size() >= kXunetSocketBufferFrames) {
@@ -663,19 +658,25 @@ void Kernel::pf_xunet_input(atm::Vci vci, MbufChain chain) {
   });
 }
 
+Kernel::XunetSock* Kernel::bound_xsock(atm::Vci vci) {
+  for (auto it = xsocks_by_vci_.lower_bound({vci, 0});
+       it != xsocks_by_vci_.end() && it->first == vci; ++it) {
+    XunetSock& xs = xsocks_.at(it->second);
+    if (xs.state == SocketState::bound) return &xs;
+  }
+  return nullptr;
+}
+
 void Kernel::mark_vci_disconnected(atm::Vci vci) {
   // Hash order must not decide the order the on_disconnect callbacks are
-  // scheduled in: walk a sorted handle snapshot, not the unordered map.
-  std::vector<std::uint64_t> handles;
-  for (const auto& [h, xs] : xsocks_) {
-    if (xs.vci == vci && (xs.state == SocketState::bound ||
-                          xs.state == SocketState::connected)) {
-      handles.push_back(h);
-    }
-  }
-  std::sort(handles.begin(), handles.end());
-  for (std::uint64_t h : handles) {
-    XunetSock& xs = xsocks_.at(h);
+  // scheduled in: the index visits the VCI's sockets by ascending handle.
+  // soisdisconnected() also detaches each socket from its address, so the
+  // VCI can be reused by a later call even while a dead socket lingers
+  // unclosed.
+  const auto first = xsocks_by_vci_.lower_bound({vci, 0});
+  auto last = first;
+  for (; last != xsocks_by_vci_.end() && last->first == vci; ++last) {
+    XunetSock& xs = xsocks_.at(last->second);
     xs.state = SocketState::disconnected;
     if (xs.on_disconnect) {
       sim_.schedule(cfg_.context_switch,
@@ -684,9 +685,7 @@ void Kernel::mark_vci_disconnected(atm::Vci vci) {
                     });
     }
   }
-  // soisdisconnected() detaches the socket from its address: the VCI can be
-  // reused by a later call even while the dead socket lingers unclosed.
-  xsock_by_vci_.erase(vci);
+  xsocks_by_vci_.erase(first, last);
   if (hobbit_) hobbit_->release_vc(vci);
 }
 
@@ -707,14 +706,10 @@ std::vector<Kernel::XunetVciInfo> Kernel::audit_xunet_vcis() const {
   return out;
 }
 
-void Kernel::close_xunet(XunetSock& xs) {
+void Kernel::close_xunet(std::uint64_t handle, XunetSock& xs) {
   if (xs.vci != atm::kInvalidVci) {
-    if (auto it = xsock_by_vci_.find(xs.vci);
-        it != xsock_by_vci_.end() && xsocks_.count(it->second) != 0 &&
-        &xsocks_.at(it->second) == &xs) {
-      xsock_by_vci_.erase(it);
-    }
     if (xs.state == SocketState::bound || xs.state == SocketState::connected) {
+      xsocks_by_vci_.erase({xs.vci, handle});
       // "When either client or server closes a PF_XUNET socket, the
       // signaling entity will automatically tear down the associated call."
       // This is the only teardown trigger for the call — no watchdog

@@ -197,8 +197,9 @@ class Kernel {
     DataFn on_receive;
     std::function<void()> on_disconnect;
     /// Socket receive buffer (sbappend): frames that arrive before the
-    /// process reads are queued, bounded like a real socket buffer.
-    std::deque<util::Buffer> rx_queue;
+    /// process reads are queued, bounded like a real socket buffer.  It is
+    /// drained in order once a reader shows up, then cleared.
+    std::vector<util::Buffer> rx_queue;
   };
   /// An application's TCP receive upcall.  Deliveries already queued
   /// share it, so each is one pointer and the payload, within the event
@@ -236,7 +237,9 @@ class Kernel {
   void attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn);
   /// Hand `data` to the application one context switch from now.
   void deliver_tcp(std::shared_ptr<const TcpReceiver> to, util::Buffer data);
-  void close_xunet(XunetSock& xs);
+  void close_xunet(std::uint64_t handle, XunetSock& xs);
+  /// The socket bound to `vci` (state bound), or nullptr.
+  XunetSock* bound_xsock(atm::Vci vci);
   /// Post an up-indication that must not be lost to a full anand buffer:
   /// queue it and retry until the sighost drains enough space.
   void post_durable(const AnandUpMsg& msg);
@@ -263,7 +266,10 @@ class Kernel {
   std::unordered_map<std::uint64_t, XunetSock> xsocks_;
   std::unordered_map<std::uint64_t, TcpSock> tsocks_;
   std::unordered_map<tcp::ConnId, std::uint64_t> tcp_by_conn_;
-  std::unordered_map<atm::Vci, std::uint64_t> xsock_by_vci_;  ///< bound receivers
+  /// Every bound or connected PF_XUNET socket as (VCI, handle): a VCI
+  /// teardown visits only its own sockets, in handle order, and the one
+  /// bound socket per VCI is the receiver frames are demultiplexed to.
+  std::set<std::pair<atm::Vci, std::uint64_t>> xsocks_by_vci_;
   std::uint64_t next_handle_ = 1;
   Pid anand_holder_ = -1;
   /// process_terminated indications awaiting anand buffer space.  Unlike

@@ -22,7 +22,9 @@ Simulator::Simulator() { obs_.bind_clock(&now_); }
 Simulator::~Simulator() {
   // Destroy the callables of still-pending events without running them.
   // The generation is bumped first, so a destructor that re-enters
-  // cancel() for its own event gets false.
+  // cancel() for its own event gets false; no purge may reshuffle the
+  // queue under this walk.
+  scrapping_ = true;
   auto scrap = [this](const Ref& r) {
     EventRec& rc = rec(r.rec);
     if (rc.gen != r.gen) return;
@@ -55,9 +57,6 @@ EventId Simulator::insert_ref(SimTime when, SimTime armed, std::uint32_t idx) {
                               (next_seq_++ & ((std::uint64_t{1} << kSeqBits) - 1));
   Ref r{when.ns(), order, idx, gen};
   std::int64_t slot = r.when >> kGranShift;
-  // slot < active_slot_ happens when the window was advanced past `now`
-  // (run_until peeked at a far event); the active heap orders by (when, order)
-  // and is always drained before the ring, so early events stay correct.
   if (slot <= active_slot_) {
     active_.push_back(r);
     std::push_heap(active_.begin(), active_.end(), RefLater{});
@@ -107,7 +106,7 @@ void Simulator::drain_overflow() {
   }
 }
 
-bool Simulator::refill() {
+bool Simulator::refill(std::int64_t limit) {
   if (!active_.empty()) return true;
   while (true) {
     if (ring_count_ > 0) {
@@ -123,7 +122,9 @@ bool Simulator::refill() {
           std::size_t ri_hit = ri + static_cast<std::size_t>(std::countr_zero(bits));
           if (ri_hit < (word + 1) << 6) {  // hit stays within this word
             std::size_t delta = (ri_hit - start) & kSlotMask;
-            activate_slot(active_slot_ + 1 + static_cast<std::int64_t>(delta));
+            const std::int64_t hit = active_slot_ + 1 + static_cast<std::int64_t>(delta);
+            if (hit > limit) return false;
+            activate_slot(hit);
             return true;
           }
         }
@@ -136,7 +137,9 @@ bool Simulator::refill() {
     }
     if (overflow_.empty()) return false;
     // Ring empty: jump the window to the earliest far event and re-split.
-    active_slot_ = overflow_.front().when >> kGranShift;
+    const std::int64_t far = overflow_.front().when >> kGranShift;
+    if (far > limit) return false;
+    active_slot_ = far;
     drain_overflow();
     if (!active_.empty()) return true;
     // drain_overflow may have landed everything in later ring slots.
@@ -182,12 +185,32 @@ bool Simulator::cancel(EventId id) {
   ++stale_;
   rc.thunk(rc, /*run=*/false);
   free_rec(idx);
+  if (stale_ > kPurgeFloor && stale_ * 2 > size_ && !scrapping_) purge_stale();
   return true;
+}
+
+void Simulator::purge_stale() {
+  auto stale = [this](const Ref& r) { return rec(r.rec).gen != r.gen; };
+  std::size_t dropped = std::erase_if(active_, stale);
+  std::make_heap(active_.begin(), active_.end(), RefLater{});
+  dropped += std::erase_if(overflow_, stale);
+  std::make_heap(overflow_.begin(), overflow_.end(), RefLater{});
+  for (std::size_t ri = 0; ri < kSlots; ++ri) {
+    std::vector<Ref>& bucket = ring_[ri];
+    if (bucket.empty()) continue;
+    const std::size_t n = std::erase_if(bucket, stale);
+    ring_count_ -= n;
+    dropped += n;
+    if (bucket.empty()) clear_occ(ri);
+  }
+  assert(dropped == stale_);
+  size_ -= dropped;
+  stale_ = 0;
 }
 
 std::size_t Simulator::run() {
   std::size_t n = 0;
-  while (refill()) {
+  while (refill(kNoLimit)) {
     dispatch_ref(pop_active());
     ++n;
   }
@@ -196,7 +219,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
-  while (refill() && active_.front().when <= deadline.ns()) {
+  while (refill(deadline.ns() >> kGranShift) && active_.front().when <= deadline.ns()) {
     dispatch_ref(pop_active());
     ++n;
   }

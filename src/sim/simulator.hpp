@@ -17,8 +17,11 @@
 // with the record's generation, which is odd while the event is pending and
 // bumped when it is cancelled or starts running.  cancel() destroys the
 // callable and frees the record at once; the queued reference goes stale
-// and dispatch skips it after comparing one integer.  Byte-identical replay
-// is pinned by golden digests in tests/determinism_test.cpp.
+// and dispatch skips it after comparing one integer.  Stale references
+// are also swept out in bulk once they outnumber the live ones (and a
+// floor), so cancelled far timers do not sit in the queue until their
+// original deadline.  Byte-identical replay is pinned by golden digests in
+// tests/determinism_test.cpp.
 #pragma once
 
 #include <array>
@@ -103,7 +106,8 @@ class Simulator {
   [[nodiscard]] bool scheduled(EventId id) const noexcept;
 
   /// Run events until the queue empties.  Returns the number of queue
-  /// entries popped (cancelled ones included).
+  /// entries popped: every dispatched event, plus the cancelled ones a
+  /// purge had not already swept out of the queue.
   std::size_t run();
 
   /// Run events with timestamp <= deadline; the clock ends at `deadline`
@@ -135,6 +139,9 @@ class Simulator {
   static constexpr std::size_t kSlotMask = kSlots - 1;
   static constexpr std::uint32_t kChunkShift = 9;  ///< 512 records per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  /// Stale references tolerated before a purge, whatever the queue size.
+  static constexpr std::size_t kPurgeFloor = 4096;
+  static constexpr std::int64_t kNoLimit = INT64_MAX;
 
   /// Type-erased event record.  Callables whose capture fits kSboBytes are
   /// stored inline; larger ones spill to a single heap allocation whose
@@ -196,11 +203,18 @@ class Simulator {
   std::uint32_t alloc_rec();
   void free_rec(std::uint32_t idx) { free_list_.push_back(idx); }
   EventId insert_ref(SimTime when, SimTime armed, std::uint32_t idx);
-  bool refill();               ///< make active_ non-empty if any event exists
+  /// Make active_ non-empty if an event due in a slot <= `limit` exists.
+  /// The window never advances past `limit`, so events scheduled after a
+  /// run_until() that stopped short of a far event still land in the ring.
+  bool refill(std::int64_t limit);
   void activate_slot(std::int64_t abs_slot);
   void drain_overflow();       ///< pull overflow events now inside the window
   Ref pop_active();
   void dispatch_ref(const Ref& r);
+  /// Drop every stale reference from the active heap, the ring and the
+  /// overflow heap.  Amortised O(1) per cancel(): it runs only once stale
+  /// references make up half the queue.
+  void purge_stale();
   void set_occ(std::size_t ring_idx) noexcept { occ_[ring_idx >> 6] |= 1ull << (ring_idx & 63); }
   void clear_occ(std::size_t ring_idx) noexcept {
     occ_[ring_idx >> 6] &= ~(1ull << (ring_idx & 63));
@@ -208,6 +222,7 @@ class Simulator {
 
   SimTime now_{};
   bool dispatching_ = false;
+  bool scrapping_ = false;  ///< ~Simulator is walking the queue
   std::uint64_t next_seq_ = 0;
   std::size_t peak_pending_ = 0;
 

@@ -122,8 +122,7 @@ void TcpLayer::emit(Conn& c, Flags flags, std::uint32_t seq,
   if (flags.ack) s.ack = c.rcv_nxt;
   s.window = static_cast<std::uint16_t>(cfg_.window_bytes / 1024);
   util::Writer w = write_header(s, n);
-  const auto from = c.send_buf.begin() + static_cast<long>(offset);
-  w.bytes(from, from + static_cast<long>(n));
+  w.bytes(util::BytesView(c.send_buf).subspan(c.send_head + offset, n));
   ++segments_sent_;
   (void)node_.send(c.tuple.peer, ip::IpProto::tcp, w.take());
 }
@@ -226,15 +225,15 @@ void TcpLayer::pump(Conn& c) {
   const std::size_t in_flight = c.snd_nxt - c.snd_una - (c.fin_sent ? 1 : 0);
   std::size_t offset = in_flight;
   bool sent_any = false;
-  while (offset < c.send_buf.size() &&
-         (c.snd_nxt - c.snd_una) < cfg_.window_bytes) {
-    const std::size_t n = std::min(kMss, c.send_buf.size() - offset);
+  const std::size_t queued = c.send_buf.size() - c.send_head;
+  while (offset < queued && (c.snd_nxt - c.snd_una) < cfg_.window_bytes) {
+    const std::size_t n = std::min(kMss, queued - offset);
     emit(c, Flags{.ack = true}, c.snd_nxt, offset, n);
     c.snd_nxt += static_cast<std::uint32_t>(n);
     offset += n;
     sent_any = true;
   }
-  if (c.fin_queued && !c.fin_sent && offset == c.send_buf.size()) {
+  if (c.fin_queued && !c.fin_sent && offset == queued) {
     c.fin_seq = c.snd_nxt;
     emit(c, Flags{.ack = true, .fin = true}, c.snd_nxt);
     c.snd_nxt += 1;
@@ -417,9 +416,18 @@ void TcpLayer::handle_for_conn(Conn& c, Segment& s, ip::IpAddress src) {
       data_acked -= 1;
       fin_acked = true;
     }
-    assert(data_acked <= c.send_buf.size());
-    c.send_buf.erase(c.send_buf.begin(),
-                     c.send_buf.begin() + static_cast<long>(data_acked));
+    assert(data_acked <= c.send_buf.size() - c.send_head);
+    c.send_head += data_acked;
+    if (c.send_head == c.send_buf.size()) {
+      c.send_buf.clear();
+      c.send_head = 0;
+    } else if (c.send_head * 2 > c.send_buf.size()) {
+      // Compact once the head passes the middle: each byte moves at most
+      // as often as it is acked, so acks stay amortised O(1) per byte.
+      c.send_buf.erase(c.send_buf.begin(),
+                       c.send_buf.begin() + static_cast<long>(c.send_head));
+      c.send_head = 0;
+    }
     c.snd_una = s.ack;
     c.retransmit_count = 0;
     if (c.snd_una == c.snd_nxt) {

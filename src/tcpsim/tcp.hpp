@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -122,7 +121,11 @@ class TcpLayer {
     // Send side.
     std::uint32_t snd_una = 0;  ///< oldest unacked seq
     std::uint32_t snd_nxt = 0;  ///< next seq to use
-    std::deque<std::uint8_t> send_buf;  ///< bytes from snd_una onward (incl. in-flight)
+    /// send_buf[send_head, end) are the bytes from snd_una onward
+    /// (in-flight included).  Acked bytes are dropped by advancing
+    /// send_head; the buffer is compacted once the head passes its middle.
+    util::Buffer send_buf;
+    std::size_t send_head = 0;
     bool fin_queued = false;    ///< FIN follows the send buffer
     bool fin_sent = false;
     std::uint32_t fin_seq = 0;
@@ -145,8 +148,8 @@ class TcpLayer {
   /// May take `s.payload` (in-order data goes up to the receive handler).
   void handle_for_conn(Conn& c, Segment& s, ip::IpAddress src);
   void handle_listen(std::uint16_t port, const Segment& s, ip::IpAddress src);
-  /// Send one segment whose payload is send_buf[offset, offset + n),
-  /// written straight into its wire buffer.
+  /// Send one segment whose payload is the `n` unacked bytes starting
+  /// `offset` past snd_una, written straight into its wire buffer.
   void emit(Conn& c, Flags flags, std::uint32_t seq, std::size_t offset = 0,
             std::size_t n = 0);
   void send_rst(ip::IpAddress dst, std::uint16_t dst_port,

@@ -72,11 +72,6 @@ class Writer {
   }
   /// Raw bytes, no length prefix.
   void bytes(BytesView v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
-  /// Raw bytes from any byte range (e.g. a span of a deque).
-  template <typename It>
-  void bytes(It first, It last) {
-    buf_.insert(buf_.end(), first, last);
-  }
   /// Length-prefixed (u16) byte string.  The caller rejects longer input
   /// where it enters the system; a longer one here is a bug.
   void lp_bytes(BytesView v) {

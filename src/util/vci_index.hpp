@@ -19,12 +19,17 @@
 // operator[], for_each and keys (both ascending).  Any mutation may rebuild
 // a subtree and move its values, so a V* or V& is void after the next
 // insert or erase.
+//
+// Only leaves hold a value; an internal node holds its counters and a
+// `1 << bits` child array, so the trie's footprint is the live values plus
+// a few words per node.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -47,9 +52,9 @@ class VciIndex {
   [[nodiscard]] V* find(K key) noexcept {
     Node* n = root_.get();
     while (n != nullptr && n->bits != 0) {
-      n = n->kids[child_index(n, key)].get();
+      n = inner(n)->kids[child_index(n, key)].get();
     }
-    return (n != nullptr && n->key == key) ? &*n->value : nullptr;
+    return (n != nullptr && n->key == key) ? &leaf(n)->value : nullptr;
   }
   [[nodiscard]] const V* find(K key) const noexcept {
     return const_cast<VciIndex*>(this)->find(key);
@@ -62,7 +67,7 @@ class VciIndex {
   /// key already exists.
   bool emplace(K key, V value) {
     path_.clear();
-    std::unique_ptr<Node>* slot = &root_;
+    NodePtr* slot = &root_;
     for (;;) {
       Node* n = slot->get();
       if (n == nullptr) {
@@ -80,12 +85,13 @@ class VciIndex {
         break;
       }
       path_.push_back(slot);
-      slot = &n->kids[child_index(n, key)];
+      slot = &inner(n)->kids[child_index(n, key)];
     }
     ++size_;
-    for (std::unique_ptr<Node>* s : path_) {
-      ++(*s)->count;
-      ++(*s)->churn;
+    for (NodePtr* s : path_) {
+      Inner* in = inner(s->get());
+      ++in->count;
+      ++in->churn;
     }
     maybe_rebuild();
     return true;
@@ -108,7 +114,7 @@ class VciIndex {
 
   bool erase(K key) {
     path_.clear();
-    std::unique_ptr<Node>* slot = &root_;
+    NodePtr* slot = &root_;
     for (;;) {
       Node* n = slot->get();
       if (n == nullptr) return false;
@@ -120,23 +126,23 @@ class VciIndex {
       const unsigned top = unsigned(n->shift) + n->bits;
       if (top < 64 && (u64(n->key) >> top) != (u64(key) >> top)) return false;
       path_.push_back(slot);
-      slot = &n->kids[child_index(n, key)];
+      slot = &inner(n)->kids[child_index(n, key)];
     }
     --size_;
     // Bottom-up: fix counts, drop emptied nodes, path-compress nodes left
     // with one live child.  Deeper path entries are processed first, so the
     // hoist below never invalidates a slot still to be visited.
     for (std::size_t i = path_.size(); i-- > 0;) {
-      Node* n = path_[i]->get();
+      Inner* n = inner(path_[i]->get());
       --n->count;
       ++n->churn;
       if (n->count == 0) {
         path_[i]->reset();
         continue;
       }
-      std::unique_ptr<Node>* only = nullptr;
+      NodePtr* only = nullptr;
       int live = 0;
-      for (std::unique_ptr<Node>& kid : n->kids) {
+      for (NodePtr& kid : children(n)) {
         if (kid) {
           ++live;
           only = &kid;
@@ -144,7 +150,7 @@ class VciIndex {
       }
       if (live == 1) *path_[i] = std::move(*only);
     }
-    if (root_ && root_->bits != 0 && needs_rebuild(root_.get())) {
+    if (root_ && root_->bits != 0 && needs_rebuild(inner(root_.get()))) {
       rebuild(&root_);
     }
     return true;
@@ -177,15 +183,44 @@ class VciIndex {
   /// Widest branch factor a rebuild may choose (2^6 = 64 children).
   static constexpr unsigned kMaxBits = 6;
 
-  struct Node {
-    K key{};                  ///< leaf key; any subtree key for internals
-    std::uint8_t shift = 0;   ///< first key bit this node's index consumes
-    std::uint8_t bits = 0;    ///< index width; 0 = leaf
-    std::uint32_t count = 1;  ///< live leaves under (and including) this node
-    std::uint32_t churn = 0;  ///< mutations since this node was (re)built
-    std::optional<V> value;   ///< engaged iff leaf
-    std::vector<std::unique_ptr<Node>> kids;  ///< size 1<<bits for internals
+  struct Node;
+  /// Frees a leaf or an internal node (and its subtree) by its kind.
+  struct NodeDelete {
+    void operator()(Node* n) const noexcept {
+      if (n->bits == 0) {
+        delete static_cast<Leaf*>(n);
+      } else {
+        delete static_cast<Inner*>(n);
+      }
+    }
   };
+  using NodePtr = std::unique_ptr<Node, NodeDelete>;
+
+  /// What leaves and internal nodes share; `bits` tells them apart.
+  struct Node {
+    K key{};                 ///< leaf key; any subtree key for internals
+    std::uint8_t shift = 0;  ///< first key bit this node's index consumes
+    std::uint8_t bits = 0;   ///< index width; 0 = leaf
+  };
+  /// Only leaves hold a value.
+  struct Leaf : Node {
+    V value;
+  };
+  struct Inner : Node {
+    std::uint32_t count = 0;          ///< live leaves under this node
+    std::uint32_t churn = 0;          ///< mutations since (re)built
+    std::unique_ptr<NodePtr[]> kids;  ///< 1 << bits children
+  };
+
+  static Inner* inner(Node* n) noexcept { return static_cast<Inner*>(n); }
+  static Leaf* leaf(Node* n) noexcept { return static_cast<Leaf*>(n); }
+  static std::span<NodePtr> children(Inner* n) noexcept {
+    return {n->kids.get(), std::size_t{1} << n->bits};
+  }
+  /// Live leaves under (and including) `n`.
+  static std::uint32_t count_of(Node* n) noexcept {
+    return n->bits == 0 ? 1 : inner(n)->count;
+  }
 
   static std::uint64_t u64(K k) noexcept {
     return static_cast<std::uint64_t>(k);
@@ -198,68 +233,67 @@ class VciIndex {
     return 63 - std::countl_zero(a ^ b);
   }
 
-  static std::unique_ptr<Node> make_leaf(K key, V value) {
-    auto n = std::make_unique<Node>();
-    n->key = key;
-    n->value.emplace(std::move(value));
-    return n;
+  static NodePtr make_leaf(K key, V value) {
+    return NodePtr(new Leaf{{key}, std::move(value)});
+  }
+  static NodePtr make_inner(K key, unsigned shift, unsigned bits,
+                            std::uint32_t count, std::uint32_t churn) {
+    return NodePtr(new Inner{
+        {key, static_cast<std::uint8_t>(shift), static_cast<std::uint8_t>(bits)},
+        count,
+        churn,
+        std::make_unique<NodePtr[]>(std::size_t{1} << bits)});
   }
 
   /// Replace *slot with a 1-bit internal at the highest bit where `key`
   /// diverges from the subtree's keys, holding the old subtree on one side
   /// and a new leaf on the other.
-  void split(std::unique_ptr<Node>* slot, K key, V value) {
-    std::unique_ptr<Node> old = std::move(*slot);
+  void split(NodePtr* slot, K key, V value) {
+    NodePtr old = std::move(*slot);
     const int p = top_diff_bit(u64(old->key), u64(key));
-    auto mid = std::make_unique<Node>();
-    mid->key = old->key;
-    mid->shift = static_cast<std::uint8_t>(p);
-    mid->bits = 1;
-    mid->count = old->count + 1;
-    mid->churn = 1;
-    mid->kids.resize(2);
+    NodePtr mid = make_inner(old->key, static_cast<unsigned>(p), 1,
+                             count_of(old.get()) + 1, 1);
     const std::size_t side = (u64(key) >> p) & 1u;
-    mid->kids[side] = make_leaf(key, std::move(value));
-    mid->kids[side ^ 1u] = std::move(old);
+    inner(mid.get())->kids[side] = make_leaf(key, std::move(value));
+    inner(mid.get())->kids[side ^ 1u] = std::move(old);
     *slot = std::move(mid);
   }
 
-  static bool needs_rebuild(const Node* n) noexcept {
+  static bool needs_rebuild(const Inner* n) noexcept {
     return n->churn > std::max<std::uint32_t>(16, n->count);
   }
 
   /// After an insert: rebuild the topmost over-churned ancestor (halving/
   /// doubling happens inside the rebuild's density-chosen branch factors).
   void maybe_rebuild() {
-    for (std::unique_ptr<Node>* s : path_) {
-      if (needs_rebuild(s->get())) {
+    for (NodePtr* s : path_) {
+      if (needs_rebuild(inner(s->get()))) {
         rebuild(s);
         return;
       }
     }
   }
 
-  void rebuild(std::unique_ptr<Node>* slot) {
-    scratch_.clear();
+  void rebuild(NodePtr* slot) {
     collect(*slot, scratch_);
     *slot = build(0, scratch_.size());
+    scratch_.clear();  // the moved-from values go with the old subtree
   }
 
-  static void collect(std::unique_ptr<Node>& n,
-                      std::vector<std::pair<K, V>>& out) {
+  static void collect(NodePtr& n, std::vector<std::pair<K, V>>& out) {
     if (!n) return;
     if (n->bits == 0) {
-      out.emplace_back(n->key, std::move(*n->value));
+      out.emplace_back(n->key, std::move(leaf(n.get())->value));
       return;
     }
-    for (std::unique_ptr<Node>& kid : n->kids) collect(kid, out);
+    for (NodePtr& kid : children(inner(n.get()))) collect(kid, out);
   }
 
   /// Build an optimal subtree over scratch_[lo, hi) (sorted, non-empty):
   /// pick the widest branch factor whose slots would be at least half
   /// occupied (the LPC-trie doubling condition), else fall back to a plain
   /// binary split at the highest differing bit.
-  std::unique_ptr<Node> build(std::size_t lo, std::size_t hi) {
+  NodePtr build(std::size_t lo, std::size_t hi) {
     if (hi - lo == 1) {
       return make_leaf(scratch_[lo].first, std::move(scratch_[lo].second));
     }
@@ -283,12 +317,8 @@ class VciIndex {
         break;
       }
     }
-    auto n = std::make_unique<Node>();
-    n->key = scratch_[lo].first;
-    n->shift = static_cast<std::uint8_t>(shift);
-    n->bits = static_cast<std::uint8_t>(bits);
-    n->count = static_cast<std::uint32_t>(hi - lo);
-    n->kids.resize(std::size_t{1} << bits);
+    NodePtr n = make_inner(scratch_[lo].first, shift, bits,
+                           static_cast<std::uint32_t>(hi - lo), 0);
     std::size_t start = lo;
     while (start < hi) {
       const std::size_t idx =
@@ -299,7 +329,7 @@ class VciIndex {
                           ((std::size_t{1} << bits) - 1)) == idx) {
         ++end;
       }
-      n->kids[idx] = build(start, end);
+      inner(n.get())->kids[idx] = build(start, end);
       start = end;
     }
     return n;
@@ -309,28 +339,28 @@ class VciIndex {
   static void walk(Node* n, Fn& fn) {
     if (n == nullptr) return;
     if (n->bits == 0) {
-      fn(static_cast<const K&>(n->key), *n->value);
+      fn(static_cast<const K&>(n->key), leaf(n)->value);
       return;
     }
-    for (std::unique_ptr<Node>& kid : n->kids) walk(kid.get(), fn);
+    for (NodePtr& kid : children(inner(n))) walk(kid.get(), fn);
   }
   template <typename Fn>
-  static void cwalk(const Node* n, Fn& fn) {
+  static void cwalk(Node* n, Fn& fn) {
     if (n == nullptr) return;
     if (n->bits == 0) {
-      fn(static_cast<const K&>(n->key),
-         static_cast<const V&>(*n->value));
+      fn(static_cast<const K&>(n->key), static_cast<const V&>(leaf(n)->value));
       return;
     }
-    for (const std::unique_ptr<Node>& kid : n->kids) cwalk(kid.get(), fn);
+    for (NodePtr& kid : children(inner(n))) cwalk(kid.get(), fn);
   }
 
-  std::unique_ptr<Node> root_;
+  NodePtr root_;
   std::size_t size_ = 0;
   /// Ancestor slots of the last walk (insert/erase bookkeeping); member to
   /// avoid per-call allocation on the hot path.
-  std::vector<std::unique_ptr<Node>*> path_;
-  std::vector<std::pair<K, V>> scratch_;  ///< rebuild staging
+  std::vector<NodePtr*> path_;
+  /// Rebuild staging; empty between rebuilds, so it holds no values.
+  std::vector<std::pair<K, V>> scratch_;
 };
 
 }  // namespace xunet::util

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "kern/kernel.hpp"
+#include "util/alloc_hook.hpp"
 
 namespace xunet::kern {
 namespace {
@@ -225,6 +226,44 @@ TEST_F(KernelFixture, DisconnectCallbacksFireInSocketCreationOrder) {
   for (int i = 0; i < kSocks; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST_F(KernelFixture, VciTeardownDisconnectsOnlyThatVcisSockets) {
+  // The VCI index: a teardown reaches the bound and the connected socket
+  // on its VCI, in creation order, and no socket on another VCI.
+  std::vector<std::string> order;
+  auto open = [&](const std::string& name, atm::Vci vci, bool bind) {
+    Pid p = k->spawn(name);
+    auto fd = k->xunet_socket(p);
+    EXPECT_TRUE(fd.ok());
+    EXPECT_TRUE((bind ? k->xunet_bind(p, *fd, vci, 1) : k->xunet_connect(p, *fd, vci, 1)).ok());
+    EXPECT_TRUE(k->xunet_on_disconnect(p, *fd, [&order, name] { order.push_back(name); }).ok());
+    return std::pair{p, *fd};
+  };
+  auto [pa, fa] = open("bound70", 70, true);
+  auto [pb, fb] = open("other71", 71, true);
+  auto [pc, fc] = open("connected70", 70, false);
+  auto [pd, fd] = open("connected72", 72, false);
+  k->mark_vci_disconnected(70);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"bound70", "connected70"}));
+  EXPECT_FALSE(k->xunet_usable(pa, fa));
+  EXPECT_FALSE(k->xunet_usable(pc, fc));
+  EXPECT_TRUE(k->xunet_usable(pb, fb));
+  EXPECT_TRUE(k->xunet_usable(pd, fd));
+  // VCI 70 is free for a new call while the dead sockets linger; 71 is
+  // still taken until its socket closes.
+  Pid q = k->spawn("rebind");
+  auto f70 = k->xunet_socket(q);
+  EXPECT_TRUE(k->xunet_bind(q, *f70, 70, 2).ok());
+  auto f71 = k->xunet_socket(q);
+  EXPECT_EQ(k->xunet_bind(q, *f71, 71, 2).error(), util::Errc::address_in_use);
+  ASSERT_TRUE(k->close(pb, fb).ok());
+  EXPECT_TRUE(k->xunet_bind(q, *f71, 71, 2).ok());
+  k->mark_vci_disconnected(72);
+  sim.run();
+  EXPECT_EQ(order.back(), "connected72");
+  EXPECT_TRUE(k->xunet_usable(q, *f70));
+}
+
 TEST_F(KernelFixture, CloseOfActiveSocketPostsTermination) {
   Pid p = k->spawn("app");
   auto fd = k->xunet_socket(p);
@@ -380,6 +419,40 @@ TEST_F(TwoKernelFixture, TcpConnectAcceptSendReceive) {
   ASSERT_TRUE(ka->tcp_send(client, *cfd, util::to_buffer(std::string_view("rpc"))).ok());
   sim.run_for(sim::milliseconds(100));
   EXPECT_EQ(got, "rpc");
+}
+
+TEST_F(TwoKernelFixture, IdleConnectionAndBoundSocketHoldNoQueueStorage) {
+  // A held call keeps an idle TCP connection and a bound PF_XUNET socket
+  // per end; neither may carry queue storage before data is queued.  On
+  // warm tables, opening one more connection (both ends, handshake
+  // included) and binding one socket costs the records, index nodes,
+  // handlers and segments alone.  An eagerly built std::deque adds two
+  // allocations (its map and first node) per TCP end and per socket.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "sanitizer builds replace the allocator";
+#endif
+  if (!util::alloc_hook_installed()) {
+    GTEST_SKIP() << "alloc hook not linked into this binary";
+  }
+  Pid server = kb->spawn("server");
+  Pid client = ka->spawn("client");
+  int accepted = 0;
+  ASSERT_TRUE(kb->tcp_listen(server, 80, [&](int) { ++accepted; }).ok());
+  auto open_idle = [&] {
+    ASSERT_TRUE(ka->tcp_connect(client, kb->ip_node().address(), 80,
+                                [](util::Result<int> r) { ASSERT_TRUE(r.ok()); })
+                    .ok());
+    sim.run_for(sim::milliseconds(100));
+  };
+  open_idle();  // warm: fd tables, hash buckets and the event pool grow
+  const std::uint64_t before = util::alloc_count();
+  open_idle();
+  auto fd = ka->xunet_socket(client);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(ka->xunet_bind(client, *fd, 70, 1).ok());
+  const std::uint64_t allocs = util::alloc_count() - before;
+  EXPECT_EQ(accepted, 2);
+  EXPECT_LE(allocs, 38u);
 }
 
 TEST_F(TwoKernelFixture, ClosedTcpFdLingersInTimeWaitFor2Msl) {

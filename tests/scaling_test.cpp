@@ -291,6 +291,54 @@ TEST(Scaling, VciIndexMatchesMapUnderRandomizedChurn) {
   }
 }
 
+/// A value that counts its live instances, moved-from shells included:
+/// every V the index keeps alive shows up in `live`.
+struct Counted {
+  static inline long live = 0;
+  int v = 0;
+  Counted() { ++live; }
+  explicit Counted(int x) : v(x) { ++live; }
+  Counted(const Counted& o) : v(o.v) { ++live; }
+  Counted(Counted&& o) noexcept : v(o.v) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) noexcept = default;
+  ~Counted() { --live; }
+};
+
+TEST(Scaling, VciIndexHoldsExactlyOneValuePerKey) {
+  // Only leaves hold values, and a rebuild leaves no staged copies
+  // behind: through churn heavy enough to rebuild subtrees and the root,
+  // the live values are exactly size(), and clear() leaves none.
+  util::Rng rng(0xBEEF);
+  {
+    util::VciIndex<std::uint32_t, Counted> idx;
+    for (int step = 0; step < 50'000; ++step) {
+      const auto key = static_cast<std::uint32_t>(rng.below(1u << 14));
+      switch (rng.below(4)) {
+        case 0:
+          (void)idx.emplace(key, Counted(step));
+          break;
+        case 1:
+          (void)idx.insert(key, Counted(step));
+          break;
+        case 2:
+          (void)idx.erase(key);
+          break;
+        default:
+          idx[key].v = step;
+          break;
+      }
+      ASSERT_EQ(Counted::live, static_cast<long>(idx.size())) << "step " << step;
+    }
+    EXPECT_GT(idx.size(), 1000u);
+    idx.clear();
+    EXPECT_EQ(Counted::live, 0);
+    for (std::uint32_t k = 0; k < 5'000; ++k) (void)idx.emplace(k * 7, Counted(1));
+    EXPECT_EQ(Counted::live, 5'000);
+  }
+  EXPECT_EQ(Counted::live, 0);
+}
+
 TEST(Scaling, ShardOwnershipIsStableAcrossRestart) {
   // Two shards per router: every switched VCI must live on the shard that
   // owns its residue class, and a machine-wide crash/restart (both shards)

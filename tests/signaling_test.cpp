@@ -7,6 +7,8 @@
 #include "signaling/cookie.hpp"
 #include "signaling/messages.hpp"
 #include "signaling/stub_proto.hpp"
+#include "userlib/userlib.hpp"
+#include "util/rng.hpp"
 
 namespace xunet::sig {
 namespace {
@@ -259,6 +261,118 @@ TEST_F(SighostFixture, CancelWithdrawsOutstandingRequest) {
   EXPECT_EQ(*err, util::Errc::cancelled);
   EXPECT_EQ(sh(0).stats().cancels, 1u);
   EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
+}
+
+TEST_F(SighostFixture, CancelReachesOnlyItsOwnRequest) {
+  // Five requests outstanding at once; CANCEL_REQ by cookie withdraws
+  // exactly the two it names, the others fail on their own (no server).
+  core::CallClient client(*tb->router(0).kernel,
+                          tb->router(0).kernel->ip_node().address());
+  std::vector<std::optional<util::Errc>> err(5);
+  for (std::size_t i = 0; i < err.size(); ++i) {
+    client.lib().open_connection(
+        "berkeley.rt", "slow-svc", "", "",
+        [&err, i](util::Result<app::OpenResult> r) { err[i] = r.error(); },
+        [&client, i](util::Result<Cookie> c) {
+          if (c.ok() && (i == 2 || i == 4)) client.lib().cancel_request(*c);
+        });
+  }
+  tb->sim().run_for(sim::seconds(2));
+  for (std::size_t i = 0; i < err.size(); ++i) {
+    ASSERT_TRUE(err[i].has_value()) << i;
+    EXPECT_EQ(*err[i], (i == 2 || i == 4) ? util::Errc::cancelled : util::Errc::not_found)
+        << i;
+  }
+  EXPECT_EQ(sh(0).stats().cancels, 2u);
+  EXPECT_EQ(sh(0).outgoing_requests_size(), 0u);
+  EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
+}
+
+TEST_F(SighostFixture, ConcurrentIncomingCallsDecidedOutOfOrder) {
+  // Many calls wait at the callee at once, each on its own per-call server
+  // connection.  The server decides them in a shuffled order, accepting
+  // two in three and rejecting the rest: every ACCEPT_CONN / REJECT_CONN
+  // must settle its own call and no other.
+  constexpr std::size_t kCalls = 30;
+  core::TestbedConfig cfg;
+  cfg.kernel.fd_table_size = 128;  // one descriptor per establishing call
+  tb = cfg.build_deferred();
+  ASSERT_TRUE(tb->bring_up().ok());
+  kern::Kernel& k0 = *tb->router(0).kernel;
+  kern::Kernel& k1 = *tb->router(1).kernel;
+  kern::Pid spid = k1.spawn("decider");
+  app::UserLib server(k1, spid, k1.ip_node().address());
+  std::vector<app::IncomingRequest> waiting;
+  std::function<void()> await = [&] {
+    server.await_service_request([&](util::Result<app::IncomingRequest> r) {
+      if (!r) return;
+      waiting.push_back(*r);
+      await();
+    });
+  };
+  server.export_service("decide", 4110, [](util::Result<void>) {});
+  await();
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid cpid = k0.spawn("caller");
+  app::UserLib client(k0, cpid, k0.ip_node().address());
+  auto accepts = [](std::size_t i) { return i % 3 != 0; };
+  std::vector<std::optional<util::Errc>> outcome(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    client.open_connection("berkeley.rt", "decide", std::to_string(i), "",
+                           [&, i](util::Result<app::OpenResult> r) {
+                             if (r.ok()) {
+                               EXPECT_TRUE(client.connect_data_socket(*r).ok());
+                             }
+                             outcome[i] = r.ok() ? util::Errc::ok : r.error();
+                           });
+  }
+  // Each setup pays the §9 maintenance-log cost in turn.
+  for (int i = 0; i < 100 && waiting.size() < kCalls; ++i) {
+    tb->sim().run_for(sim::milliseconds(100));
+  }
+  ASSERT_EQ(waiting.size(), kCalls);
+  EXPECT_EQ(sh(1).incoming_requests_size(), kCalls);
+
+  util::Rng rng(1994);
+  for (std::size_t i = waiting.size(); i > 1; --i) {
+    std::swap(waiting[i - 1], waiting[rng.below(i)]);
+  }
+  std::size_t bound = 0;
+  for (const app::IncomingRequest& req : waiting) {
+    const std::size_t i = std::stoul(req.comment);
+    if (accepts(i)) {
+      server.accept_connection(req, req.qos, [&](util::Result<app::OpenResult> r) {
+        ASSERT_TRUE(r.ok());
+        EXPECT_TRUE(server.bind_data_socket(*r).ok());
+        ++bound;
+      });
+    } else {
+      server.reject_connection(req);
+    }
+    tb->sim().run_for(sim::milliseconds(20));
+  }
+  for (int i = 0; i < 100 && std::count(outcome.begin(), outcome.end(), std::nullopt) > 0; ++i) {
+    tb->sim().run_for(sim::milliseconds(100));
+  }
+  tb->sim().run_for(sim::seconds(1));
+
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(outcome[i].has_value()) << "call " << i;
+    if (accepts(i)) {
+      ++accepted;
+      EXPECT_EQ(*outcome[i], util::Errc::ok) << "call " << i;
+    } else {
+      EXPECT_EQ(*outcome[i], util::Errc::rejected) << "call " << i;
+    }
+  }
+  EXPECT_EQ(bound, accepted);
+  EXPECT_EQ(sh(1).stats().rejects_sent, kCalls - accepted);
+  EXPECT_EQ(sh(0).outgoing_requests_size(), 0u);
+  EXPECT_EQ(sh(1).incoming_requests_size(), 0u);
+  EXPECT_EQ(sh(0).vci_mapping_size(), accepted);
+  EXPECT_EQ(sh(1).vci_mapping_size(), accepted);
 }
 
 TEST_F(SighostFixture, WrongCookieOnBindTearsCallDown) {

@@ -1,6 +1,7 @@
 // sim_test.cpp — unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -284,6 +285,108 @@ TEST(Simulator, ScheduledIsFalseForStaleIdOfReusedRecord) {
   EXPECT_FALSE(sim.scheduled(old_id));
   EXPECT_FALSE(sim.cancel(old_id));
   EXPECT_TRUE(sim.scheduled(new_id));
+}
+
+// ------------------------------------------------ queue hygiene at scale
+
+TEST(Simulator, CancelledFarTimersArePurgedInsteadOfPopped) {
+  // 10^5 watchdogs armed 30 s out and cancelled at once, as a held call's
+  // request timers are.  The stale references must not wait in the queue
+  // for their deadline: run() pops O(live) entries, not 10^5.
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule(seconds(30) + microseconds(i), [&fired, i] { fired.push_back(i); });
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    EventId id = sim.schedule(seconds(30) + microseconds(i % 1000), [] {});
+    ASSERT_TRUE(sim.cancel(id));
+  }
+  EXPECT_EQ(sim.pending(), 10u);
+  const std::size_t popped = sim.run();
+  // What stays queued is bounded by a constant floor, not by the cancels.
+  EXPECT_LT(popped, 10'000u);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, PurgeDuringDispatchKeepsOrderAndPendingExact) {
+  // One event cancels most of a large near/far mix while it runs; the
+  // survivors still run in (time, insertion) order.
+  Simulator sim;
+  std::vector<EventId> ids;
+  std::vector<int> order;
+  for (int i = 0; i < 20'000; ++i) {
+    const SimDuration at = (i % 2 == 0) ? microseconds(10 + i % 700) : seconds(5 + i % 3);
+    ids.push_back(sim.schedule(at, [&order, i] { order.push_back(i); }));
+  }
+  sim.schedule(microseconds(1), [&] {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (i % 7 != 0) {
+        EXPECT_TRUE(sim.cancel(ids[i]));
+      }
+    }
+  });
+  sim.run();
+  std::vector<int> want;
+  for (int i = 0; i < 20'000; i += 7) want.push_back(i);
+  std::stable_sort(want.begin(), want.end(), [](int a, int b) {
+    auto t = [](int i) { return (i % 2 == 0) ? 10'000 + (i % 700) * 1000 : 5'000'000'000LL + (i % 3) * 1'000'000'000LL; };
+    return t(a) < t(b);
+  });
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, DestructionWithCancellingDestructorsNeverPurges) {
+  // ~Simulator scraps pending callables while walking the queue; a
+  // destructor that cancels other events there must not set off a purge
+  // that reshuffles the queue under the walk.  4,000 cancelled fillers
+  // (just below the purge floor) plus the first ~100 cancels from
+  // destructors make stale references the majority early in the walk.
+  // Each callable dies exactly once.
+  int dtors = 0;
+  constexpr int kPairs = 2'000;
+  std::vector<EventId> victims(kPairs);  // outlive the Simulator
+  std::deque<bool> results(kPairs, true);
+  {
+    Simulator sim;
+    for (int i = 0; i < 4'000; ++i) {
+      ASSERT_TRUE(sim.cancel(sim.schedule(milliseconds(2), [] {})));
+    }
+    for (int i = 0; i < kPairs; ++i) {  // near: the ring, scrapped last
+      victims[i] = sim.schedule(milliseconds(1), [p = DtorProbe(&dtors)] {});
+    }
+    for (int i = 0; i < kPairs; ++i) {  // far: the overflow heap, scrapped first
+      DtorProbe probe(&dtors);
+      probe.sim = &sim;
+      probe.cancel_on_dtor = &victims[i];
+      probe.cancel_result = &results[i];
+      sim.schedule(seconds(10), [p = std::move(probe)] {});
+    }
+  }
+  EXPECT_EQ(dtors, 2 * kPairs);
+  EXPECT_EQ(std::count(results.begin(), results.end(), true), kPairs);
+}
+
+TEST(Simulator, RunUntilThatPeekedAFarEventKeepsLaterEventsInOrder) {
+  // run_until stops short of a far event; events scheduled afterwards, in
+  // scrambled order and with ties, still run in (time, insertion) order
+  // and before the far one.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(seconds(2), [&] { order.push_back(-1); });
+  sim.run_until(SimTime(1'000'000));  // 1 ms: only the far event is queued
+  EXPECT_EQ(sim.now(), SimTime(1'000'000));
+  const std::int64_t delays_us[] = {300, 5, 5000, 5, 70, 300, 1, 900'000, 70};
+  for (int i = 0; i < 9; ++i) {
+    sim.schedule(microseconds(delays_us[i]), [&order, i] { order.push_back(i); });
+  }
+  sim.run_until(SimTime(1'000'000) + microseconds(100));
+  EXPECT_EQ(order, (std::vector<int>{6, 1, 3, 4, 8}));
+  sim.schedule(microseconds(1), [&] { order.push_back(9); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{6, 1, 3, 4, 8, 9, 0, 5, 2, 7, -1}));
 }
 
 TEST(Timer, FiresOnce) {
