@@ -1,157 +1,67 @@
-// bench_micro_datapath — google-benchmark micro-benchmarks of this library's
-// hot paths: AAL5 segmentation/reassembly, CRC-32, the encapsulation header,
-// signaling message (de)serialization, and event-loop dispatch.  These are
-// wall-clock benchmarks of the reproduction itself (not simulated time);
-// they guard against performance regressions in the substrate.
-//
-// Work totals accumulate in an obs::MetricsRegistry and are dumped after the
-// google-benchmark report, so bench output shares one naming scheme
-// (bench.micro.<name>.*) with the simulation's own metrics.
-#include <benchmark/benchmark.h>
-
+// bench_micro_datapath — wall-clock cost of the datapath layers pathbench's
+// replay does not time (it covers CRC-32, AAL5, IP and signaling messages)
+// and the cell-transport run; writes BENCH_datapath.json and exits non-zero
+// when a round trip comes back wrong or the cell run loses cells.
 #include <chrono>
 #include <cstdio>
 
-#include "atm/aal5.hpp"
 #include "atm/link.hpp"
 #include "atm/switch.hpp"
 #include "bench_json.hpp"
-#include "ip/packet.hpp"
-#include "obs/metrics.hpp"
-#include "signaling/messages.hpp"
 #include "sim/simulator.hpp"
 #include "tcpsim/segment.hpp"
 #include "util/alloc_hook.hpp"
-#include "util/crc32.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace xunet;
 
-obs::MetricsRegistry& registry() {
-  static obs::MetricsRegistry mx;
-  return mx;
+/// Mean wall ns per call of `op` over `n` calls, after n/10 warm-up calls.
+template <class Op>
+double ns_per_call(int n, Op&& op) {
+  for (int i = 0; i < n / 10; ++i) op();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < n; ++i) op();
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0).count() / n;
 }
 
-// Record one benchmark's totals: iterations as a counter, per-size bytes
-// processed as a histogram sample (so the dump shows the size sweep).
-void record(const char* name, const benchmark::State& state,
-            std::int64_t bytes_per_iter = 0) {
-  std::string base = std::string("bench.micro.") + name;
-  registry().counter(base + ".iterations").inc(
-      static_cast<std::uint64_t>(state.iterations()));
-  if (bytes_per_iter > 0) {
-    registry().histogram(base + ".bytes_per_iter").observe(
-        static_cast<double>(bytes_per_iter));
-  }
-}
-
-util::Buffer random_payload(std::size_t n) {
-  util::Rng rng(n);
-  util::Buffer b(n);
-  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
-  return b;
-}
-
-void BM_Crc32(benchmark::State& state) {
-  auto data = random_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::crc32(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  record("crc32", state, state.range(0));
-}
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_Aal5Segment(benchmark::State& state) {
-  atm::Aal5Segmenter seg;
-  auto data = random_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto cells = seg.segment(42, data);
-    benchmark::DoNotOptimize(cells);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  record("aal5_segment", state, state.range(0));
-}
-BENCHMARK(BM_Aal5Segment)->Arg(48)->Arg(1024)->Arg(9180)->Arg(65535);
-
-void BM_Aal5RoundTrip(benchmark::State& state) {
-  atm::Aal5Segmenter seg;
-  std::size_t delivered = 0;
-  atm::Aal5Reassembler reasm([&](atm::Aal5Frame f) { delivered += f.payload.size(); });
-  auto data = random_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto cells = seg.segment(42, data);
-    for (const atm::Cell& c : *cells) reasm.cell_arrival(c);
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  record("aal5_round_trip", state, state.range(0));
-}
-BENCHMARK(BM_Aal5RoundTrip)->Arg(1024)->Arg(9180);
-
-void BM_IpSerializeParse(benchmark::State& state) {
-  ip::IpPacket p;
-  p.src = ip::make_ip(1, 2, 3, 4);
-  p.dst = ip::make_ip(5, 6, 7, 8);
-  p.payload = random_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto wire = ip::serialize(p);
-    auto back = ip::parse_ip_packet(wire);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  record("ip_serialize_parse", state, state.range(0));
-}
-BENCHMARK(BM_IpSerializeParse)->Arg(256)->Arg(4096);
-
-void BM_SignalingMsgRoundTrip(benchmark::State& state) {
-  sig::Msg m;
-  m.type = sig::MsgType::connect_req;
-  m.service = "file-service";
-  m.qos = "class=guaranteed,bw=1500000";
-  m.dst = "mh.rt";
-  for (auto _ : state) {
-    auto wire = sig::serialize(m);
-    auto back = sig::parse_msg(wire);
-    benchmark::DoNotOptimize(back);
-  }
-  record("signaling_msg_round_trip", state);
-}
-BENCHMARK(BM_SignalingMsgRoundTrip);
-
-void BM_TcpSegmentRoundTrip(benchmark::State& state) {
+/// Times a TCP segment round trip and sim dispatch; false if one goes wrong.
+bool time_layers(bench::JsonReport& rep) {
+  const int scale = bench::bench_short() ? 5 : 50;
+  constexpr std::size_t kTcpPayload = 1400;
   tcp::Segment s;
   s.seq = 12345;
   s.flags.ack = true;
-  s.payload = random_payload(1400);
-  for (auto _ : state) {
-    auto wire = tcp::serialize(s);
-    auto back = tcp::parse_segment(wire);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetBytesProcessed(state.iterations() * 1400);
-  record("tcp_segment_round_trip", state, 1400);
-}
-BENCHMARK(BM_TcpSegmentRoundTrip);
+  s.payload.assign(kTcpPayload, 0x5a);
+  bool intact = true;
+  const double tcp_ns = ns_per_call(20'000 * scale, [&] {
+    auto back = tcp::parse_segment(tcp::serialize(s));
+    intact = intact && back.ok() && back->payload.size() == kTcpPayload;
+  });
 
-void BM_SimulatorDispatch(benchmark::State& state) {
-  for (auto _ : state) {
+  constexpr int kEvents = 1000;
+  const int runs = 200 * scale;
+  int fired = 0;
+  const double run_ns = ns_per_call(runs, [&fired] {
     sim::Simulator sim;
-    std::uint64_t sum = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sim.schedule(sim::microseconds(i), [&sum, i] { sum += std::uint64_t(i); });
-    }
+    for (int i = 0; i < kEvents; ++i)
+      sim.schedule(sim::microseconds(i), [&fired] { ++fired; });
     sim.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-  record("simulator_dispatch", state);
-}
-BENCHMARK(BM_SimulatorDispatch);
+  });
 
-// ---- cell-transport wall-clock benchmark → BENCH_datapath.json -------------
+  std::printf("== layer costs (wall clock) ==\n"
+              "tcp segment round trip (%zu B): %.0f ns\n"
+              "simulator dispatch: %.1f ns/event (%d events per run)\n",
+              kTcpPayload, tcp_ns, run_ns / kEvents, kEvents);
+  rep.metric("tcp_segment_round_trip_ns", tcp_ns);
+  rep.metric("sim_dispatch_ns_per_event", run_ns / kEvents);
+  const bool ok = intact && fired == (runs + runs / 10) * kEvents;
+  if (!ok) std::fprintf(stderr, "layer costs: a result came back wrong\n");
+  return ok;
+}
+
+// ---- cell transport -------------------------------------------------------
 //
 // One OC-12 link → switch → OC-12 link path at exact cell instants: each
 // link hands its sink a whole run of cells per event, and the switch port
@@ -175,8 +85,9 @@ struct CountingSink final : atm::CellSink {
   }
 };
 
-void run_cell_transport_report() {
-  const int frames = xunet::bench::bench_short() ? 500 : 5000;
+/// Runs the cell transport; false on a failed route install or lost cells.
+bool run_cell_transport(bench::JsonReport& rep) {
+  const int frames = bench::bench_short() ? 500 : 5000;
   const int cells_per_frame = 100;
 
   sim::Simulator sim;
@@ -189,7 +100,7 @@ void run_cell_transport_report() {
   sw.set_output(p_out, out);
   if (!sw.install_route(p_in, 100, p_out, 200, atm::Qos{}).ok()) {
     std::fprintf(stderr, "cell transport: route install failed\n");
-    return;
+    return false;
   }
 
   atm::Cell cell;
@@ -217,23 +128,25 @@ void run_cell_transport_report() {
 
   const std::uint64_t total =
       static_cast<std::uint64_t>(frames) * cells_per_frame;
+  const std::uint64_t delivered = sink.n - delivered_warm;
   const double secs = std::chrono::duration<double>(t1 - t0).count();
-  const double cps = static_cast<double>(total) / secs;
+  const double cps = static_cast<double>(delivered) / secs;
   // Two hops per cell: the cells both links handed over, per train.
   const double per_train = 2.0 * static_cast<double>(total) /
       static_cast<double>(in.trains() + out.trains() - trains_warm);
+  const double allocs_per_cell =
+      static_cast<double>(allocs) / static_cast<double>(total);
 
   std::printf("\n== cell transport (wall clock) ==\n"
               "cells=%llu delivered=%llu wall=%.3fs cells/sec=%.0f "
               "(baseline %.0f, %.1fx) cells/train=%.1f peak_events=%zu allocs/cell=%.4f%s\n",
               static_cast<unsigned long long>(total),
-              static_cast<unsigned long long>(sink.n - delivered_warm), secs,
+              static_cast<unsigned long long>(delivered), secs,
               cps, kBaselineCellsPerSec, cps / kBaselineCellsPerSec, per_train,
-              sim.peak_pending(),
-              static_cast<double>(allocs) / static_cast<double>(total),
+              sim.peak_pending(), allocs_per_cell,
               util::alloc_hook_installed() ? "" : " (alloc hook absent)");
-
-  xunet::bench::JsonReport rep("datapath");
+  const bool lossless = delivered >= total;
+  if (!lossless) std::fprintf(stderr, "cell transport: cells lost\n");
   rep.metric("baseline_cells_per_sec", kBaselineCellsPerSec);
   rep.metric("cells_per_sec_wall", cps);
   rep.metric("speedup", cps / kBaselineCellsPerSec);
@@ -241,26 +154,21 @@ void run_cell_transport_report() {
   rep.metric("wall_seconds", secs);
   rep.metric("cells_per_train", per_train);
   rep.metric("peak_event_queue_depth", static_cast<double>(sim.peak_pending()));
-  rep.metric("allocs_per_cell",
-             static_cast<double>(allocs) / static_cast<double>(total));
+  rep.metric("allocs_per_cell", allocs_per_cell);
   rep.metric("alloc_hook_installed", util::alloc_hook_installed() ? 1 : 0);
   rep.info("workload", std::to_string(frames) + " frames x " +
                            std::to_string(cells_per_frame) +
                            " cells, OC-12, exact cell instants");
   rep.info("baseline", "pre-fast-path implementation, same workload");
-  rep.info("short_mode", xunet::bench::bench_short() ? "1" : "0");
-  rep.write();
+  return lossless;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  std::printf("\n== unified metrics registry (bench.micro.*) ==\n%s",
-              registry().render_text().c_str());
-  run_cell_transport_report();
+int main() {
+  bench::JsonReport rep("datapath");
+  if (!time_layers(rep) || !run_cell_transport(rep)) return 1;
+  rep.info("short_mode", bench::bench_short() ? "1" : "0");
+  rep.write();
   return 0;
 }

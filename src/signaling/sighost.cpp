@@ -651,6 +651,19 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
   // is already in progress (or established) must never open a second
   // server connection or allocate a second VC, whatever arrives.
   if (incoming_.contains(key) || vci_for_call(key) != atm::kInvalidVci) return;
+  // The INCOMING_CONN below re-packs these strings with the originator's
+  // name, which may be longer than the callee name the client's
+  // CONNECT_REQ was checked with: refuse what one message cannot carry.
+  if (wire_size(m.service.size() + m.qos.size() + m.comment.size() +
+                origin.size()) > kMaxMsgBytes) {
+    ++stats_.rejects_sent;
+    Msg rej;
+    rej.type = MsgType::peer_reject;
+    rej.req_id = m.req_id;
+    rej.error = static_cast<std::uint8_t>(Errc::message_too_long);
+    send_peer(origin, rej);
+    return;
+  }
   // Bounded-queue overload shedding, callee side.
   if (incoming_.size() >= cfg_.max_incoming_requests) {
     ++stats_.sheds;

@@ -88,14 +88,22 @@ TEST(Framer, ReassemblesArbitraryChunking) {
   m1.service = "one";
   m2.type = MsgType::connect_req;
   m2.service = "two";
+  // A message at exactly the framing limit, then a small one behind it.
+  Msg big;
+  big.type = MsgType::connect_req;
+  big.comment.assign(kMaxMsgBytes - wire_size(0), 'c');
+  ASSERT_EQ(wire_size(big), kMaxMsgBytes);
   util::Buffer stream = frame(m1);
-  util::Buffer f2 = frame(m2);
-  stream.insert(stream.end(), f2.begin(), f2.end());
+  for (const Msg* m : {&big, &m2}) {
+    util::Buffer fm = frame(*m);
+    stream.insert(stream.end(), fm.begin(), fm.end());
+  }
   // Feed one byte at a time.
   for (std::uint8_t b : stream) f.feed({&b, 1});
-  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].service, "one");
-  EXPECT_EQ(got[1].service, "two");
+  EXPECT_EQ(got[1].comment, big.comment);
+  EXPECT_EQ(got[2].service, "two");
 }
 
 TEST(Framer, MalformedBodySurfacesErrorAndResyncs) {

@@ -176,6 +176,39 @@ TEST_F(LibFixture, OversizedOpenFailsAndTheChannelStaysInSync) {
   EXPECT_TRUE(next->ok()) << util::to_string(next->error());
 }
 
+TEST_F(LibFixture, OverLongIncomingConnIsRefused) {
+  // The server is on mh.rt, the client on berkeley.rt.  The comment fills
+  // the CONNECT_REQ (destination "mh.rt") to the byte, so the callee's
+  // INCOMING_CONN, which carries the longer originator name instead,
+  // would be 6 bytes over the framing limit.
+  const std::string service = "long";
+  CallServer server(r0(), r0().ip_node().address(), service, 4930);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid pid = r1().spawn("long-comment");
+  app::UserLib lib(r1(), pid, r1().ip_node().address());
+  const std::string dst = r0().atm_address().name;
+  const std::string comment(
+      sig::kMaxMsgBytes - sig::wire_size(dst.size() + service.size()), 'c');
+  ASSERT_EQ(sig::wire_size(r1().atm_address().name.size() + service.size() +
+                           comment.size()),
+            sig::kMaxMsgBytes + 6);
+  std::optional<util::Errc> big;
+  lib.open_connection(dst, service, comment, "",
+                      [&](util::Result<app::OpenResult> r) { big = r.error(); });
+  // Past sighost's 30 s request timeout: a lost request ends as timed_out.
+  tb->sim().run_for(sim::seconds(35));
+  EXPECT_EQ(big, util::Errc::message_too_long);
+
+  std::optional<util::Result<app::OpenResult>> next;
+  lib.open_connection(dst, service, "", "",
+                      [&](util::Result<app::OpenResult> r) { next = r; });
+  tb->sim().run_for(sim::seconds(5));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_TRUE(next->ok()) << util::to_string(next->error());
+}
+
 TEST_F(LibFixture, AwaitQueuesWhenRequestsArriveFirst) {
   kern::Pid pid = r1().spawn("lazy-await");
   app::UserLib lib(r1(), pid, r1().ip_node().address());

@@ -81,7 +81,8 @@ const std::map<std::string, Keys>& bench_keys() {
   static const std::map<std::string, Keys> keys = {
       {"datapath",
        {"baseline_cells_per_sec", "cells_per_sec_wall", "speedup",
-        "peak_event_queue_depth", "allocs_per_cell"}},
+        "peak_event_queue_depth", "allocs_per_cell",
+        "tcp_segment_round_trip_ns", "sim_dispatch_ns_per_event"}},
       {"signaling",
        {"calls_per_sec_wall", "setup_ms_p50", "setup_ms_p90", "setup_ms_p99"}},
       {"scaling", {"open_connections_held"}},
