@@ -298,19 +298,9 @@ void Sighost::record_lists() {
   }
 }
 
-void Sighost::end_setup_trace(ReqId id) {
-  auto it = setup_trace_.find(id);
-  if (it == setup_trace_.end()) return;
-  m_setup_us_->observe((k_.simulator().now() - it->second.begin).us());
-  XOBS_END(obs_, it->second.span);
-  setup_trace_.erase(it);
-}
-
-void Sighost::end_serve_trace(const std::string& key) {
-  auto it = serve_trace_.find(key);
-  if (it == serve_trace_.end()) return;
-  XOBS_END(obs_, it->second.span);
-  serve_trace_.erase(it);
+void Sighost::end_setup_trace(const SetupTrace& st) {
+  m_setup_us_->observe((k_.simulator().now() - st.begin).us());
+  XOBS_END(obs_, st.span);
 }
 
 void Sighost::send_app(int fd, const Msg& m) {
@@ -330,14 +320,10 @@ void Sighost::send_peer(const std::string& peer, const Msg& m) {
 }
 
 void Sighost::on_app_accept(int fd) {
-  AppConn c;
-  c.fd = fd;
-  c.framer = std::make_unique<MsgFramer>(
-      [this, fd](const Msg& m) { on_app_msg(fd, m); });
-  app_conns_.emplace(fd, std::move(c));
+  app_conns_.try_emplace(fd, [this, fd](const Msg& m) { on_app_msg(fd, m); });
   (void)k_.tcp_on_receive(pid_, fd, [this, fd](util::BytesView data) {
     if (auto it = app_conns_.find(fd); it != app_conns_.end()) {
-      it->second.framer->feed(data);
+      it->second.feed(data);
     }
   });
   (void)k_.tcp_on_close(pid_, fd,
@@ -345,22 +331,22 @@ void Sighost::on_app_accept(int fd) {
 }
 
 void Sighost::on_app_conn_closed(int fd) {
-  auto it = app_conns_.find(fd);
-  if (it != app_conns_.end()) {
-    // The requester vanished with requests outstanding: withdraw them so no
-    // network or peer state stays pinned (§4: frugal use of resources).
-    std::set<ReqId> reqs = std::move(it->second.reqs);
-    app_conns_.erase(it);
-    for (ReqId id : reqs) {
-      auto oit = outgoing_.find(id);
-      if (oit == outgoing_.end()) continue;
-      cookies_.discard(oit->second.client_cookie);
-      Msg cancel;
-      cancel.type = MsgType::peer_cancel;
-      cancel.req_id = id;
-      send_peer(oit->second.dst_name, cancel);
-      outgoing_.erase(oit);
+  app_conns_.erase(fd);
+  // The requester vanished with requests outstanding: withdraw them so no
+  // network or peer state stays pinned (§4: frugal use of resources).  The
+  // scan is bounded by max_outgoing_requests.
+  for (auto oit = outgoing_.begin(); oit != outgoing_.end();) {
+    if (oit->second.client_fd != fd) {
+      ++oit;
+      continue;
     }
+    cookies_.discard(oit->second.client_cookie);
+    end_setup_trace(oit->second.setup);
+    Msg cancel;
+    cancel.type = MsgType::peer_cancel;
+    cancel.req_id = oit->first;
+    send_peer(oit->second.dst_name, cancel);
+    oit = outgoing_.erase(oit);
   }
   (void)k_.close(pid_, fd);
 }
@@ -461,17 +447,6 @@ void Sighost::handle_withdraw_srv(int fd, const Msg& m) {
 }
 
 void Sighost::handle_connect_req(int fd, const Msg& m) {
-  auto ac = app_conns_.find(fd);
-  // Idempotency: a client stub that retries CONNECT_REQ stamps it with a
-  // nonce (in req_id); a duplicate gets the original REQ_ID reply back and
-  // never mints a second request (or, later, a second VC).
-  if (m.req_id != 0 && ac != app_conns_.end()) {
-    if (auto nit = ac->second.nonce_replies.find(m.req_id);
-        nit != ac->second.nonce_replies.end()) {
-      send_app(fd, nit->second);
-      return;
-    }
-  }
   // Bounded-queue overload shedding: at capacity, fail fast with a busy
   // cause instead of letting outgoing_requests grow without bound.
   if (outgoing_.size() >= cfg_.max_outgoing_requests) {
@@ -495,29 +470,24 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   ReqId id = next_req_++;
   Cookie cookie = cookies_.mint();
   const std::string key = call_key(k_.atm_address().name, id);
-  // Originator-side end-to-end setup: CONNECT_REQ in → VCI_FOR_CONN out.
-  SetupTrace st;
-  st.begin = k_.simulator().now();
-  st.trace_id = m.trace_id;  // minted by the client stub; 0 when untraced
+  Outgoing out;
+  out.client_fd = fd;
+  out.dst_name = m.dst;
+  out.client_cookie = cookie;
+  out.setup.begin = k_.simulator().now();
   if (XOBS_TRACING(obs_)) {
     obs::TraceIds ids;
     ids.call_id = key;
     ids.fd = fd;
-    // Causal link: the CONNECT_REQ carries the stub's trace id and its
-    // "call.open" span, making this hop a child of the client's.
+    // Causal link: the CONNECT_REQ carries the stub's trace id (0 when
+    // untraced) and its "call.open" span, making this hop a child of the
+    // client's.
     ids.trace_id = m.trace_id;
     ids.parent_span = m.parent_span;
-    st.span = obs_->begin("sighost", "call.setup", track_, std::move(ids));
+    out.setup.span = obs_->begin("sighost", "call.setup", track_, std::move(ids));
   }
-  setup_trace_.emplace(id, st);
+  const obs::SpanId setup_span = out.setup.span;
   fsm("fsm.connect_req", key, -1, fd);
-  Outgoing out;
-  out.id = id;
-  out.client_fd = fd;
-  out.dst_name = m.dst;
-  out.service = m.service;
-  out.qos = m.qos;
-  out.client_cookie = cookie;
   out.timer = sim::Timer(k_.simulator());
   out.timer.arm(cfg_.request_timeout, [this, id] {
     // The peer never answered (partition, dead sighost, lost PVC): fail the
@@ -532,9 +502,6 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
     fail_outgoing(id, Errc::timed_out);
   });
   outgoing_.emplace(id, std::move(out));
-  if (auto it = app_conns_.find(fd); it != app_conns_.end()) {
-    it->second.reqs.insert(id);
-  }
 
   Msg reply;
   reply.type = MsgType::req_id;
@@ -543,27 +510,13 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   // The originating sighost's name rides along so the client stub can form
   // the end-to-end call key ("origin#req_id") for its own trace spans.
   reply.dst = k_.atm_address().name;
-  if (m.req_id != 0 && ac != app_conns_.end()) {
-    AppConn& conn = ac->second;
-    if (conn.nonce_replies.size() >= kNonceReplyCap) {
-      // Evict the oldest nonce: a stub only ever retries its most recent
-      // requests, so FIFO eviction keeps the idempotency window intact
-      // without hoarding one reply per call forever.
-      conn.nonce_replies.erase(conn.nonce_order.front());
-      conn.nonce_order.erase(conn.nonce_order.begin());
-    }
-    if (conn.nonce_replies.emplace(m.req_id, reply).second) {
-      conn.nonce_order.push_back(m.req_id);
-    }
-  }
   send_app(fd, reply);
   record_lists();
 
   maintenance_log(key,
                   [this, id, dst = m.dst, service = m.service, qos = m.qos,
-                   comment = m.comment] {
-                    auto oit = outgoing_.find(id);
-                    if (oit == outgoing_.end() || oit->second.cancelled) return;
+                   comment = m.comment, trace_id = m.trace_id, setup_span] {
+                    if (!outgoing_.contains(id)) return;
                     if (!peers_.contains(dst)) {
                       fail_outgoing(id, Errc::no_route);
                       return;
@@ -576,21 +529,18 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
                     setup.comment = comment;
                     // Propagate the causal context: the remote sighost's
                     // serve span becomes a child of our call.setup span.
-                    if (auto st2 = setup_trace_.find(id);
-                        st2 != setup_trace_.end()) {
-                      setup.trace_id = st2->second.trace_id;
-                      setup.parent_span = st2->second.span;
-                    }
+                    setup.trace_id = trace_id;
+                    setup.parent_span = setup_span;
                     send_peer(dst, setup);
                   },
-                  st.trace_id, st.span);
+                  m.trace_id, setup_span);
 }
 
 void Sighost::handle_cancel_req(int fd, const Msg& m) {
-  (void)fd;
+  // Only the connection that issued a request may withdraw it: the cookie
+  // alone would let any process on this router cancel another's call.
   for (auto& [id, out] : outgoing_) {
-    if (out.client_cookie == m.cookie && !out.cancelled) {
-      out.cancelled = true;
+    if (out.client_fd == fd && out.client_cookie == m.cookie) {
       ++stats_.cancels;
       Msg cancel;
       cancel.type = MsgType::peer_cancel;
@@ -611,17 +561,14 @@ void Sighost::handle_accept_conn(int fd, const std::string& key, const Msg& m) {
   if (inc.server_fd != fd || inc.decided) return;
   if (m.cookie != inc.server_cookie) return;  // wrong capability: ignore
   inc.decided = true;
-  inc.qos = m.qos;  // the server may have modified the QoS
   Msg acc;
   acc.type = MsgType::peer_accept;
   acc.req_id = inc.id;
-  acc.qos = m.qos;
+  acc.qos = m.qos;  // the server may have modified the QoS
   // Carry the causal context back to the originator: the VC install it
   // will now perform becomes a child of our call.serve span.
-  if (auto sv = serve_trace_.find(key); sv != serve_trace_.end()) {
-    acc.trace_id = sv->second.trace_id;
-    acc.parent_span = sv->second.span;
-  }
+  acc.trace_id = inc.trace_id;
+  acc.parent_span = inc.serve_span;
   send_peer(inc.origin, acc);
 }
 
@@ -639,7 +586,7 @@ void Sighost::handle_reject_conn(int fd, const std::string& key, const Msg& m) {
   rej.error = static_cast<std::uint8_t>(Errc::rejected);
   send_peer(inc.origin, rej);
   (void)k_.close(pid_, fd);
-  end_serve_trace(it->first);
+  XOBS_END(obs_, inc.serve_span);
   incoming_.erase(it);
 }
 
@@ -680,20 +627,18 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
   fsm("fsm.peer_setup", key);
   // Callee-side serve span: a child of the originator's call.setup (the
   // PEER_SETUP carried that span id), parent of the kernel VC install.
-  if (XOBS_TRACING(obs_) && !serve_trace_.contains(key)) {
+  // The maintenance-log work below carries it until the incoming_requests
+  // record exists.
+  obs::SpanId serve = obs::kInvalidSpan;
+  if (XOBS_TRACING(obs_)) {
     obs::TraceIds ids;
     ids.call_id = key;
     ids.trace_id = m.trace_id;
     ids.parent_span = m.parent_span;
-    ServeTrace sv;
-    sv.trace_id = m.trace_id;
-    sv.span = obs_->begin("sighost", "call.serve", track_, std::move(ids));
-    serve_trace_.emplace(key, sv);
+    serve = obs_->begin("sighost", "call.serve", track_, std::move(ids));
   }
-  const ServeTrace serve = serve_trace_.count(key) ? serve_trace_[key]
-                                                   : ServeTrace{};
   maintenance_log(
-      key, [this, origin, m] {
+      key, [this, origin, m, serve] {
         const std::string key = call_key(origin, m.req_id);
         auto sit = services_.find(m.service);
         if (sit == services_.end()) {
@@ -703,7 +648,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
           rej.req_id = m.req_id;
           rej.error = static_cast<std::uint8_t>(Errc::not_found);
           send_peer(origin, rej);
-          end_serve_trace(key);
+          XOBS_END(obs_, serve);
           return;
         }
         // Forward the incoming call to the server over a fresh TCP
@@ -718,13 +663,14 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
                 // Server unreachable (likely dead): decline the call.
                 ++stats_.rejects_sent;
                 cookies_.discard(iit->second.server_cookie);
+                const obs::SpanId span = iit->second.serve_span;
                 incoming_.erase(iit);
                 Msg rej;
                 rej.type = MsgType::peer_reject;
                 rej.req_id = m.req_id;
                 rej.error = static_cast<std::uint8_t>(Errc::connection_refused);
                 send_peer(origin, rej);
-                end_serve_trace(key);
+                XOBS_END(obs_, span);
                 return;
               }
               int fd = *r;
@@ -751,8 +697,8 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
                   rej.req_id = it2->second.id;
                   rej.error = static_cast<std::uint8_t>(Errc::connection_reset);
                   send_peer(it2->second.origin, rej);
+                  XOBS_END(obs_, it2->second.serve_span);
                   incoming_.erase(it2);
-                  end_serve_trace(key);
                 }
                 (void)k_.close(pid_, fd);
               });
@@ -777,7 +723,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
           rej.req_id = m.req_id;
           rej.error = static_cast<std::uint8_t>(Errc::no_resources);
           send_peer(origin, rej);
-          end_serve_trace(key);
+          XOBS_END(obs_, serve);
           return;
         }
         Incoming inc;
@@ -785,8 +731,8 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
         inc.id = m.req_id;
         inc.server_fd = *fd;
         inc.server_cookie = cookie;
-        inc.qos = m.qos;
-        inc.service = m.service;
+        inc.serve_span = serve;
+        inc.trace_id = m.trace_id;
         // Watchdog: if neither PEER_ESTABLISHED nor PEER_SETUP_FAILED ever
         // arrives (lost to a partition), the record must not live forever.
         inc.timer = sim::Timer(k_.simulator());
@@ -806,18 +752,17 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
           rej.req_id = iit->second.id;
           rej.error = static_cast<std::uint8_t>(Errc::timed_out);
           send_peer(iit->second.origin, rej);
+          XOBS_END(obs_, iit->second.serve_span);
           incoming_.erase(iit);
-          end_serve_trace(key);
         });
         incoming_.emplace(key, std::move(inc));
         record_lists();
       },
-      serve.trace_id, serve.span);
+      m.trace_id, serve);
 }
 
 void Sighost::handle_peer_accept(const std::string& origin, const Msg& m) {
-  auto oit = outgoing_.find(m.req_id);
-  if (oit == outgoing_.end() || oit->second.cancelled) {
+  if (!outgoing_.contains(m.req_id)) {
     // A late re-accept for a call that already established is not a dead
     // client: never answer it with a teardown.
     if (vci_for_call(call_key(k_.atm_address().name, m.req_id)) !=
@@ -844,7 +789,7 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
       k_.atm_address(), atm::AtmAddress{dst}, qos,
       [this, req_id, dst, qos_granted](util::Result<atm::VcHandle> r) {
         auto oit2 = outgoing_.find(req_id);
-        if (oit2 == outgoing_.end() || oit2->second.cancelled) {
+        if (oit2 == outgoing_.end()) {
           if (r) (void)net_.teardown(r->id);
           Msg down;
           down.type = MsgType::peer_teardown;
@@ -864,9 +809,6 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         }
         Outgoing out = std::move(oit2->second);
         outgoing_.erase(oit2);
-        if (auto ac = app_conns_.find(out.client_fd); ac != app_conns_.end()) {
-          ac->second.reqs.erase(req_id);
-        }
 
         const atm::Vci vci = r->src_vci;
         // The network reuses VCIs; a record still parked on this one is a
@@ -875,7 +817,6 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         if (vci_map_.contains(vci)) teardown_vci(vci, /*notify_peer=*/true);
         cookies_.bind_vci(vci, out.client_cookie);
         VciEntry e;
-        e.call_key = call_key(k_.atm_address().name, req_id);
         e.req_id = req_id;
         e.originator = true;
         e.cookie = out.client_cookie;
@@ -889,12 +830,14 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         // held back until the callee reports PEER_BOUND.  Data can then
         // never outrun the receiver's bind.
         e.pending_client_fd = out.client_fd;
-        vci_map_.emplace(vci, e);
-        call_by_key_[e.call_key] = vci;
+        e.setup = out.setup;
+        vci_map_.emplace(vci, std::move(e));
+        const std::string key = call_key(k_.atm_address().name, req_id);
+        call_by_key_[key] = vci;
         load_wait_for_bind(vci, out.client_cookie);
         ++stats_.calls_established;
         m_established_->inc();
-        fsm("fsm.established", e.call_key, vci);
+        fsm("fsm.established", key, vci);
         record_lists();
 
         Msg est;
@@ -938,7 +881,6 @@ void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
   if (vci_map_.contains(vci)) teardown_vci(vci, /*notify_peer=*/true);
   cookies_.bind_vci(vci, inc.server_cookie);
   VciEntry e;
-  e.call_key = key;
   e.req_id = m.req_id;
   e.originator = false;
   e.cookie = inc.server_cookie;
@@ -946,14 +888,14 @@ void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
   e.qos = m.qos;
   e.remote_vci = m.vci2;
   e.notify_origin_on_confirm = true;
-  vci_map_.emplace(vci, e);
+  vci_map_.emplace(vci, std::move(e));
   call_by_key_[key] = vci;
   load_wait_for_bind(vci, inc.server_cookie);
   ++stats_.calls_established;
   m_established_->inc();
   fsm("fsm.established", key, vci);
   // The callee's serve obligation is met: close the call.serve span.
-  end_serve_trace(key);
+  XOBS_END(obs_, inc.serve_span);
   record_lists();
 
   Msg vmsg;
@@ -988,7 +930,7 @@ void Sighost::handle_peer_bound(const std::string& origin, const Msg& m) {
   fsm("fsm.peer_bound", key, vci);
   // The callee is bound and the client has its VCI: setup is complete
   // from the originating sighost's point of view.
-  end_setup_trace(e->req_id);
+  end_setup_trace(e->setup);
 }
 
 void Sighost::handle_peer_setup_failed(const std::string& origin, const Msg& m) {
@@ -1002,8 +944,8 @@ void Sighost::handle_peer_setup_failed(const std::string& origin, const Msg& m) 
   fail.error = m.error;
   send_app(iit->second.server_fd, fail);
   (void)k_.close(pid_, iit->second.server_fd);
+  XOBS_END(obs_, iit->second.serve_span);
   incoming_.erase(iit);
-  end_serve_trace(key);
 }
 
 void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
@@ -1023,8 +965,8 @@ void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
       fail.error = static_cast<std::uint8_t>(Errc::connection_reset);
       send_app(iit->second.server_fd, fail);
       (void)k_.close(pid_, iit->second.server_fd);
+      XOBS_END(obs_, iit->second.serve_span);
       incoming_.erase(iit);
-      end_serve_trace(key);
       return;
     }
   }
@@ -1041,8 +983,8 @@ void Sighost::handle_peer_cancel(const std::string& origin, const Msg& m) {
     fail.error = static_cast<std::uint8_t>(Errc::cancelled);
     send_app(iit->second.server_fd, fail);
     (void)k_.close(pid_, iit->second.server_fd);
+    XOBS_END(obs_, iit->second.serve_span);
     incoming_.erase(iit);
-    end_serve_trace(key);
     return;
   }
   // Already established here: a cancel this late is a teardown.
@@ -1129,10 +1071,9 @@ void Sighost::fail_outgoing(ReqId id, Errc reason) {
   outgoing_.erase(oit);
   cookies_.discard(out.client_cookie);
   fsm("fsm.conn_failed", call_key(k_.atm_address().name, id));
-  end_setup_trace(id);
+  end_setup_trace(out.setup);
   record_lists();
-  if (auto ac = app_conns_.find(out.client_fd); ac != app_conns_.end()) {
-    ac->second.reqs.erase(id);
+  if (app_conns_.contains(out.client_fd)) {
     Msg fail;
     fail.type = MsgType::conn_failed;
     fail.req_id = id;
@@ -1153,8 +1094,8 @@ std::string Sighost::management_report() const {
   out += "  incoming_requests: " + std::to_string(incoming_.size()) + "\n";
   out += "  wait_for_bind: " + std::to_string(wait_bind_.size()) + "\n";
   out += "  VCI_mapping (" + std::to_string(vci_map_.size()) + "):\n";
-  vci_map_.for_each([&out](const atm::Vci& vci, const VciEntry& e) {
-    out += "    vci=" + std::to_string(vci) + " call=" + e.call_key +
+  vci_map_.for_each([this, &out](const atm::Vci& vci, const VciEntry& e) {
+    out += "    vci=" + std::to_string(vci) + " call=" + call_key(e) +
            (e.originator ? " (originator)" : " (callee)") +
            (e.confirmed ? " confirmed" : " unconfirmed") + " qos=<" + e.qos +
            ">\n";
@@ -1183,10 +1124,10 @@ Sighost::ListSnapshot Sighost::audit_snapshot() const {
   }
   for (const auto& [key, inc] : incoming_) snap.incoming_calls.push_back(key);
   for (const auto& [vci, wb] : wait_bind_) snap.wait_for_bind.push_back(vci);
-  vci_map_.for_each([&snap](const atm::Vci& vci, const VciEntry& e) {
+  vci_map_.for_each([this, &snap](const atm::Vci& vci, const VciEntry& e) {
     VciAuditEntry a;
     a.vci = vci;
-    a.call_key = e.call_key;
+    a.call_key = call_key(e);
     a.req_id = e.req_id;
     a.originator = e.originator;
     a.confirmed = e.confirmed;
@@ -1209,31 +1150,30 @@ atm::Vci Sighost::vci_for_call(const std::string& key) const {
 void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
   VciEntry* vp = vci_map_.find(vci);
   if (vp == nullptr) return;
-  VciEntry e = *vp;
+  const VciEntry e = std::move(*vp);
   vci_map_.erase(vci);
-  if (!e.call_key.empty()) {
-    auto cit = call_by_key_.find(e.call_key);
-    if (cit != call_by_key_.end() && cit->second == vci) {
-      call_by_key_.erase(cit);
-    }
+  const std::string key = call_key(e);
+  if (auto cit = call_by_key_.find(key);
+      cit != call_by_key_.end() && cit->second == vci) {
+    call_by_key_.erase(cit);
   }
   wait_bind_.erase(vci);
   cookies_.release_vci(vci);
   ++stats_.calls_torn_down;
   m_torn_down_->inc();
-  fsm("fsm.teardown", e.call_key, vci);
-  // A call that dies before the client ever saw its VCI still closes the
-  // originator-side setup span (through the failure path below).
-  if (e.originator) end_setup_trace(e.req_id);
-
-  if (e.pending_client_fd >= 0 && app_conns_.contains(e.pending_client_fd)) {
-    // The call died before the client ever saw its VCI.
-    Msg fail;
-    fail.type = MsgType::conn_failed;
-    fail.req_id = e.req_id;
-    fail.cookie = e.cookie;
-    fail.error = static_cast<std::uint8_t>(Errc::connection_reset);
-    send_app(e.pending_client_fd, fail);
+  fsm("fsm.teardown", key, vci);
+  if (e.pending_client_fd >= 0) {
+    // The call died before the client ever saw its VCI: the setup span
+    // closes through this failure.
+    end_setup_trace(e.setup);
+    if (app_conns_.contains(e.pending_client_fd)) {
+      Msg fail;
+      fail.type = MsgType::conn_failed;
+      fail.req_id = e.req_id;
+      fail.cookie = e.cookie;
+      fail.error = static_cast<std::uint8_t>(Errc::connection_reset);
+      send_app(e.pending_client_fd, fail);
+    }
   }
   if (e.originator && e.vc_id != 0) {
     (void)net_.teardown(e.vc_id);
@@ -1253,7 +1193,7 @@ void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
     down.machine = e.endpoint_ip;
     (void)k_.tcp_send(pid_, anand_fd_, serialize(down));
   }
-  maintenance_log(e.call_key, [] {});
+  maintenance_log(key, [] {});
   record_lists();
 }
 
@@ -1306,7 +1246,7 @@ util::Result<void> Sighost::recover() {
     e.peer = vc.remote.name;
     e.confirmed = true;
     e.remote_vci = vc.remote_vci;
-    e.recovered = true;  // call_key/req_id arrive via PEER_RESYNC_INFO
+    e.recovered = true;  // req_id arrives via PEER_RESYNC_INFO
     cookies_.bind_vci(vc.local_vci, e.cookie);
     vci_map_.emplace(vc.local_vci, std::move(e));
     socks.erase(sit);
@@ -1373,19 +1313,19 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
   reset_channel(p);
   transmit_peer(p, ack);
   // Report every established call we share with the restarted host so it
-  // can restore call_key/req_id on the VCI entries it audited back.  The
+  // can restore req_id on the VCI entries it audited back.  The
   // trie iterates ascending, preserving the replay-pinned INFO order.
   vci_map_.for_each([&](const atm::Vci& vci, const VciEntry& e) {
-    if (e.peer != origin || !e.confirmed || e.call_key.empty() ||
+    if (e.peer != origin || !e.confirmed || e.req_id == 0 ||
         e.remote_vci == atm::kInvalidVci) {
       return;
     }
     Msg info;
     info.type = MsgType::peer_resync_info;
     info.req_id = e.req_id;
-    // call_key is "<originator>#<req_id>"; ship the originator name so the
-    // restarted side can rebuild the key verbatim.
-    info.dst = e.call_key.substr(0, e.call_key.find('#'));
+    // Ship the originator's name so the restarted side can rebuild the
+    // call key verbatim.
+    info.dst = e.originator ? k_.atm_address().name : e.peer;
     info.vci = e.remote_vci;  // their VCI for this call
     info.vci2 = vci;          // ours
     info.qos = e.qos;
@@ -1416,16 +1356,16 @@ void Sighost::handle_peer_resync_info(const std::string& origin, const Msg& m) {
     return;
   }
   VciEntry& e = *ep;
-  if (!e.recovered || !e.call_key.empty()) return;  // already claimed
-  e.call_key = call_key(m.dst, m.req_id);
+  if (!e.recovered || e.req_id != 0) return;  // already claimed
   e.req_id = m.req_id;
   e.qos = m.qos;
-  call_by_key_[e.call_key] = m.vci;
+  const std::string key = call_key(e);
+  call_by_key_[key] = m.vci;
   if (e.remote_vci == atm::kInvalidVci) e.remote_vci = m.vci2;
   ++stats_.recovered_calls;
   m_recovered_->inc();
-  fsm("fsm.recovered", e.call_key, static_cast<std::int64_t>(m.vci));
-  maintenance_log(e.call_key, [] {});
+  fsm("fsm.recovered", key, static_cast<std::int64_t>(m.vci));
+  maintenance_log(key, [] {});
 }
 
 void Sighost::expire_unclaimed_recoveries() {
@@ -1434,11 +1374,11 @@ void Sighost::expire_unclaimed_recoveries() {
   // way nobody will route data over them again.
   std::vector<atm::Vci> stale;
   vci_map_.for_each([&stale](const atm::Vci& vci, const VciEntry& e) {
-    if (e.recovered && e.call_key.empty()) stale.push_back(vci);
+    if (e.recovered && e.req_id == 0) stale.push_back(vci);
   });
   for (atm::Vci vci : stale) {
     ++stats_.orphans_torn_down;
-    // No call_key means no req_id the peer could match — don't notify.
+    // No req_id the peer could match — don't notify.
     teardown_vci(vci, /*notify_peer=*/false);
   }
 }

@@ -214,27 +214,19 @@ class Sighost {
     ip::IpAddress server_ip;
     std::uint16_t notify_port = 0;
   };
-  struct AppConn {
-    int fd = -1;
-    std::unique_ptr<MsgFramer> framer;
-    std::set<ReqId> reqs;  ///< outstanding requests initiated on this conn
-    /// Idempotency: client-stamped CONNECT_REQ nonce → the REQ_ID reply
-    /// already issued for it, so a retried request never mints a second id.
-    /// Bounded FIFO (kNonceReplyCap): at 10^6 calls per connection an
-    /// unbounded map would hoard a reply per call forever.
-    std::map<std::uint32_t, Msg> nonce_replies;
-    /// Insertion order for eviction, oldest first; allocated on first use.
-    std::vector<std::uint32_t> nonce_order;
+  /// Originator-side "call.setup" span (CONNECT_REQ in → VCI_FOR_CONN out)
+  /// and its start, for the setup-latency histogram.  Carried by the call's
+  /// outgoing_requests record, then by its VCI_mapping entry until
+  /// PEER_BOUND releases the client's VCI.
+  struct SetupTrace {
+    obs::SpanId span = obs::kInvalidSpan;
+    sim::SimTime begin{};
   };
-  static constexpr std::size_t kNonceReplyCap = 128;
   struct Outgoing {  // outgoing_requests: client request awaiting peer reply
-    ReqId id = 0;
     int client_fd = -1;
     std::string dst_name;
-    std::string service;
-    std::string qos;
     Cookie client_cookie = 0;
-    bool cancelled = false;
+    SetupTrace setup;
     sim::Timer timer;  ///< request_timeout watchdog
   };
   struct Incoming {  // incoming_requests: call awaiting server accept/reject
@@ -242,9 +234,12 @@ class Sighost {
     ReqId id = 0;
     int server_fd = -1;  ///< per-call TCP connection to the server
     Cookie server_cookie = 0;
-    std::string qos;
-    std::string service;
     bool decided = false;
+    /// Callee-side "call.serve" span, open from PEER_SETUP arrival until the
+    /// call is established, rejected, failed, cancelled or timed out; every
+    /// path that erases this record ends it.
+    obs::SpanId serve_span = obs::kInvalidSpan;
+    std::uint64_t trace_id = 0;  ///< the call's causal trace (from PEER_SETUP)
     sim::Timer timer;  ///< watchdog against a lost reply
   };
   struct WaitBind {  // wait_for_bind: VCI handed out, no indication yet
@@ -252,7 +247,9 @@ class Sighost {
     Cookie cookie = 0;
   };
   struct VciEntry {  // VCI_mapping: live (or establishing) calls by VCI
-    std::string call_key;  ///< origin "#" req_id — the end-to-end call id
+    /// With `originator` and `peer`, names the end-to-end call (see
+    /// call_key(const VciEntry&)); 0 on a recovered entry no peer has
+    /// claimed yet.
     ReqId req_id = 0;
     bool originator = false;
     Cookie cookie = 0;
@@ -264,13 +261,13 @@ class Sighost {
     /// Originator side: the client's VCI_FOR_CONN is held back until the
     /// callee reports PEER_BOUND, so data can never beat the server's bind.
     int pending_client_fd = -1;
+    SetupTrace setup;  ///< open while pending_client_fd >= 0
     /// Callee side: report PEER_BOUND to the originator on bind confirm.
     bool notify_origin_on_confirm = false;
     atm::Vci remote_vci = atm::kInvalidVci;  ///< the far endpoint's VCI
     /// Rebuilt from a post-crash audit; awaiting a peer's PEER_RESYNC_INFO
-    /// to restore call_key/req_id (torn down if none arrives in grace).
+    /// to restore req_id (torn down if none arrives in grace).
     bool recovered = false;
-    std::uint64_t trace_id = 0;  ///< causal trace the call belongs to
   };
   struct PendingTx {  ///< one unacked sequenced message awaiting retransmit
     Msg msg;
@@ -344,7 +341,7 @@ class Sighost {
   /// Refresh the five-list gauges (and, when tracing, counter events).
   void record_lists();
   /// Close the originator-side call-setup span and record its latency.
-  void end_setup_trace(ReqId id);
+  void end_setup_trace(const SetupTrace& st);
 
   // ---- application-side handlers ----
   void handle_export_srv(int fd, const Msg& m);
@@ -383,6 +380,13 @@ class Sighost {
   [[nodiscard]] static std::string call_key(const std::string& origin, ReqId id) {
     return origin + "#" + std::to_string(id);
   }
+  /// The end-to-end call key of a VCI_mapping entry; empty while a
+  /// recovered entry is unclaimed.
+  [[nodiscard]] std::string call_key(const VciEntry& e) const {
+    return e.req_id == 0 ? std::string{}
+                         : call_key(e.originator ? k_.atm_address().name : e.peer,
+                                    e.req_id);
+  }
   [[nodiscard]] atm::Vci vci_for_call(const std::string& key) const;
 
   kern::Kernel& k_;
@@ -407,13 +411,13 @@ class Sighost {
   std::map<std::string, Incoming> incoming_;         // incoming_requests
   std::map<atm::Vci, WaitBind> wait_bind_;           // wait_for_bind
   util::VciIndex<atm::Vci, VciEntry> vci_map_;       // VCI_mapping
-  /// Reverse index call_key → VCI, maintained strictly alongside vci_map_
-  /// (entries with a non-empty call_key only).  vci_for_call and
+  /// Reverse index call key → VCI, maintained strictly alongside vci_map_
+  /// (entries with a non-zero req_id only).  vci_for_call and
   /// handle_peer_bound used to walk all of VCI_mapping per lookup — O(n)
   /// per call, quadratic across a call burst.
   std::map<std::string, atm::Vci> call_by_key_;
 
-  std::map<int, AppConn> app_conns_;
+  std::map<int, MsgFramer> app_conns_;  ///< application connections by fd
   std::map<std::string, Peer> peers_;
   std::set<atm::Vci> pvc_vcis_;  ///< own signaling VCIs: ignore their indications
   ReqId next_req_ = 1;
@@ -438,22 +442,6 @@ class Sighost {
   obs::Counter* m_recovered_ = nullptr;
   obs::Histogram* m_setup_us_ = nullptr;
   obs::Gauge* m_lists_[5] = {};  ///< the five lists, in paper order
-  struct SetupTrace {
-    obs::SpanId span = obs::kInvalidSpan;
-    sim::SimTime begin{};
-    std::uint64_t trace_id = 0;  ///< minted by the client stub
-  };
-  std::map<ReqId, SetupTrace> setup_trace_;  ///< originator-side open calls
-  /// Callee-side "call.serve" spans: PEER_SETUP arrival until the call is
-  /// established, rejected, failed, cancelled or timed out.  Keyed by the
-  /// end-to-end call key; every incoming_-erase path must end the span
-  /// through end_serve_trace().
-  struct ServeTrace {
-    obs::SpanId span = obs::kInvalidSpan;
-    std::uint64_t trace_id = 0;
-  };
-  std::map<std::string, ServeTrace> serve_trace_;
-  void end_serve_trace(const std::string& key);
 };
 
 }  // namespace xunet::sig

@@ -47,7 +47,6 @@ void UserLib::ensure_channel(std::function<void(util::Result<void>)> then) {
           // Outstanding RPCs die with the channel.
           auto opens = std::move(opens_);
           opens_.clear();
-          open_by_cookie_.clear();
           for (auto& [id, po] : opens) {
             XOBS_END(obs_, po.span);
             po.on_done(Errc::connection_reset);
@@ -56,6 +55,7 @@ void UserLib::ensure_channel(std::function<void(util::Result<void>)> then) {
           awaiting_req_id_.clear();
           for (auto& po : waiting) {
             XOBS_END(obs_, po.span);
+            if (po.on_req_id) po.on_req_id(Errc::connection_reset);
             po.on_done(Errc::connection_reset);
           }
           auto regs = std::move(pending_registrations_);
@@ -92,24 +92,17 @@ void UserLib::on_channel_msg(const Msg& m) {
     case MsgType::req_id: {
       // REQ_ID carries the new request id and cookie; adopt them onto the
       // oldest CONNECT_REQ without an id (TCP ordering makes this exact).
-      if (!pending_cookie_cbs_.empty()) {
-        auto cb = std::move(pending_cookie_cbs_.front());
-        pending_cookie_cbs_.pop_front();
-        if (cb) cb(m.cookie);
+      if (awaiting_req_id_.empty()) break;
+      PendingOpen po = std::move(awaiting_req_id_.front());
+      awaiting_req_id_.pop_front();
+      if (po.on_req_id) po.on_req_id(m.cookie);
+      // REQ_ID carries the originating sighost's name in `dst`: now the
+      // end-to-end call key exists, patch it onto the open span.
+      if (XOBS_TRACING(obs_) && po.span != obs::kInvalidSpan) {
+        obs_->trace().annotate_call(po.span,
+                                    m.dst + "#" + std::to_string(m.req_id));
       }
-      if (!awaiting_req_id_.empty()) {
-        PendingOpen po = std::move(awaiting_req_id_.front());
-        awaiting_req_id_.pop_front();
-        po.cookie = m.cookie;
-        // REQ_ID carries the originating sighost's name in `dst`: now the
-        // end-to-end call key exists, patch it onto the open span.
-        if (XOBS_TRACING(obs_) && po.span != obs::kInvalidSpan) {
-          obs_->trace().annotate_call(po.span,
-                                      m.dst + "#" + std::to_string(m.req_id));
-        }
-        open_by_cookie_[m.cookie] = m.req_id;
-        opens_.emplace(m.req_id, std::move(po));
-      }
+      opens_.emplace(m.req_id, std::move(po));
       break;
     }
     case MsgType::vci_for_conn: {
@@ -117,7 +110,6 @@ void UserLib::on_channel_msg(const Msg& m) {
       if (it == opens_.end()) break;
       PendingOpen po = std::move(it->second);
       opens_.erase(it);
-      open_by_cookie_.erase(po.cookie);
       XOBS_END(obs_, po.span);
       OpenResult r;
       r.vci = m.vci;
@@ -131,7 +123,6 @@ void UserLib::on_channel_msg(const Msg& m) {
       if (it == opens_.end()) break;
       PendingOpen po = std::move(it->second);
       opens_.erase(it);
-      open_by_cookie_.erase(po.cookie);
       XOBS_END(obs_, po.span);
       po.on_done(static_cast<Errc>(m.error == 0
                                        ? static_cast<std::uint8_t>(Errc::rejected)
@@ -155,7 +146,6 @@ void UserLib::export_service(const std::string& name,
   if (notify_listen_fd_ < 0) {
     auto lfd = k_.tcp_listen(pid_, notify_port, [this](int fd) {
       PerCall pc;
-      pc.fd = fd;
       pc.framer = std::make_shared<sig::MsgFramer>(
           [this, fd](const Msg& m) { on_percall_msg(fd, m); });
       percall_.emplace(fd, std::move(pc));
@@ -220,7 +210,6 @@ void UserLib::on_percall_msg(int fd, const Msg& m) {
   if (it == percall_.end()) return;
   switch (m.type) {
     case MsgType::incoming_conn: {
-      it->second.have_request = true;
       IncomingRequest req;
       req.cookie = m.cookie;
       req.service = m.service;
@@ -366,14 +355,11 @@ void UserLib::open_once(const std::string& dst, const std::string& service,
     // FIFO of not-yet-identified requests correlates CONNECT_REQ to REQ_ID.
     PendingOpen po;
     po.on_done = std::move(on_done);
+    po.on_req_id = std::move(on_req_id);
     po.span = span;
     awaiting_req_id_.push_back(std::move(po));
-    // Deliver the cookie as soon as REQ_ID assigns it (possibly empty; the
-    // queue must stay aligned with the CONNECT_REQ order).
-    pending_cookie_cbs_.push_back(std::move(on_req_id));
     Msg m;
     m.type = MsgType::connect_req;
-    m.req_id = next_nonce_++;
     m.dst = dst;
     m.service = service;
     m.comment = comment;

@@ -122,8 +122,10 @@ class UserLib {
   /// THE open entry point.  Retries transient failures (see
   /// transient_error) under exponential backoff until success, a permanent
   /// error, or `opts.deadline` elapsing — whichever comes first.  `on_done`
-  /// fires exactly once.  `on_req_id` fires once per attempt; the latest
-  /// cookie is the one cancel_request() accepts.  Strings too long for one
+  /// fires exactly once.  `on_req_id` fires once per attempt: with the
+  /// attempt's cookie when REQ_ID arrives (the latest cookie is the one
+  /// cancel_request() accepts), or with connection_reset when the
+  /// signaling channel drops before it does.  Strings too long for one
   /// CONNECT_REQ (sig::kMaxMsgBytes) fail at once with message_too_long.
   void open_connection(const std::string& dst, const std::string& service,
                        const std::string& comment, const std::string& qos,
@@ -172,16 +174,14 @@ class UserLib {
  private:
   struct PendingOpen {
     OpenFn on_done;
-    sig::Cookie cookie = 0;
+    CookieFn on_req_id;  ///< fired by REQ_ID, or by the channel dropping first
     obs::SpanId span = obs::kInvalidSpan;  ///< "call.open" stub span
   };
   struct PerCall {  // a per-call conn from sighost (server side)
-    int fd = -1;
     /// shared_ptr: the receive path pins the framer across feed() so a
     /// message handler that closes this per-call conn (finish_percall)
     /// cannot destroy the framer out from under its own stack frame.
     std::shared_ptr<sig::MsgFramer> framer;
-    bool have_request = false;
     OpenFn accept_cb;  ///< set once the app accepts
     obs::SpanId span = obs::kInvalidSpan;  ///< "call.accept" stub span
   };
@@ -216,16 +216,10 @@ class UserLib {
   std::vector<std::function<void(util::Result<void>)>> chan_waiters_;
 
   std::function<void()> on_channel_down_;
-  /// Client-stamped idempotency nonce carried in CONNECT_REQ.req_id: a
-  /// retried request presents the same nonce, and sighost replays the
-  /// original REQ_ID instead of minting a second request.
-  std::uint32_t next_nonce_ = 1;
 
   std::deque<VoidFn> pending_registrations_;
-  std::deque<CookieFn> pending_cookie_cbs_;
   std::deque<PendingOpen> awaiting_req_id_;  ///< CONNECT_REQs without REQ_ID yet
   std::map<sig::ReqId, PendingOpen> opens_;
-  std::map<sig::Cookie, sig::ReqId> open_by_cookie_;
 
   int notify_listen_fd_ = -1;
   std::map<int, PerCall> percall_;

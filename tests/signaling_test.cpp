@@ -296,6 +296,48 @@ TEST_F(SighostFixture, CancelReachesOnlyItsOwnRequest) {
   EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
 }
 
+TEST_F(SighostFixture, ClientDeathMidRequestLeavesNothingBehind) {
+  // The client dies after its REQ_ID arrives and before PEER_BOUND: sighost
+  // withdraws the request, and the request's call.setup span ends with it.
+  tb->sim().obs().set_tracing(true);
+  core::CallServer server(*tb->router(1).kernel,
+                          tb->router(1).kernel->ip_node().address(), "doomed",
+                          4140);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Kernel& k0 = *tb->router(0).kernel;
+  const kern::Pid pid = k0.spawn("doomed-client");
+  app::UserLib lib(k0, pid, k0.ip_node().address());
+  bool have_cookie = false;
+  lib.open_connection("berkeley.rt", "doomed", "", "",
+                      [](util::Result<app::OpenResult>) {},
+                      [&](util::Result<Cookie> c) { have_cookie = c.ok(); });
+  for (int i = 0; i < 100 && !have_cookie; ++i) {
+    tb->sim().run_for(sim::milliseconds(1));
+  }
+  ASSERT_TRUE(have_cookie);
+  ASSERT_EQ(sh(0).outgoing_requests_size(), 1u);
+  ASSERT_TRUE(k0.kill_process(pid).ok());
+  tb->sim().run_for(sim::seconds(5));
+
+  EXPECT_EQ(sh(0).outgoing_requests_size(), 0u);
+  EXPECT_EQ(sh(1).incoming_requests_size(), 0u);
+  std::map<obs::SpanId, int> open_setups;  // begins minus ends, per span
+  for (const obs::TraceEvent& e : tb->sim().obs().trace().events()) {
+    if (e.phase == obs::Phase::span_begin && e.name == "call.setup") {
+      ++open_setups[e.span];
+    } else if (e.phase == obs::Phase::span_end && open_setups.contains(e.span)) {
+      --open_setups[e.span];
+    }
+  }
+  ASSERT_EQ(open_setups.size(), 1u);
+  for (const auto& [span, open] : open_setups) {
+    EXPECT_EQ(open, 0) << "call.setup span " << span;
+  }
+  EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
+}
+
 TEST_F(SighostFixture, ConcurrentIncomingCallsDecidedOutOfOrder) {
   // Many calls wait at the callee at once, each on its own per-call server
   // connection.  The server decides them in a shuffled order, accepting

@@ -209,6 +209,73 @@ TEST_F(LibFixture, OverLongIncomingConnIsRefused) {
   EXPECT_TRUE(next->ok()) << util::to_string(next->error());
 }
 
+TEST_F(LibFixture, CancelFromAnotherConnectionIsIgnored) {
+  // A cookie names a request only on the connection that issued it: another
+  // process on the same router presenting it cancels nothing.
+  CallServer server(r1(), r1().ip_node().address(), "guarded-call", 4931);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+
+  app::UserLib owner(r0(), r0().spawn("owner"), r0().ip_node().address());
+  app::UserLib intruder(r0(), r0().spawn("intruder"), r0().ip_node().address());
+  // Bring the intruder's signaling channel up: cancel_request needs one.
+  intruder.open_connection("berkeley.rt", "no-such-service", "", "",
+                           [](util::Result<app::OpenResult>) {});
+  tb->sim().run_for(sim::seconds(1));
+
+  std::optional<util::Errc> cancel_sent;
+  std::optional<util::Result<app::OpenResult>> opened;
+  owner.open_connection(
+      "berkeley.rt", "guarded-call", "", "",
+      [&](util::Result<app::OpenResult> r) { opened = r; },
+      [&](util::Result<sig::Cookie> c) {
+        ASSERT_TRUE(c.ok());
+        intruder.cancel_request(
+            *c, [&](util::Result<void> r) { cancel_sent = r.error(); });
+      });
+  tb->sim().run_for(sim::seconds(5));
+  EXPECT_EQ(cancel_sent, util::Errc::ok);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_TRUE(opened->ok()) << util::to_string(opened->error());
+  EXPECT_EQ(tb->router(0).sighost->stats().cancels, 0u);
+}
+
+TEST_F(LibFixture, CookieCallbacksStayMatchedAcrossAChannelReset) {
+  // A CONNECT_REQ that dies with the signaling channel answers its own
+  // on_req_id with connection_reset, so the next open's cookie reaches the
+  // next open's callback.
+  app::UserLib lib(r0(), r0().spawn("resetting"), r0().ip_node().address());
+  lib.open_connection("berkeley.rt", "no-such-service", "", "",
+                      [](util::Result<app::OpenResult>) {});
+  tb->sim().run_for(sim::seconds(1));  // the channel is up
+
+  using Outcomes = std::vector<std::string_view>;  // "ok" stands for a cookie
+  Outcomes a_ids, b_ids;
+  std::optional<util::Errc> a_done;
+  lib.open_connection(
+      "berkeley.rt", "no-such-service", "", "",
+      [&](util::Result<app::OpenResult> r) { a_done = r.error(); },
+      [&](util::Result<sig::Cookie> c) {
+        a_ids.push_back(util::to_string(c.error()));
+      });
+  // A's CONNECT_REQ has left; sighost 0 dies before its REQ_ID returns.
+  tb->crash_sighost(0);
+  tb->sim().run_for(sim::milliseconds(200));
+  ASSERT_TRUE(tb->restart_sighost(0).ok());
+  tb->sim().run_for(sim::seconds(1));
+  EXPECT_EQ(a_done, util::Errc::connection_reset);
+
+  lib.open_connection(
+      "berkeley.rt", "no-such-service", "", "",
+      [](util::Result<app::OpenResult>) {},
+      [&](util::Result<sig::Cookie> c) {
+        b_ids.push_back(util::to_string(c.error()));
+      });
+  tb->sim().run_for(sim::seconds(2));
+  EXPECT_EQ(a_ids, Outcomes{util::to_string(util::Errc::connection_reset)});
+  EXPECT_EQ(b_ids, Outcomes{util::to_string(util::Errc::ok)});
+}
+
 TEST_F(LibFixture, AwaitQueuesWhenRequestsArriveFirst) {
   kern::Pid pid = r1().spawn("lazy-await");
   app::UserLib lib(r1(), pid, r1().ip_node().address());
