@@ -29,8 +29,21 @@ util::Result<void> Aal5Segmenter::segment(Vci vci, util::BytesView payload,
   const std::uint8_t seq = seq_[vci]++;
 
   const std::size_t ncells = cells_for_payload(total);
-  out.resize(ncells);
+  const std::size_t pad = ncells * kCellPayload - kAal5TrailerBytes - total;
+  const std::array<std::uint8_t, 4> head = {
+      seq,  // UU: Xunet-variant frame sequence number
+      0,    // CPI
+      static_cast<std::uint8_t>(total >> 8), static_cast<std::uint8_t>(total)};
+  // CRC-32 covers the whole PDU (payload | pad | trailer) except the CRC
+  // field itself, in one pass per piece rather than one per cell.
+  static constexpr std::array<std::uint8_t, kCellPayload> kZeros{};
   util::Crc32 crc;
+  crc.update(payload);
+  crc.update({kZeros.data(), pad});
+  crc.update(head);
+  const std::uint32_t v = crc.value();
+
+  out.resize(ncells);
   for (std::size_t i = 0; i < ncells; ++i) {
     Cell& c = out[i];
     c.vci = vci;
@@ -39,26 +52,16 @@ util::Result<void> Aal5Segmenter::segment(Vci vci, util::BytesView payload,
     const std::size_t take = off < total ? std::min(kCellPayload, total - off) : 0;
     if (take > 0) std::memcpy(c.payload.data(), payload.data() + off, take);
     std::memset(c.payload.data() + take, 0, kCellPayload - take);
-    if (!c.end_of_frame) {
-      crc.update(c.payload);
-      continue;
-    }
-    // The data never reaches the trailer region of the final cell
-    // (cells_for_payload reserves the 8 trailer bytes), so the zero pad
-    // above is safely overwritten here.
-    std::uint8_t* trailer = c.payload.data() + kCellPayload - kAal5TrailerBytes;
-    trailer[0] = seq;  // UU: Xunet-variant frame sequence number
-    trailer[1] = 0;    // CPI
-    trailer[2] = static_cast<std::uint8_t>(total >> 8);
-    trailer[3] = static_cast<std::uint8_t>(total);
-    // CRC-32 covers the whole PDU except the CRC field itself.
-    crc.update({c.payload.data(), kCellPayload - 4});
-    const std::uint32_t v = crc.value();
-    trailer[4] = static_cast<std::uint8_t>(v >> 24);
-    trailer[5] = static_cast<std::uint8_t>(v >> 16);
-    trailer[6] = static_cast<std::uint8_t>(v >> 8);
-    trailer[7] = static_cast<std::uint8_t>(v);
   }
+  // The data never reaches the trailer region of the final cell
+  // (cells_for_payload reserves the 8 trailer bytes), so the zero pad
+  // above is safely overwritten here.
+  std::uint8_t* trailer = out.back().payload.data() + kCellPayload - kAal5TrailerBytes;
+  std::memcpy(trailer, head.data(), head.size());
+  trailer[4] = static_cast<std::uint8_t>(v >> 24);
+  trailer[5] = static_cast<std::uint8_t>(v >> 16);
+  trailer[6] = static_cast<std::uint8_t>(v >> 8);
+  trailer[7] = static_cast<std::uint8_t>(v);
   return {};
 }
 
@@ -97,23 +100,17 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
     // A lost end-of-frame cell would otherwise grow this buffer without
     // bound; discard and report, as the Hobbit hardware would.
     vc.partial.clear();
-    vc.crc.reset();
     fail(cell.vci, Aal5Error::oversize);
     return;
   }
   if (vc.partial.empty()) vc.partial.reserve(vc.pdu_hint);
   vc.partial.insert(vc.partial.end(), cell.payload.begin(), cell.payload.end());
-  if (!cell.end_of_frame) {
-    vc.crc.update(cell.payload);
-    return;
-  }
-  // CRC-32 covers the whole PDU except the CRC field itself.
-  vc.crc.update({cell.payload.data(), kCellPayload - 4});
-  const std::uint32_t crc = vc.crc.value();
-  vc.crc.reset();
+  if (!cell.end_of_frame) return;
   util::Buffer pdu = std::move(vc.partial);
   vc.partial.clear();
   vc.pdu_hint = std::max(vc.pdu_hint, static_cast<std::uint32_t>(pdu.size()));
+  // CRC-32 covers the whole PDU except the CRC field itself.
+  const std::uint32_t crc = util::crc32({pdu.data(), pdu.size() - 4});
 
   const std::uint8_t* trailer =
       cell.payload.data() + kCellPayload - kAal5TrailerBytes;

@@ -20,7 +20,6 @@
 
 #include "atm/cell.hpp"
 #include "util/buffer.hpp"
-#include "util/crc32.hpp"
 #include "util/result.hpp"
 #include "util/vci_index.hpp"
 
@@ -49,9 +48,8 @@ enum class Aal5Error : std::uint8_t {
 
 /// Per-VC segmenter: cuts frames into cells with trailer, padding, CRC and
 /// an incrementing frame sequence number.  The CPCS-PDU (payload | pad |
-/// trailer) is never built: each cell is filled straight from the payload
-/// span and fed to the CRC as it is emitted, as the Hobbit board does while
-/// it moves the frame.
+/// trailer) is never built: the CRC runs once over the payload span, the pad
+/// and the trailer head, and each cell is filled straight from the payload.
 class Aal5Segmenter {
  public:
   /// Segment `payload` for `vci`.  Fails with message_too_long past
@@ -77,11 +75,10 @@ class Aal5Segmenter {
 
 /// Per-VC reassembler.  Feed cells in arrival order; completed frames and
 /// errors are reported through callbacks.  Each cell is appended to the
-/// VC's frame buffer and fed to that VC's running CRC in the same step (the
-/// end-of-frame cell only up to its CRC field), so the PDU is never read a
-/// second time.  A good frame is truncated to its length in place and moved
-/// to the handler: one buffer per frame, sized up front from the largest
-/// PDU the VC has carried.
+/// VC's frame buffer; at end of frame the CRC runs once over the contiguous
+/// PDU up to its CRC field.  A good frame is truncated to its length in
+/// place and moved to the handler: one buffer per frame, sized up front
+/// from the largest PDU the VC has carried.
 class Aal5Reassembler {
  public:
   using FrameHandler = std::function<void(Aal5Frame)>;
@@ -112,7 +109,6 @@ class Aal5Reassembler {
  private:
   struct VcState {
     util::Buffer partial;       ///< cells of the frame in progress
-    util::Crc32 crc;            ///< running CRC over `partial`
     std::uint32_t pdu_hint = 0; ///< largest PDU seen; reserved per frame
     bool has_expected_seq = false;
     std::uint8_t expected_seq = 0;

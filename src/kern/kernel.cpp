@@ -433,6 +433,10 @@ void Kernel::tcp_released(tcp::ConnId conn) {
 }
 
 util::Result<void> Kernel::tcp_send(Pid pid, int fd, util::BytesView data) {
+  return tcp_send(pid, fd, util::to_buffer(data));
+}
+
+util::Result<void> Kernel::tcp_send(Pid pid, int fd, util::Buffer&& data) {
   auto d = descriptor(pid, fd, Descriptor::Kind::tcp);
   if (!d) return d.error();
   auto it = tsocks_.find(d->handle);
@@ -443,7 +447,7 @@ util::Result<void> Kernel::tcp_send(Pid pid, int fd, util::BytesView data) {
   if (it->second.released) return Errc::connection_reset;
   // One user→kernel crossing, then the data enters the TCP send buffer.
   sim_.schedule(cfg_.context_switch,
-                [this, conn = it->second.conn, buf = util::to_buffer(data)] {
+                [this, conn = it->second.conn, buf = std::move(data)] {
                   (void)tcp_->send(conn, buf);
                 });
   return {};
@@ -579,6 +583,10 @@ util::Result<void> Kernel::xunet_output(Pid pid, int fd, MbufChain chain) {
 
 util::Result<void> Kernel::xunet_send(Pid pid, int fd, util::BytesView data) {
   return xunet_output(pid, fd, MbufChain::from_bytes(data, cfg_.mbuf_bytes));
+}
+
+util::Result<void> Kernel::xunet_send(Pid pid, int fd, util::Buffer&& data) {
+  return xunet_output(pid, fd, MbufChain::adopt(std::move(data), cfg_.mbuf_bytes));
 }
 
 util::Result<void> Kernel::xunet_send_chain(Pid pid, int fd, MbufChain chain) {

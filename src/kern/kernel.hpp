@@ -105,6 +105,8 @@ class Kernel {
   util::Result<int> tcp_connect(Pid pid, ip::IpAddress dst, std::uint16_t port,
                                 TcpResultFn on_done);
   util::Result<void> tcp_send(Pid pid, int fd, util::BytesView data);
+  /// Same, taking the caller's buffer over instead of copying it.
+  util::Result<void> tcp_send(Pid pid, int fd, util::Buffer&& data);
   util::Result<void> tcp_on_receive(Pid pid, int fd, DataFn fn);
   util::Result<void> tcp_on_close(Pid pid, int fd, CloseFn fn);
   [[nodiscard]] ip::IpAddress tcp_peer(Pid pid, int fd) const;
@@ -120,6 +122,9 @@ class Kernel {
   /// connect(): sending side; posts a connect indication likewise.
   util::Result<void> xunet_connect(Pid pid, int fd, atm::Vci vci, std::uint16_t cookie);
   util::Result<void> xunet_send(Pid pid, int fd, util::BytesView data);
+  /// Same, adopting the caller's buffer as the mbuf chain instead of copying
+  /// it (the chain's mbuf count, and so Table 1's cost, is unchanged).
+  util::Result<void> xunet_send(Pid pid, int fd, util::Buffer&& data);
   /// Bench variant: send an explicitly shaped mbuf chain.
   util::Result<void> xunet_send_chain(Pid pid, int fd, MbufChain chain);
   util::Result<void> xunet_on_receive(Pid pid, int fd, DataFn fn);

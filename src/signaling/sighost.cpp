@@ -170,7 +170,7 @@ void Sighost::transmit_peer(Peer& p, const Msg& m) {
       util::Buffer wire = serialize(m);
       wire[rng_.below(wire.size())] ^=
           static_cast<std::uint8_t>(1u << rng_.below(8));
-      (void)k_.xunet_send(pid_, p.send_fd, wire);
+      (void)k_.xunet_send(pid_, p.send_fd, std::move(wire));
       return;
     }
     case WireFault::delay:
@@ -1339,6 +1339,11 @@ void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
   if (pit == peers_.end()) return;
   Peer& p = pit->second;
   if (m.req_id != p.resync_nonce) return;  // stale nonce
+  // The peer restarted its numbering toward us when our resync reached it.
+  // Sequence numbers recorded while we waited belong to the channel it
+  // abandoned; kept, they would suppress its new messages of those numbers.
+  p.recv_floor = 0;
+  p.recv_above.clear();
   p.resync_timer.cancel();
   p.resync_attempts = 0;
   p.resync_nonce = 0;

@@ -204,11 +204,12 @@ TEST(Aal5, ReleaseDiscardsPartialFrame) {
   EXPECT_TRUE(c.errors.empty());
 }
 
-// ------------------------------------------ recovery of the running CRC
+// ------------------------------------------- recovery after a bad frame
 //
-// The reassembler keeps a per-VC CRC that runs as cells arrive.  Every way
-// a frame can end early must leave that state clean: the next good frame on
-// the same VC has to arrive intact.
+// The reassembler keeps a per-VC frame buffer that fills as cells arrive
+// and is checked by one CRC pass at end of frame.  Every way a frame can end
+// early must leave that state clean: the next good frame on the same VC has
+// to arrive intact.
 
 void feed(Collector& c, const std::vector<Cell>& cells) {
   for (const Cell& cell : cells) c.reasm.cell_arrival(cell);
@@ -290,20 +291,31 @@ TEST(Aal5, CleanFrameFollowsReleaseMidFrame) {
 }
 
 TEST(Aal5, SingleBitFlipInMiddleCellOrCrcFieldFailsCrc) {
-  for (const bool in_crc_field : {false, true}) {
+  // 200 payload bytes segment into 5 cells; the last holds 8 payload bytes,
+  // 32 pad bytes, then UU (40), CPI (41), length (42-43) and CRC (44-47).
+  // The receiver's one CRC pass over the reassembled PDU must cover every
+  // byte up to the CRC field, pad and trailer included.
+  struct Flip {
+    std::size_t cell;  ///< index, counted from the front (4 = last)
+    std::size_t byte;
+    std::uint8_t mask;
+  };
+  for (const Flip f : {Flip{2, 30, 0x01},    // middle cell
+                       Flip{4, 20, 0x08},    // last cell's pad
+                       Flip{4, 40, 0x02},    // UU (frame sequence number)
+                       Flip{4, 42, 0x40},    // length, high byte
+                       Flip{4, 43, 0x01},    // length, low byte
+                       Flip{4, 46, 0x10}}) { // CRC field
     Aal5Segmenter seg;
     Collector c;
     auto cells = seg.segment(5, make_payload(200, 53));
     ASSERT_EQ(cells->size(), 5u);
-    if (in_crc_field) {
-      cells->back().payload[kCellPayload - 2] ^= 0x10;
-    } else {
-      (*cells)[2].payload[30] ^= 0x01;
-    }
+    (*cells)[f.cell].payload[f.byte] ^= f.mask;
     feed(c, *cells);
-    EXPECT_TRUE(c.frames.empty());
-    ASSERT_EQ(c.errors.size(), 1u);
-    EXPECT_EQ(c.errors[0].second, Aal5Error::crc_mismatch);
+    EXPECT_TRUE(c.frames.empty()) << "cell " << f.cell << " byte " << f.byte;
+    ASSERT_EQ(c.errors.size(), 1u) << "cell " << f.cell << " byte " << f.byte;
+    EXPECT_EQ(c.errors[0].second, Aal5Error::crc_mismatch)
+        << "cell " << f.cell << " byte " << f.byte;
   }
 }
 

@@ -172,7 +172,7 @@ TEST_F(KernelFixture, XunetSocketStateMachine) {
   auto fd = k->xunet_socket(p);
   ASSERT_TRUE(fd.ok());
   // Send before connect fails.
-  EXPECT_EQ(k->xunet_send(p, *fd, {}).error(), util::Errc::not_connected);
+  EXPECT_EQ(k->xunet_send(p, *fd, util::Buffer{}).error(), util::Errc::not_connected);
   ASSERT_TRUE(k->xunet_connect(p, *fd, 70, 1).ok());
   // Double connect fails.
   EXPECT_EQ(k->xunet_connect(p, *fd, 71, 1).error(),
@@ -198,7 +198,7 @@ TEST_F(KernelFixture, DisconnectMarksSocketUnusable) {
   sim.run();
   EXPECT_TRUE(notified);
   EXPECT_FALSE(k->xunet_usable(p, *fd));
-  EXPECT_EQ(k->xunet_send(p, *fd, {}).error(), util::Errc::connection_reset);
+  EXPECT_EQ(k->xunet_send(p, *fd, util::Buffer{}).error(), util::Errc::connection_reset);
 }
 
 TEST_F(KernelFixture, DisconnectCallbacksFireInSocketCreationOrder) {
@@ -358,7 +358,7 @@ TEST_F(KernelFixture, SyscallsFromDeadProcessFail) {
   auto fd = k->xunet_socket(p);
   ASSERT_TRUE(k->kill_process(p).ok());
   EXPECT_EQ(k->xunet_socket(p).error(), util::Errc::not_found);
-  EXPECT_EQ(k->xunet_send(p, *fd, {}).error(), util::Errc::not_found);
+  EXPECT_EQ(k->xunet_send(p, *fd, util::Buffer{}).error(), util::Errc::not_found);
 }
 
 TEST_F(KernelFixture, ControlSyscallsRequireRouterRole) {

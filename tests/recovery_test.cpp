@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "chaos/runner.hpp"
 #include "core/apps.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault.hpp"
@@ -351,6 +352,94 @@ TEST(CrashRecovery, CrashBetweenRetransmitBackoffAttemptsOfInflightConnect) {
   rig.tb->sim().run_for(sim::seconds(2));
   auto rep = rig.tb->audit();
   EXPECT_TRUE(rep.clean()) << rep.describe();
+}
+
+// A restarted sighost resets its channel state when it first sends
+// PEER_RESYNC, but the peer keeps numbering its messages on the old channel
+// until that resync reaches it.  Here the resync is held up (trunk cut, then
+// a lost ack), so old-channel sequence numbers land in the restarted side's
+// duplicate window; the peer, once reset, reuses those numbers, and a later
+// PEER_TEARDOWN or PEER_ESTABLISHED was suppressed as a "duplicate",
+// leaving a call record or a VC behind.  Each schedule below is a shrunk
+// chaos_run repro (--crashes 2) of that leak.
+TEST(CrashRecovery, ResyncAckClearsSequenceNumbersOfTheAbandonedChannel) {
+  using chaos::ChaosEvent;
+  using chaos::ChaosEventKind;
+  const auto event = [](ChaosEventKind kind, std::int64_t at_ms,
+                        std::int64_t duration_ms, int node) {
+    ChaosEvent e;
+    e.kind = kind;
+    e.at = sim::milliseconds(at_ms);
+    e.duration = sim::milliseconds(duration_ms);
+    e.node = node;
+    return e;
+  };
+  struct Repro {
+    chaos::ChaosCase c;
+    std::vector<ChaosEvent> events;
+  };
+  std::vector<Repro> repros;
+  {
+    // Seed 50: berkeley.rt kept call mh.rt#14 after its VC was gone.
+    Repro r;
+    r.c.routers = 2;
+    r.c.calls = 6;
+    r.c.seed = 50;
+    ChaosEvent drop = event(ChaosEventKind::wire_rule, 3357, 1481, 0);
+    drop.fault = sig::WireFault::drop;
+    drop.probability = 0.423;
+    r.events = {drop, event(ChaosEventKind::crash_restart, 1248, 1269, 1),
+                event(ChaosEventKind::trunk_cut, 30, 3755, 0)};
+    repros.push_back(r);
+  }
+  {
+    // Seed 156, three routers: site2.rt kept call mh.rt#21.
+    Repro r;
+    r.c.routers = 3;
+    r.c.calls = 8;
+    r.c.seed = 156;
+    r.events = {event(ChaosEventKind::crash_restart, 1791, 2540, 2),
+                event(ChaosEventKind::trunk_cut, 15, 5023, 1)};
+    repros.push_back(r);
+  }
+  {
+    // Seed 62, two shards: berkeley.rt kept call mh.rt#8.
+    Repro r;
+    r.c.routers = 2;
+    r.c.shards = 2;
+    r.c.calls = 6;
+    r.c.seed = 62;
+    r.events = {event(ChaosEventKind::crash_restart, 279, 4775, 1),
+                event(ChaosEventKind::trunk_cut, 386, 5065, 0)};
+    repros.push_back(r);
+  }
+  {
+    // Seed 116, two shards: a network VC outlived its call at berkeley.rt.
+    Repro r;
+    r.c.routers = 2;
+    r.c.shards = 2;
+    r.c.calls = 6;
+    r.c.seed = 116;
+    ChaosEvent dup = event(ChaosEventKind::wire_rule, 2426, 951, 1);
+    dup.fault = sig::WireFault::duplicate;
+    dup.probability = 0.294;
+    ChaosEvent cells = event(ChaosEventKind::cell_impair, 1923, 3245, 0);
+    cells.loss = 0.023;
+    cells.corrupt = 0.009;
+    r.events = {dup, event(ChaosEventKind::crash_restart, 756, 1664, 0),
+                event(ChaosEventKind::crash_restart, 3372, 419, 1), cells};
+    repros.push_back(r);
+  }
+  for (const Repro& r : repros) {
+    const chaos::RunOutcome out = chaos::run_events(r.c, r.events);
+    std::string found;
+    for (const chaos::Violation& v : out.violations) {
+      found += v.rule + ": " + v.detail + "\n";
+    }
+    EXPECT_TRUE(out.violations.empty()) << "seed " << r.c.seed << "\n" << found;
+    EXPECT_EQ(out.workload.unresolved, 0u) << "seed " << r.c.seed;
+    EXPECT_EQ(out.workload.multi_fired, 0u) << "seed " << r.c.seed;
+  }
 }
 
 // ----------------------------------------------- the acceptance scenario

@@ -164,8 +164,8 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), before);
 }
 
-// Bit-serial CRC-32, one byte per outer step: the textbook definition the
-// slicing-by-8 engine must reproduce exactly.
+// Bit-serial CRC-32, one byte per outer step: the textbook definition both
+// engines (carry-less folding, slicing-by-8) must reproduce exactly.
 std::uint32_t reference_crc32(BytesView data) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (std::uint8_t b : data) {
@@ -183,11 +183,12 @@ Buffer random_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
-  // Every length through several 8-byte blocks plus tail, from every start
-  // offset within a word, so unaligned loads and all tail sizes are hit.
-  const Buffer data = random_bytes(200 + 8, 11);
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; len <= 200; ++len) {
+  // Every length through the 64-byte folding threshold and several 16-byte
+  // folds plus every tail size, from every start offset within a 16-byte
+  // lane, so unaligned loads on both the folded and the table path are hit.
+  const Buffer data = random_bytes(300 + 16, 11);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
       const BytesView v{data.data() + off, len};
       ASSERT_EQ(crc32(v), reference_crc32(v)) << "offset " << off << " length " << len;
     }
@@ -195,18 +196,33 @@ TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
 }
 
 TEST(Crc32, MatchesReferenceUnderRandomChunking) {
-  const Buffer msg = random_bytes(3000, 12);
-  const std::uint32_t want = reference_crc32(msg);
+  // Messages up to the largest AAL5 PDU (9180-byte payload + pad + trailer)
+  // fed in pieces.  Small pieces stay on the table path; two-way splits put
+  // one cut at a random point, near the front (inside the first 64-byte
+  // fold) or near the end (inside the last 16-byte tail).
+  constexpr std::size_t kMaxPdu = 9188;
+  const Buffer msg = random_bytes(kMaxPdu, 12);
   Rng rng(13);
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t len = trial < 200 ? 3000 : rng.below(kMaxPdu + 1);
+    const BytesView whole{msg.data(), len};
     Crc32 inc;
-    std::size_t pos = 0;
-    while (pos < msg.size()) {
-      const std::size_t n = std::min<std::size_t>(rng.below(40), msg.size() - pos);
-      inc.update({msg.data() + pos, n});
-      pos += n;
+    if (trial < 200) {
+      std::size_t pos = 0;
+      while (pos < len) {
+        const std::size_t n = std::min<std::size_t>(rng.below(40), len - pos);
+        inc.update(whole.subspan(pos, n));
+        pos += n;
+      }
+    } else {
+      std::size_t cut = rng.below(len + 1);
+      if (trial % 3 == 1) cut = std::min<std::size_t>(rng.below(64), len);
+      if (trial % 3 == 2) cut = len - std::min<std::size_t>(rng.below(16), len);
+      inc.update(whole.first(cut));
+      inc.update(whole.subspan(cut));
     }
-    ASSERT_EQ(inc.value(), want) << "trial " << trial;
+    ASSERT_EQ(inc.value(), reference_crc32(whole))
+        << "trial " << trial << " length " << len;
   }
 }
 
