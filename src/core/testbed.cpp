@@ -25,7 +25,6 @@ std::string LeakReport::describe() const {
   add("incoming", sighost_incoming);
   add("wait_bind", sighost_wait_bind);
   add("vci_mappings", sighost_vci_mappings);
-  add("cookie_vcis", cookie_vcis);
   return s.empty() ? "clean" : s;
 }
 
@@ -297,7 +296,6 @@ LeakReport Testbed::audit() const {
       rep.sighost_incoming += sh->incoming_requests_size();
       rep.sighost_wait_bind += sh->wait_for_bind_size();
       rep.sighost_vci_mappings += sh->vci_mapping_size();
-      rep.cookie_vcis += sh->cookies().vci_count();
     }
   }
   return rep;

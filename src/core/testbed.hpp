@@ -117,12 +117,10 @@ struct LeakReport {
   std::size_t sighost_incoming = 0;
   std::size_t sighost_wait_bind = 0;
   std::size_t sighost_vci_mappings = 0;
-  std::size_t cookie_vcis = 0;
   /// True when every call's state is fully reclaimed.
   [[nodiscard]] bool clean() const noexcept {
     return network_vcs == 0 && sighost_outgoing == 0 && sighost_incoming == 0 &&
-           sighost_wait_bind == 0 && sighost_vci_mappings == 0 &&
-           cookie_vcis == 0;
+           sighost_wait_bind == 0 && sighost_vci_mappings == 0;
   }
   [[nodiscard]] std::string describe() const;
 };

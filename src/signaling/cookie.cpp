@@ -9,11 +9,4 @@ Cookie CookieTable::mint() {
   }
 }
 
-void CookieTable::release_vci(atm::Vci vci) {
-  auto it = by_vci_.find(vci);
-  if (it == by_vci_.end()) return;
-  outstanding_.erase(it->second);
-  by_vci_.erase(it);
-}
-
 }  // namespace xunet::sig

@@ -1,20 +1,22 @@
-// cookie.hpp — per-VCI cookie capability table (§7.1).
+// cookie.hpp — the §7.1 cookie capabilities sighost issues.
 //
 // "sighost maintains a per-VCI table of cookies.  When an endpoint does a
 // connect or an accept on a socket, it must supply the cookie provided to
 // it during call setup ... If authentication fails, the call is torn down,
-// and the socket marked unusable."
+// and the socket marked unusable."  The per-VCI table is VCI_mapping itself:
+// each entry carries its call's cookie, and sighost authenticates a bind or
+// connect indication against it.  This class only issues the cookies and
+// keeps the outstanding ones unique.
 #pragma once
 
 #include <unordered_map>
 
-#include "atm/types.hpp"
 #include "signaling/messages.hpp"
 #include "util/rng.hpp"
 
 namespace xunet::sig {
 
-/// Issues unguessable 16-bit cookies and authenticates (VCI, cookie) pairs.
+/// Issues unguessable 16-bit cookies, unique among those outstanding.
 class CookieTable {
  public:
   explicit CookieTable(std::uint64_t seed) : rng_(seed) {}
@@ -24,28 +26,16 @@ class CookieTable {
   /// probability < 2^-16 per attempt.
   [[nodiscard]] Cookie mint();
 
-  /// Associate an outstanding cookie with a VCI once the VC exists.
-  void bind_vci(atm::Vci vci, Cookie cookie) { by_vci_[vci] = cookie; }
-
-  /// Authenticate an endpoint's (VCI, cookie) presentation.
-  [[nodiscard]] bool authenticate(atm::Vci vci, Cookie cookie) const {
-    auto it = by_vci_.find(vci);
-    return it != by_vci_.end() && cookie != 0 && it->second == cookie;
-  }
-
-  /// "Cookies last for the lifetime of a connection."
-  void release_vci(atm::Vci vci);
-  /// Drop a minted cookie that never got a VCI (failed setup).
+  /// "Cookies last for the lifetime of a connection": end one when its
+  /// call does (or when its setup fails).
   void discard(Cookie cookie) { outstanding_.erase(cookie); }
 
-  [[nodiscard]] std::size_t vci_count() const noexcept { return by_vci_.size(); }
   [[nodiscard]] std::size_t outstanding_count() const noexcept {
     return outstanding_.size();
   }
 
  private:
   util::Rng rng_;
-  std::unordered_map<atm::Vci, Cookie> by_vci_;
   std::unordered_map<Cookie, bool> outstanding_;
 };
 

@@ -27,6 +27,12 @@ using ReqId = std::uint32_t;
 /// Each incarnation therefore allocates from a disjoint 4M-wide band.
 inline constexpr int kReqIdIncarnationShift = 22;
 
+/// The end-to-end call key "<originator>#<req_id>" that names a call in
+/// sighost's lists and in every hop's trace spans.
+[[nodiscard]] inline std::string call_name(const std::string& origin, ReqId id) {
+  return origin + "#" + std::to_string(id);
+}
+
 /// The 16-bit capability of §7.1: "a cookie is a 16 bit capability that
 /// gives the holder the right to access a socket bound to a particular VCI."
 using Cookie = std::uint16_t;

@@ -19,6 +19,12 @@ constexpr sim::SimDuration kRetransmitBase = sim::milliseconds(250);
 constexpr sim::SimDuration kRetransmitJitter = sim::milliseconds(50);
 constexpr int kRetransmitMaxAttempts = 6;
 constexpr std::uint64_t kRetransmitSeed = 0x7e57'ab1e;
+// The sender's whole retry budget (every backoff at its longest jitter):
+// a sequence number still missing after this long was abandoned, so the
+// receiver's duplicate window stops waiting for it (~16 s).
+constexpr sim::SimDuration kRecvGapHorizon =
+    kRetransmitBase * ((std::int64_t{1} << kRetransmitMaxAttempts) - 1) +
+    kRetransmitJitter * kRetransmitMaxAttempts;
 
 }  // namespace
 
@@ -127,9 +133,6 @@ util::Result<void> Sighost::add_peer(const atm::AtmAddress& peer,
   Peer p;
   p.addr = peer;
   p.send_fd = *send_fd;
-  p.recv_fd = *recv_fd;
-  p.send_vci = send_vci;
-  p.recv_vci = recv_vci;
   p.resync_timer = sim::Timer(k_.simulator());
   peers_.emplace(name, std::move(p));
   return {};
@@ -218,13 +221,19 @@ void Sighost::retransmit(const std::string& peer, std::uint32_t seq) {
                [this, peer, seq] { retransmit(peer, seq); });
 }
 
-bool Sighost::note_received(Peer& p, std::uint32_t seq) {
+bool Sighost::note_received(Peer& p, std::uint32_t seq, sim::SimTime now) {
   if (seq <= p.recv_floor || p.recv_above.contains(seq)) return true;
+  if (p.recv_above.empty()) p.gap_since = now;
   p.recv_above.insert(seq);
+  // A number missing for longer than the sender's retry budget will never
+  // come: skip it rather than hold every later number for the channel's life.
+  if (now - p.gap_since > kRecvGapHorizon) p.recv_floor = *p.recv_above.begin() - 1;
+  const std::uint32_t floor = p.recv_floor;
   while (p.recv_above.contains(p.recv_floor + 1)) {
     p.recv_above.erase(p.recv_floor + 1);
     ++p.recv_floor;
   }
+  if (p.recv_floor != floor) p.gap_since = now;
   return false;
 }
 
@@ -319,6 +328,33 @@ void Sighost::send_peer(const std::string& peer, const Msg& m) {
   transmit_peer(it->second, out);
 }
 
+void Sighost::send_peer(const std::string& peer, MsgType type, ReqId id,
+                        Errc reason) {
+  Msg m;
+  m.type = type;
+  m.req_id = id;
+  m.error = static_cast<std::uint8_t>(reason);
+  send_peer(peer, m);
+}
+
+void Sighost::send_conn_failed(int fd, ReqId id, Cookie cookie, Errc reason) {
+  Msg fail;
+  fail.type = MsgType::conn_failed;
+  fail.req_id = id;
+  fail.cookie = cookie;
+  fail.error = static_cast<std::uint8_t>(reason);
+  send_app(fd, fail);
+}
+
+void Sighost::send_down_disconnect(atm::Vci vci, ip::IpAddress machine) {
+  if (anand_fd_ < 0) return;
+  StubMsg down;
+  down.type = StubMsg::Type::down_disconnect;
+  down.vci = vci;
+  down.machine = machine;
+  (void)k_.tcp_send(pid_, anand_fd_, serialize(down));
+}
+
 void Sighost::on_app_accept(int fd) {
   app_conns_.try_emplace(fd, [this, fd](const Msg& m) { on_app_msg(fd, m); });
   (void)k_.tcp_on_receive(pid_, fd, [this, fd](util::BytesView data) {
@@ -335,6 +371,7 @@ void Sighost::on_app_conn_closed(int fd) {
   // The requester vanished with requests outstanding: withdraw them so no
   // network or peer state stays pinned (§4: frugal use of resources).  The
   // scan is bounded by max_outgoing_requests.
+  const std::size_t before = outgoing_.size();
   for (auto oit = outgoing_.begin(); oit != outgoing_.end();) {
     if (oit->second.client_fd != fd) {
       ++oit;
@@ -342,12 +379,10 @@ void Sighost::on_app_conn_closed(int fd) {
     }
     cookies_.discard(oit->second.client_cookie);
     end_setup_trace(oit->second.setup);
-    Msg cancel;
-    cancel.type = MsgType::peer_cancel;
-    cancel.req_id = oit->first;
-    send_peer(oit->second.dst_name, cancel);
+    send_peer(oit->second.dst_name, MsgType::peer_cancel, oit->first);
     oit = outgoing_.erase(oit);
   }
+  if (outgoing_.size() != before) record_lists();
   (void)k_.close(pid_, fd);
 }
 
@@ -380,7 +415,7 @@ void Sighost::on_peer_msg(const std::string& peer, const Msg& m) {
       ack.type = MsgType::peer_ack;
       ack.seq = m.seq;
       transmit_peer(p, ack);
-      if (note_received(p, m.seq)) {
+      if (note_received(p, m.seq, k_.simulator().now())) {
         ++stats_.dup_suppressed;
         m_dup_suppressed_->inc();
         return;
@@ -411,10 +446,7 @@ void Sighost::on_stub_msg(const StubMsg& m) {
 
 void Sighost::handle_export_srv(int fd, const Msg& m) {
   if (m.service.empty() || m.port == 0) {
-    Msg fail;
-    fail.type = MsgType::conn_failed;
-    fail.error = static_cast<std::uint8_t>(Errc::invalid_argument);
-    send_app(fd, fail);
+    send_conn_failed(fd, 0, 0, Errc::invalid_argument);
     return;
   }
   Service svc;
@@ -460,16 +492,12 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
     reply.req_id = id;
     reply.dst = k_.atm_address().name;
     send_app(fd, reply);
-    Msg fail;
-    fail.type = MsgType::conn_failed;
-    fail.req_id = id;
-    fail.error = static_cast<std::uint8_t>(Errc::no_buffer_space);
-    send_app(fd, fail);
+    send_conn_failed(fd, id, 0, Errc::no_buffer_space);
     return;
   }
   ReqId id = next_req_++;
   Cookie cookie = cookies_.mint();
-  const std::string key = call_key(k_.atm_address().name, id);
+  const std::string key = call_name(k_.atm_address().name, id);
   Outgoing out;
   out.client_fd = fd;
   out.dst_name = m.dst;
@@ -495,10 +523,7 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
     auto oit = outgoing_.find(id);
     if (oit == outgoing_.end()) return;
     ++stats_.request_timeouts;
-    Msg cancel;
-    cancel.type = MsgType::peer_cancel;
-    cancel.req_id = id;
-    send_peer(oit->second.dst_name, cancel);
+    send_peer(oit->second.dst_name, MsgType::peer_cancel, id);
     fail_outgoing(id, Errc::timed_out);
   });
   outgoing_.emplace(id, std::move(out));
@@ -542,10 +567,7 @@ void Sighost::handle_cancel_req(int fd, const Msg& m) {
   for (auto& [id, out] : outgoing_) {
     if (out.client_fd == fd && out.client_cookie == m.cookie) {
       ++stats_.cancels;
-      Msg cancel;
-      cancel.type = MsgType::peer_cancel;
-      cancel.req_id = id;
-      send_peer(out.dst_name, cancel);
+      send_peer(out.dst_name, MsgType::peer_cancel, id);
       fail_outgoing(id, Errc::cancelled);
       return;
     }
@@ -579,21 +601,15 @@ void Sighost::handle_reject_conn(int fd, const std::string& key, const Msg& m) {
   if (inc.server_fd != fd || inc.decided) return;
   if (m.cookie != inc.server_cookie) return;
   ++stats_.rejects_sent;
-  cookies_.discard(inc.server_cookie);
-  Msg rej;
-  rej.type = MsgType::peer_reject;
-  rej.req_id = inc.id;
-  rej.error = static_cast<std::uint8_t>(Errc::rejected);
-  send_peer(inc.origin, rej);
+  end_incoming(inc, std::nullopt, Errc::rejected);
   (void)k_.close(pid_, fd);
-  XOBS_END(obs_, inc.serve_span);
   incoming_.erase(it);
 }
 
 // ------------------------------------------------------------- peer flows
 
 void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
-  const std::string key = call_key(origin, m.req_id);
+  const std::string key = call_name(origin, m.req_id);
   // Idempotency: sequence numbers suppress wire duplicates, but a call that
   // is already in progress (or established) must never open a second
   // server connection or allocate a second VC, whatever arrives.
@@ -604,11 +620,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
   if (wire_size(m.service.size() + m.qos.size() + m.comment.size() +
                 origin.size()) > kMaxMsgBytes) {
     ++stats_.rejects_sent;
-    Msg rej;
-    rej.type = MsgType::peer_reject;
-    rej.req_id = m.req_id;
-    rej.error = static_cast<std::uint8_t>(Errc::message_too_long);
-    send_peer(origin, rej);
+    send_peer(origin, MsgType::peer_reject, m.req_id, Errc::message_too_long);
     return;
   }
   // Bounded-queue overload shedding, callee side.
@@ -617,11 +629,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
     m_sheds_->inc();
     XOBS_FLIGHT(obs_, "sighost", "overload.shed", track_,
                 "incoming_requests at cap", -1);
-    Msg rej;
-    rej.type = MsgType::peer_reject;
-    rej.req_id = m.req_id;
-    rej.error = static_cast<std::uint8_t>(Errc::no_buffer_space);
-    send_peer(origin, rej);
+    send_peer(origin, MsgType::peer_reject, m.req_id, Errc::no_buffer_space);
     return;
   }
   fsm("fsm.peer_setup", key);
@@ -639,15 +647,11 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
   }
   maintenance_log(
       key, [this, origin, m, serve] {
-        const std::string key = call_key(origin, m.req_id);
+        const std::string key = call_name(origin, m.req_id);
         auto sit = services_.find(m.service);
         if (sit == services_.end()) {
           ++stats_.rejects_sent;
-          Msg rej;
-          rej.type = MsgType::peer_reject;
-          rej.req_id = m.req_id;
-          rej.error = static_cast<std::uint8_t>(Errc::not_found);
-          send_peer(origin, rej);
+          send_peer(origin, MsgType::peer_reject, m.req_id, Errc::not_found);
           XOBS_END(obs_, serve);
           return;
         }
@@ -662,15 +666,8 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
               if (!r) {
                 // Server unreachable (likely dead): decline the call.
                 ++stats_.rejects_sent;
-                cookies_.discard(iit->second.server_cookie);
-                const obs::SpanId span = iit->second.serve_span;
+                end_incoming(iit->second, std::nullopt, Errc::connection_refused);
                 incoming_.erase(iit);
-                Msg rej;
-                rej.type = MsgType::peer_reject;
-                rej.req_id = m.req_id;
-                rej.error = static_cast<std::uint8_t>(Errc::connection_refused);
-                send_peer(origin, rej);
-                XOBS_END(obs_, span);
                 return;
               }
               int fd = *r;
@@ -691,13 +688,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
                 if (it2 != incoming_.end() && it2->second.server_fd == fd &&
                     !it2->second.decided) {
                   ++stats_.rejects_sent;
-                  cookies_.discard(it2->second.server_cookie);
-                  Msg rej;
-                  rej.type = MsgType::peer_reject;
-                  rej.req_id = it2->second.id;
-                  rej.error = static_cast<std::uint8_t>(Errc::connection_reset);
-                  send_peer(it2->second.origin, rej);
-                  XOBS_END(obs_, it2->second.serve_span);
+                  end_incoming(it2->second, std::nullopt, Errc::connection_reset);
                   incoming_.erase(it2);
                 }
                 (void)k_.close(pid_, fd);
@@ -718,11 +709,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
         if (!fd) {
           ++stats_.rejects_sent;
           cookies_.discard(cookie);
-          Msg rej;
-          rej.type = MsgType::peer_reject;
-          rej.req_id = m.req_id;
-          rej.error = static_cast<std::uint8_t>(Errc::no_resources);
-          send_peer(origin, rej);
+          send_peer(origin, MsgType::peer_reject, m.req_id, Errc::no_resources);
           XOBS_END(obs_, serve);
           return;
         }
@@ -740,19 +727,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
           auto iit = incoming_.find(key);
           if (iit == incoming_.end()) return;
           ++stats_.request_timeouts;
-          cookies_.discard(iit->second.server_cookie);
-          Msg fail;
-          fail.type = MsgType::conn_failed;
-          fail.req_id = iit->second.id;
-          fail.error = static_cast<std::uint8_t>(Errc::timed_out);
-          send_app(iit->second.server_fd, fail);
-          (void)k_.close(pid_, iit->second.server_fd);
-          Msg rej;
-          rej.type = MsgType::peer_reject;
-          rej.req_id = iit->second.id;
-          rej.error = static_cast<std::uint8_t>(Errc::timed_out);
-          send_peer(iit->second.origin, rej);
-          XOBS_END(obs_, iit->second.serve_span);
+          end_incoming(iit->second, Errc::timed_out, Errc::timed_out);
           incoming_.erase(iit);
         });
         incoming_.emplace(key, std::move(inc));
@@ -765,15 +740,12 @@ void Sighost::handle_peer_accept(const std::string& origin, const Msg& m) {
   if (!outgoing_.contains(m.req_id)) {
     // A late re-accept for a call that already established is not a dead
     // client: never answer it with a teardown.
-    if (vci_for_call(call_key(k_.atm_address().name, m.req_id)) !=
+    if (vci_for_call(call_name(k_.atm_address().name, m.req_id)) !=
         atm::kInvalidVci) {
       return;
     }
     // Client is gone or withdrew: unwind the callee's acceptance.
-    Msg down;
-    down.type = MsgType::peer_teardown;
-    down.req_id = m.req_id;
-    send_peer(origin, down);
+    send_peer(origin, MsgType::peer_teardown, m.req_id);
     return;
   }
   establish_vc(m.req_id, m.qos, m.trace_id, m.parent_span);
@@ -791,19 +763,12 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         auto oit2 = outgoing_.find(req_id);
         if (oit2 == outgoing_.end()) {
           if (r) (void)net_.teardown(r->id);
-          Msg down;
-          down.type = MsgType::peer_teardown;
-          down.req_id = req_id;
-          send_peer(dst, down);
+          send_peer(dst, MsgType::peer_teardown, req_id);
           return;
         }
         if (!r) {
           ++stats_.setup_failures;
-          Msg fail;
-          fail.type = MsgType::peer_setup_failed;
-          fail.req_id = req_id;
-          fail.error = static_cast<std::uint8_t>(r.error());
-          send_peer(dst, fail);
+          send_peer(dst, MsgType::peer_setup_failed, req_id, r.error());
           fail_outgoing(req_id, r.error());
           return;
         }
@@ -815,7 +780,6 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         // relic of a teardown notification lost to a partition.  Reclaim it
         // before the new call takes the number (lazy reconciliation).
         if (vci_map_.contains(vci)) teardown_vci(vci, /*notify_peer=*/true);
-        cookies_.bind_vci(vci, out.client_cookie);
         VciEntry e;
         e.req_id = req_id;
         e.originator = true;
@@ -832,9 +796,9 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         e.pending_client_fd = out.client_fd;
         e.setup = out.setup;
         vci_map_.emplace(vci, std::move(e));
-        const std::string key = call_key(k_.atm_address().name, req_id);
+        const std::string key = call_name(k_.atm_address().name, req_id);
         call_by_key_[key] = vci;
-        load_wait_for_bind(vci, out.client_cookie);
+        load_wait_for_bind(vci);
         ++stats_.calls_established;
         m_established_->inc();
         fsm("fsm.established", key, vci);
@@ -850,26 +814,22 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         est.qos = qos_granted;
         send_peer(dst, est);
       },
-      call_key(k_.atm_address().name, req_id), trace_id, parent_span,
+      call_name(k_.atm_address().name, req_id), trace_id, parent_span,
       // Constrain both endpoint VCIs to this shard's residue class so the
       // callee-side indications and recovery land on the callee's shard s.
       atm::VciPartition{cfg_.shard_count, cfg_.shard_id});
 }
 
-void Sighost::handle_peer_reject(const std::string& origin, const Msg& m) {
-  (void)origin;
+void Sighost::handle_peer_reject(const std::string&, const Msg& m) {
   fail_outgoing(m.req_id, static_cast<Errc>(m.error));
 }
 
 void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
-  std::string key = call_key(origin, m.req_id);
+  std::string key = call_name(origin, m.req_id);
   auto iit = incoming_.find(key);
   if (iit == incoming_.end()) {
     // We no longer know this call (server died after accepting): unwind.
-    Msg down;
-    down.type = MsgType::peer_teardown;
-    down.req_id = m.req_id;
-    send_peer(origin, down);
+    send_peer(origin, MsgType::peer_teardown, m.req_id);
     return;
   }
   Incoming inc = std::move(iit->second);
@@ -879,7 +839,6 @@ void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
   // Same lazy reconciliation as the originator side: a stale record on a
   // reused VCI is torn down before the new call is recorded.
   if (vci_map_.contains(vci)) teardown_vci(vci, /*notify_peer=*/true);
-  cookies_.bind_vci(vci, inc.server_cookie);
   VciEntry e;
   e.req_id = m.req_id;
   e.originator = false;
@@ -890,7 +849,7 @@ void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
   e.notify_origin_on_confirm = true;
   vci_map_.emplace(vci, std::move(e));
   call_by_key_[key] = vci;
-  load_wait_for_bind(vci, inc.server_cookie);
+  load_wait_for_bind(vci);
   ++stats_.calls_established;
   m_established_->inc();
   fsm("fsm.established", key, vci);
@@ -907,17 +866,12 @@ void Sighost::handle_peer_established(const std::string& origin, const Msg& m) {
   send_app(inc.server_fd, vmsg);
 }
 
-void Sighost::handle_peer_bound(const std::string& origin, const Msg& m) {
-  (void)origin;
+void Sighost::handle_peer_bound(const std::string&, const Msg& m) {
   // We originated this call; the callee's server is now bound: release the
-  // client's VCI_FOR_CONN.  The reverse index replaces what used to be a
-  // full VCI_mapping walk per PEER_BOUND — O(n) per call, quadratic over a
-  // call burst.
-  std::string key = call_key(k_.atm_address().name, m.req_id);
-  auto bit = call_by_key_.find(key);
-  if (bit == call_by_key_.end()) return;
-  const atm::Vci vci = bit->second;
-  VciEntry* e = vci_map_.find(vci);
+  // client's VCI_FOR_CONN.
+  const std::string key = call_name(k_.atm_address().name, m.req_id);
+  const atm::Vci vci = vci_for_call(key);
+  VciEntry* e = vci_map_.find(vci);  // kInvalidVci is never mapped
   if (e == nullptr || e->pending_client_fd < 0) return;
   Msg vmsg;
   vmsg.type = MsgType::vci_for_conn;
@@ -934,17 +888,10 @@ void Sighost::handle_peer_bound(const std::string& origin, const Msg& m) {
 }
 
 void Sighost::handle_peer_setup_failed(const std::string& origin, const Msg& m) {
-  std::string key = call_key(origin, m.req_id);
+  std::string key = call_name(origin, m.req_id);
   auto iit = incoming_.find(key);
   if (iit == incoming_.end()) return;
-  cookies_.discard(iit->second.server_cookie);
-  Msg fail;
-  fail.type = MsgType::conn_failed;
-  fail.req_id = m.req_id;
-  fail.error = m.error;
-  send_app(iit->second.server_fd, fail);
-  (void)k_.close(pid_, iit->second.server_fd);
-  XOBS_END(obs_, iit->second.serve_span);
+  end_incoming(iit->second, static_cast<Errc>(m.error), std::nullopt);
   incoming_.erase(iit);
 }
 
@@ -952,20 +899,13 @@ void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
   // The call key depends on who originated: try the sender's name (they
   // originated) then our own (we did).
   for (const std::string& key :
-       {call_key(origin, m.req_id), call_key(k_.atm_address().name, m.req_id)}) {
+       {call_name(origin, m.req_id), call_name(k_.atm_address().name, m.req_id)}) {
     if (atm::Vci vci = vci_for_call(key); vci != atm::kInvalidVci) {
       teardown_vci(vci, /*notify_peer=*/false);
       return;
     }
     if (auto iit = incoming_.find(key); iit != incoming_.end()) {
-      cookies_.discard(iit->second.server_cookie);
-      Msg fail;
-      fail.type = MsgType::conn_failed;
-      fail.req_id = m.req_id;
-      fail.error = static_cast<std::uint8_t>(Errc::connection_reset);
-      send_app(iit->second.server_fd, fail);
-      (void)k_.close(pid_, iit->second.server_fd);
-      XOBS_END(obs_, iit->second.serve_span);
+      end_incoming(iit->second, Errc::connection_reset, std::nullopt);
       incoming_.erase(iit);
       return;
     }
@@ -973,17 +913,10 @@ void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
 }
 
 void Sighost::handle_peer_cancel(const std::string& origin, const Msg& m) {
-  std::string key = call_key(origin, m.req_id);
+  std::string key = call_name(origin, m.req_id);
   auto iit = incoming_.find(key);
   if (iit != incoming_.end()) {
-    cookies_.discard(iit->second.server_cookie);
-    Msg fail;
-    fail.type = MsgType::conn_failed;
-    fail.req_id = m.req_id;
-    fail.error = static_cast<std::uint8_t>(Errc::cancelled);
-    send_app(iit->second.server_fd, fail);
-    (void)k_.close(pid_, iit->second.server_fd);
-    XOBS_END(obs_, iit->second.serve_span);
+    end_incoming(iit->second, Errc::cancelled, std::nullopt);
     incoming_.erase(iit);
     return;
   }
@@ -1023,16 +956,10 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
     // bound/connected to a dead VCI forever (nothing else will ever
     // disconnect it) — answer with a downward disconnect so the kernel
     // marks the socket unusable and the app sees the failure.
-    if (anand_fd_ >= 0) {
-      StubMsg down;
-      down.type = StubMsg::Type::down_disconnect;
-      down.vci = vci;
-      down.machine = origin;
-      (void)k_.tcp_send(pid_, anand_fd_, serialize(down));
-    }
+    send_down_disconnect(vci, origin);
     return;
   }
-  if (!cookies_.authenticate(vci, cookie)) {
+  if (cookie == 0 || cookie != e->cookie) {
     // §7.1: authentication failure tears the call down and the socket is
     // marked unusable (the teardown's downward disconnect does that).
     ++stats_.auth_failures;
@@ -1044,18 +971,14 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
   wait_bind_.erase(vci);  // Timer destructor cancels the pending expiry.
   if (e->notify_origin_on_confirm) {
     e->notify_origin_on_confirm = false;
-    Msg bound;
-    bound.type = MsgType::peer_bound;
-    bound.req_id = e->req_id;
-    send_peer(e->peer, bound);
+    send_peer(e->peer, MsgType::peer_bound, e->req_id);
   }
 }
 
 // ----------------------------------------------------------- call lifecycle
 
-void Sighost::load_wait_for_bind(atm::Vci vci, Cookie cookie) {
+void Sighost::load_wait_for_bind(atm::Vci vci) {
   WaitBind wb;
-  wb.cookie = cookie;
   wb.timer = sim::Timer(k_.simulator());
   wb.timer.arm(cfg_.wait_for_bind_timeout, [this, vci] {
     ++stats_.bind_timeouts;
@@ -1070,17 +993,23 @@ void Sighost::fail_outgoing(ReqId id, Errc reason) {
   Outgoing out = std::move(oit->second);
   outgoing_.erase(oit);
   cookies_.discard(out.client_cookie);
-  fsm("fsm.conn_failed", call_key(k_.atm_address().name, id));
+  fsm("fsm.conn_failed", call_name(k_.atm_address().name, id));
   end_setup_trace(out.setup);
   record_lists();
   if (app_conns_.contains(out.client_fd)) {
-    Msg fail;
-    fail.type = MsgType::conn_failed;
-    fail.req_id = id;
-    fail.cookie = out.client_cookie;
-    fail.error = static_cast<std::uint8_t>(reason);
-    send_app(out.client_fd, fail);
+    send_conn_failed(out.client_fd, id, out.client_cookie, reason);
   }
+}
+
+void Sighost::end_incoming(const Incoming& inc, std::optional<Errc> to_server,
+                           std::optional<Errc> to_origin) {
+  cookies_.discard(inc.server_cookie);
+  if (to_server) {
+    send_conn_failed(inc.server_fd, inc.id, 0, *to_server);
+    (void)k_.close(pid_, inc.server_fd);
+  }
+  if (to_origin) send_peer(inc.origin, MsgType::peer_reject, inc.id, *to_origin);
+  XOBS_END(obs_, inc.serve_span);
 }
 
 std::string Sighost::management_report() const {
@@ -1120,7 +1049,7 @@ Sighost::ListSnapshot Sighost::audit_snapshot() const {
   ListSnapshot snap;
   for (const auto& [name, svc] : services_) snap.services.push_back(name);
   for (const auto& [id, out] : outgoing_) {
-    snap.outgoing_calls.push_back(call_key(k_.atm_address().name, id));
+    snap.outgoing_calls.push_back(call_name(k_.atm_address().name, id));
   }
   for (const auto& [key, inc] : incoming_) snap.incoming_calls.push_back(key);
   for (const auto& [vci, wb] : wait_bind_) snap.wait_for_bind.push_back(vci);
@@ -1158,7 +1087,7 @@ void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
     call_by_key_.erase(cit);
   }
   wait_bind_.erase(vci);
-  cookies_.release_vci(vci);
+  cookies_.discard(e.cookie);
   ++stats_.calls_torn_down;
   m_torn_down_->inc();
   fsm("fsm.teardown", key, vci);
@@ -1167,32 +1096,17 @@ void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
     // closes through this failure.
     end_setup_trace(e.setup);
     if (app_conns_.contains(e.pending_client_fd)) {
-      Msg fail;
-      fail.type = MsgType::conn_failed;
-      fail.req_id = e.req_id;
-      fail.cookie = e.cookie;
-      fail.error = static_cast<std::uint8_t>(Errc::connection_reset);
-      send_app(e.pending_client_fd, fail);
+      send_conn_failed(e.pending_client_fd, e.req_id, e.cookie,
+                       Errc::connection_reset);
     }
   }
   if (e.originator && e.vc_id != 0) {
     (void)net_.teardown(e.vc_id);
   }
-  if (notify_peer) {
-    Msg down;
-    down.type = MsgType::peer_teardown;
-    down.req_id = e.req_id;
-    send_peer(e.peer, down);
-  }
+  if (notify_peer) send_peer(e.peer, MsgType::peer_teardown, e.req_id);
   // Downward path: mark the endpoint's socket unusable (and, for VCIs bound
   // to IP hosts, the anand server also writes VCI_SHUT).
-  if (anand_fd_ >= 0) {
-    StubMsg down;
-    down.type = StubMsg::Type::down_disconnect;
-    down.vci = vci;
-    down.machine = e.endpoint_ip;
-    (void)k_.tcp_send(pid_, anand_fd_, serialize(down));
-  }
+  send_down_disconnect(vci, e.endpoint_ip);
   maintenance_log(key, [] {});
   record_lists();
 }
@@ -1247,7 +1161,6 @@ util::Result<void> Sighost::recover() {
     e.confirmed = true;
     e.remote_vci = vc.remote_vci;
     e.recovered = true;  // req_id arrives via PEER_RESYNC_INFO
-    cookies_.bind_vci(vc.local_vci, e.cookie);
     vci_map_.emplace(vc.local_vci, std::move(e));
     socks.erase(sit);
     ++rebuilt;
@@ -1354,10 +1267,7 @@ void Sighost::handle_peer_resync_info(const std::string& origin, const Msg& m) {
   if (ep == nullptr) {
     // We audited no such call: the endpoint socket died with us.  Tell the
     // peer so it can release its half (and the VC, if it originated).
-    Msg down;
-    down.type = MsgType::peer_teardown;
-    down.req_id = m.req_id;
-    send_peer(origin, down);
+    send_peer(origin, MsgType::peer_teardown, m.req_id);
     return;
   }
   VciEntry& e = *ep;

@@ -202,7 +202,12 @@ class Sighost {
   [[nodiscard]] ListSnapshot audit_snapshot() const;
 
   [[nodiscard]] const SighostStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const CookieTable& cookies() const noexcept { return cookies_; }
+  /// Sequence numbers from `peer` held above the delivered floor (the
+  /// duplicate window's backlog); 0 for an unknown peer.
+  [[nodiscard]] std::size_t recv_backlog(const std::string& peer) const {
+    auto it = peers_.find(peer);
+    return it == peers_.end() ? 0 : it->second.recv_above.size();
+  }
   [[nodiscard]] kern::Pid pid() const noexcept { return pid_; }
   [[nodiscard]] const atm::AtmAddress& address() const noexcept {
     return k_.atm_address();
@@ -244,7 +249,6 @@ class Sighost {
   };
   struct WaitBind {  // wait_for_bind: VCI handed out, no indication yet
     sim::Timer timer;
-    Cookie cookie = 0;
   };
   struct VciEntry {  // VCI_mapping: live (or establishing) calls by VCI
     /// With `originator` and `peer`, names the end-to-end call (see
@@ -252,7 +256,7 @@ class Sighost {
     /// claimed yet.
     ReqId req_id = 0;
     bool originator = false;
-    Cookie cookie = 0;
+    Cookie cookie = 0;    ///< the call's §7.1 capability
     atm::VcId vc_id = 0;  ///< network handle; only at the originator
     std::string peer;     ///< peer sighost name
     ip::IpAddress endpoint_ip;  ///< machine holding the socket (0=unknown/router)
@@ -277,16 +281,15 @@ class Sighost {
   struct Peer {
     atm::AtmAddress addr;
     int send_fd = -1;
-    int recv_fd = -1;
-    atm::Vci send_vci = atm::kInvalidVci;
-    atm::Vci recv_vci = atm::kInvalidVci;
     // Reliable channel, sender side.
     std::uint32_t next_seq = 1;
     std::map<std::uint32_t, PendingTx> pending;
     // Reliable channel, receiver side: everything <= recv_floor was
     // delivered; recv_above holds out-of-order deliveries beyond it.
+    // gap_since is when the floor last moved or a gap above it opened.
     std::uint32_t recv_floor = 0;
     std::set<std::uint32_t> recv_above;
+    sim::SimTime gap_since{};
     // Resync client state (we restarted and are reconciling with them).
     std::uint32_t resync_nonce = 0;
     int resync_attempts = 0;
@@ -302,6 +305,12 @@ class Sighost {
   void on_app_conn_closed(int fd);
   void send_app(int fd, const Msg& m);
   void send_peer(const std::string& peer, const Msg& m);
+  /// A peer message carrying only its type, request id and reason.
+  void send_peer(const std::string& peer, MsgType type, ReqId id,
+                 util::Errc reason = util::Errc::ok);
+  void send_conn_failed(int fd, ReqId id, Cookie cookie, util::Errc reason);
+  /// Downward disconnect: the kernel marks the socket on `vci` unusable.
+  void send_down_disconnect(atm::Vci vci, ip::IpAddress machine);
   void on_peer_msg(const std::string& peer, const Msg& m);
   void on_stub_msg(const StubMsg& m);
 
@@ -316,7 +325,8 @@ class Sighost {
   void retransmit(const std::string& peer, std::uint32_t seq);
   [[nodiscard]] sim::SimDuration backoff(int attempts);
   /// Duplicate-suppression bookkeeping; true when `seq` was already seen.
-  [[nodiscard]] static bool note_received(Peer& p, std::uint32_t seq);
+  [[nodiscard]] static bool note_received(Peer& p, std::uint32_t seq,
+                                          sim::SimTime now);
 
   // ---- crash-restart recovery ----
   void handle_peer_resync(const std::string& origin, const Msg& m);
@@ -375,17 +385,20 @@ class Sighost {
                     std::uint64_t trace_id = 0,
                     std::uint64_t parent_span = 0);
   void teardown_vci(atm::Vci vci, bool notify_peer);
-  void load_wait_for_bind(atm::Vci vci, Cookie cookie);
+  void load_wait_for_bind(atm::Vci vci);
   void fail_outgoing(ReqId id, util::Errc reason);
-  [[nodiscard]] static std::string call_key(const std::string& origin, ReqId id) {
-    return origin + "#" + std::to_string(id);
-  }
+  /// The side effects of ending an undecided incoming call: drop its
+  /// cookie, fail (`to_server`) and close the server's per-call connection,
+  /// refuse the call to the originator (`to_origin`), end call.serve.  The
+  /// caller erases the record.
+  void end_incoming(const Incoming& inc, std::optional<util::Errc> to_server,
+                    std::optional<util::Errc> to_origin);
   /// The end-to-end call key of a VCI_mapping entry; empty while a
   /// recovered entry is unclaimed.
   [[nodiscard]] std::string call_key(const VciEntry& e) const {
     return e.req_id == 0 ? std::string{}
-                         : call_key(e.originator ? k_.atm_address().name : e.peer,
-                                    e.req_id);
+                         : call_name(e.originator ? k_.atm_address().name : e.peer,
+                                     e.req_id);
   }
   [[nodiscard]] atm::Vci vci_for_call(const std::string& key) const;
 
@@ -412,9 +425,8 @@ class Sighost {
   std::map<atm::Vci, WaitBind> wait_bind_;           // wait_for_bind
   util::VciIndex<atm::Vci, VciEntry> vci_map_;       // VCI_mapping
   /// Reverse index call key → VCI, maintained strictly alongside vci_map_
-  /// (entries with a non-zero req_id only).  vci_for_call and
-  /// handle_peer_bound used to walk all of VCI_mapping per lookup — O(n)
-  /// per call, quadratic across a call burst.
+  /// (entries with a non-zero req_id only), so finding a call's VCI never
+  /// walks VCI_mapping.
   std::map<std::string, atm::Vci> call_by_key_;
 
   std::map<int, MsgFramer> app_conns_;  ///< application connections by fd

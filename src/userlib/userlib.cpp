@@ -8,6 +8,24 @@ using sig::Msg;
 using sig::MsgType;
 using util::Errc;
 
+namespace {
+
+/// A call's outcome as sighost reports it, on the signaling channel and on
+/// a per-call connection alike: VCI_FOR_CONN carries the VC, CONN_FAILED
+/// its reason (0 names no failure, so it reads as a refusal).
+util::Result<OpenResult> open_result(const Msg& m) {
+  if (m.type == MsgType::conn_failed) {
+    return m.error == 0 ? Errc::rejected : static_cast<Errc>(m.error);
+  }
+  OpenResult r;
+  r.vci = m.vci;
+  r.cookie = m.cookie;
+  r.qos = m.qos;
+  return r;
+}
+
+}  // namespace
+
 UserLib::UserLib(kern::Kernel& k, kern::Pid pid, ip::IpAddress sighost_ip,
                  std::uint16_t sighost_port)
     : k_(k), pid_(pid), sighost_ip_(sighost_ip), sighost_port_(sighost_port),
@@ -99,34 +117,19 @@ void UserLib::on_channel_msg(const Msg& m) {
       // REQ_ID carries the originating sighost's name in `dst`: now the
       // end-to-end call key exists, patch it onto the open span.
       if (XOBS_TRACING(obs_) && po.span != obs::kInvalidSpan) {
-        obs_->trace().annotate_call(po.span,
-                                    m.dst + "#" + std::to_string(m.req_id));
+        obs_->trace().annotate_call(po.span, sig::call_name(m.dst, m.req_id));
       }
       opens_.emplace(m.req_id, std::move(po));
       break;
     }
-    case MsgType::vci_for_conn: {
-      auto it = opens_.find(m.req_id);
-      if (it == opens_.end()) break;
-      PendingOpen po = std::move(it->second);
-      opens_.erase(it);
-      XOBS_END(obs_, po.span);
-      OpenResult r;
-      r.vci = m.vci;
-      r.cookie = m.cookie;
-      r.qos = m.qos;
-      po.on_done(r);
-      break;
-    }
+    case MsgType::vci_for_conn:
     case MsgType::conn_failed: {
       auto it = opens_.find(m.req_id);
       if (it == opens_.end()) break;
       PendingOpen po = std::move(it->second);
       opens_.erase(it);
       XOBS_END(obs_, po.span);
-      po.on_done(static_cast<Errc>(m.error == 0
-                                       ? static_cast<std::uint8_t>(Errc::rejected)
-                                       : m.error));
+      po.on_done(open_result(m));
       break;
     }
     default:
@@ -226,28 +229,14 @@ void UserLib::on_percall_msg(int fd, const Msg& m) {
       }
       break;
     }
-    case MsgType::vci_for_conn: {
-      XOBS_END(obs_, it->second.span);
-      it->second.span = obs::kInvalidSpan;
-      if (it->second.accept_cb) {
-        auto cb = std::move(it->second.accept_cb);
-        it->second.accept_cb = {};
-        OpenResult r;
-        r.vci = m.vci;
-        r.cookie = m.cookie;
-        r.qos = m.qos;
-        cb(r);
-      }
-      finish_percall(fd);
-      break;
-    }
+    case MsgType::vci_for_conn:
     case MsgType::conn_failed: {
       XOBS_END(obs_, it->second.span);
       it->second.span = obs::kInvalidSpan;
       if (it->second.accept_cb) {
         auto cb = std::move(it->second.accept_cb);
         it->second.accept_cb = {};
-        cb(static_cast<Errc>(m.error));
+        cb(open_result(m));
       }
       finish_percall(fd);
       break;

@@ -121,6 +121,55 @@ TEST(ReliableDelivery, CorruptedFramesAreCountedAndRetransmitted) {
   EXPECT_GT(plan.stats().corrupted, 0u);
 }
 
+TEST(ReliableDelivery, DuplicateWindowSkipsANumberItsSenderAbandoned) {
+  // Every transmission of mh.rt's first sequenced message is lost, so
+  // berkeley.rt holds each later number above the gap until the sender's
+  // whole retry budget (~16 s) has passed; then the floor skips it.
+  core::TestbedConfig cfg;
+  cfg.sighost.request_timeout = sim::seconds(5);
+  Rig rig(cfg);
+  sig::Sighost& a = *rig.tb->router(0).sighost;
+  const sig::Sighost& b = *rig.tb->router(1).sighost;
+  sig::WireFault fault = sig::WireFault::drop;
+  a.set_wire_fault([&](const std::string&, const std::string&, const sig::Msg& m) {
+    sig::WireVerdict v;
+    if (m.type == sig::MsgType::peer_ack) return v;
+    if (m.seq == 1 || fault == sig::WireFault::duplicate) v.fault = fault;
+    return v;
+  });
+  int ok = 0, failed = 0;
+  auto open = [&] {
+    rig.client->open("berkeley.rt", "svc", "",
+                     [&](util::Result<CallClient::Call> r) {
+                       r.ok() ? ++ok : ++failed;
+                     });
+  };
+  open();  // its PEER_SETUP never arrives: the request times out
+  rig.tb->sim().run_for(sim::seconds(6));
+  EXPECT_EQ(failed, 1);
+  std::size_t peak = 0;
+  for (int i = 0; i < 12; ++i) {
+    open();
+    rig.tb->sim().run_for(sim::seconds(2));
+    peak = std::max(peak, b.recv_backlog("mh.rt"));
+  }
+  EXPECT_EQ(ok, 12);
+  EXPECT_GE(peak, 10u);
+  EXPECT_EQ(b.recv_backlog("mh.rt"), 0u);
+
+  // Past the gap, duplicates are still suppressed and calls still
+  // establish exactly once.
+  fault = sig::WireFault::duplicate;
+  const std::uint64_t dups = b.stats().dup_suppressed;
+  open();
+  rig.tb->sim().run_for(sim::seconds(2));
+  EXPECT_EQ(ok, 13);
+  EXPECT_EQ(failed, 1);
+  EXPECT_GT(b.stats().dup_suppressed, dups);
+  EXPECT_EQ(b.recv_backlog("mh.rt"), 0u);
+  EXPECT_EQ(rig.server->calls_accepted(), 13u);
+}
+
 TEST(ReliableDelivery, ReorderedSignalingStillEstablishes) {
   Rig rig;
   fault::FaultPlan plan(*rig.tb, 23);

@@ -152,23 +152,17 @@ TEST(Cookies, MintedCookiesAreNonZeroAndDistinct) {
   }
 }
 
-TEST(Cookies, AuthenticateExactMatchOnly) {
-  CookieTable t(2);
-  Cookie c = t.mint();
-  t.bind_vci(40, c);
-  EXPECT_TRUE(t.authenticate(40, c));
-  EXPECT_FALSE(t.authenticate(40, static_cast<Cookie>(c + 1)));
-  EXPECT_FALSE(t.authenticate(41, c));
-  EXPECT_FALSE(t.authenticate(40, 0));  // zero is never a capability
-}
-
-TEST(Cookies, ReleaseVciEndsTheLifetime) {
+TEST(Cookies, DiscardEndsTheLifetime) {
   CookieTable t(3);
-  Cookie c = t.mint();
-  t.bind_vci(40, c);
-  t.release_vci(40);
-  EXPECT_FALSE(t.authenticate(40, c));
-  EXPECT_EQ(t.vci_count(), 0u);
+  const Cookie c = t.mint();
+  const Cookie d = t.mint();
+  EXPECT_EQ(t.outstanding_count(), 2u);
+  t.discard(c);
+  EXPECT_EQ(t.outstanding_count(), 1u);
+  t.discard(c);  // already ended: nothing else is dropped
+  t.discard(0);  // 0 is never minted
+  EXPECT_EQ(t.outstanding_count(), 1u);
+  t.discard(d);
   EXPECT_EQ(t.outstanding_count(), 0u);
 }
 
@@ -323,6 +317,13 @@ TEST_F(SighostFixture, ClientDeathMidRequestLeavesNothingBehind) {
 
   EXPECT_EQ(sh(0).outgoing_requests_size(), 0u);
   EXPECT_EQ(sh(1).incoming_requests_size(), 0u);
+  // HealthMonitor reads the list gauges, not the lists.
+  EXPECT_EQ(tb->sim()
+                .obs()
+                .metrics()
+                .gauge("sighost." + sh(0).address().name + ".list.outgoing_requests")
+                .value(),
+            0);
   std::map<obs::SpanId, int> open_setups;  // begins minus ends, per span
   for (const obs::TraceEvent& e : tb->sim().obs().trace().events()) {
     if (e.phase == obs::Phase::span_begin && e.name == "call.setup") {
@@ -426,7 +427,8 @@ TEST_F(SighostFixture, ConcurrentIncomingCallsDecidedOutOfOrder) {
 }
 
 TEST_F(SighostFixture, WrongCookieOnBindTearsCallDown) {
-  // Drive the signaling flow manually so we can present a wrong cookie.
+  // Drive the signaling flow manually so we can present a wrong cookie:
+  // first a corrupted one, then 0, which is never a capability.
   auto& r0 = *tb->router(0).kernel;
   core::CallServer server(*tb->router(1).kernel,
                           tb->router(1).kernel->ip_node().address(), "echo",
@@ -436,24 +438,25 @@ TEST_F(SighostFixture, WrongCookieOnBindTearsCallDown) {
 
   kern::Pid pid = r0.spawn("evil-client");
   app::UserLib lib(r0, pid, r0.ip_node().address());
-  std::optional<app::OpenResult> res;
-  lib.open_connection("berkeley.rt", "echo", "", "",
-                      [&](util::Result<app::OpenResult> r) {
-                        ASSERT_TRUE(r.ok());
-                        res = *r;
-                      });
-  tb->sim().run_for(sim::seconds(2));
-  ASSERT_TRUE(res.has_value());
+  for (const bool zero : {false, true}) {
+    std::optional<app::OpenResult> res;
+    lib.open_connection("berkeley.rt", "echo", "", "",
+                        [&](util::Result<app::OpenResult> r) {
+                          ASSERT_TRUE(r.ok());
+                          res = *r;
+                        });
+    tb->sim().run_for(sim::seconds(2));
+    ASSERT_TRUE(res.has_value());
 
-  // Connect with a corrupted cookie: authentication must fail and the
-  // socket must be marked unusable.
-  auto fd = r0.xunet_socket(pid);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(r0.xunet_connect(pid, *fd, res->vci,
-                               static_cast<Cookie>(res->cookie ^ 0xFFFF)).ok());
-  tb->sim().run_for(sim::seconds(2));
-  EXPECT_EQ(sh(0).stats().auth_failures, 1u);
-  EXPECT_FALSE(r0.xunet_usable(pid, *fd));
+    // Authentication must fail and the socket must be marked unusable.
+    auto fd = r0.xunet_socket(pid);
+    ASSERT_TRUE(fd.ok());
+    const auto wrong = static_cast<Cookie>(zero ? 0 : res->cookie ^ 0xFFFF);
+    ASSERT_TRUE(r0.xunet_connect(pid, *fd, res->vci, wrong).ok());
+    tb->sim().run_for(sim::seconds(2));
+    EXPECT_EQ(sh(0).stats().auth_failures, zero ? 2u : 1u);
+    EXPECT_FALSE(r0.xunet_usable(pid, *fd));
+  }
   tb->sim().run_for(sim::seconds(20));  // server-side wait_for_bind expires
   EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
 }

@@ -315,6 +315,44 @@ TEST_F(LibFixture, DoubleAwaitIsRejected) {
   EXPECT_EQ(*err, util::Errc::would_block);
 }
 
+TEST_F(LibFixture, PerCallFailureWithoutReasonReadsAsRejected) {
+  // CONN_FAILED with reason 0 names no failure.  On a per-call connection
+  // the accept callback must still get a failure, the same one the
+  // signaling channel reports: rejected.
+  app::UserLib server(r1(), r1().spawn("zero-reason"), r1().ip_node().address());
+  std::optional<app::IncomingRequest> req;
+  server.export_service("zero", 4932, [](util::Result<void>) {});
+  server.await_service_request([&](util::Result<app::IncomingRequest> r) {
+    if (r.ok()) req = *r;
+  });
+  tb->sim().run_for(sim::milliseconds(300));
+
+  // A test process plays sighost on the server's notify port.
+  const kern::Pid fake = r1().spawn("fake-sighost");
+  auto fd = r1().tcp_connect(fake, r1().ip_node().address(), 4932,
+                             [](util::Result<int>) {});
+  ASSERT_TRUE(fd.ok());
+  tb->sim().run_for(sim::milliseconds(100));
+  sig::Msg incoming;
+  incoming.type = sig::MsgType::incoming_conn;
+  incoming.cookie = 0x1234;
+  incoming.service = "zero";
+  incoming.dst = r0().atm_address().name;
+  ASSERT_TRUE(r1().tcp_send(fake, *fd, sig::frame(incoming)).ok());
+  tb->sim().run_for(sim::milliseconds(100));
+  ASSERT_TRUE(req.has_value());
+
+  std::optional<util::Errc> accepted;
+  server.accept_connection(*req, "", [&](util::Result<app::OpenResult> r) {
+    accepted = r.ok() ? util::Errc::ok : r.error();
+  });
+  sig::Msg failed;
+  failed.type = sig::MsgType::conn_failed;  // error stays 0
+  ASSERT_TRUE(r1().tcp_send(fake, *fd, sig::frame(failed)).ok());
+  tb->sim().run_for(sim::milliseconds(100));
+  EXPECT_EQ(accepted, util::Errc::rejected);
+}
+
 // --------------------------------------------------- kernel event buffering
 
 TEST_F(LibFixture, XunetSocketBuffersFramesUntilReaderRegisters) {
