@@ -1,9 +1,8 @@
 // metrics.hpp — the unified metrics registry.
 //
-// One registry per Simulation unifies what used to live in scattered
-// util::Counters: monotonic counters, set-to-value gauges (the sighost's
-// five list lengths), and histograms built on util::Summary (latency
-// distributions).  Names are hierarchical dotted paths such as
+// One registry per Simulation holds monotonic counters, set-to-value gauges
+// (the sighost's five list lengths), and histograms built on util::Summary
+// (latency distributions).  Names are hierarchical dotted paths such as
 // "sighost.mh.rt.setup.latency_us" or "orc.berkeley.rt.tx.frames"; the
 // convention is <component>.<instance>.<what>[.<unit>].
 //

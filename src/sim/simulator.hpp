@@ -5,10 +5,8 @@
 // order, so simulations are fully deterministic.
 //
 // Events live in a chunked pool of small-buffer-optimized records (captures
-// up to 48 bytes never touch the allocator).  Near-future events go into a
-// 1024-slot bucket ring (4.096 us granularity, ~4.2 ms horizon); far events
-// fall back to a binary heap and migrate into the ring as the window
-// advances.  Within a bucket, events are ordered by (time, scheduling
+// up to 48 bytes never touch the allocator).  Pending events are references
+// into that pool kept in one binary min-heap, ordered by (time, scheduling
 // instant, schedule sequence), which is exactly the classic (time,
 // insertion) order; schedule_at() with an explicit scheduling instant lets
 // a lazily evaluated model keep the order of a step-by-step one.
@@ -24,8 +22,6 @@
 // tests/determinism_test.cpp.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +45,8 @@ using EventId = std::uint64_t;
 class Simulator {
  public:
   Simulator();
+  /// Destroys the callables of pending events without running them,
+  /// latest-due first.
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -118,7 +116,7 @@ class Simulator {
   std::size_t run_for(SimDuration d) { return run_until(now_ + d); }
 
   /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const noexcept { return size_ - stale_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size() - stale_; }
 
   /// True while an event's callback runs; false between events (inside
   /// run() and run_until() loops, or outside them), when everything due at
@@ -134,14 +132,10 @@ class Simulator {
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
  private:
-  static constexpr unsigned kGranShift = 12;  ///< 4096 ns bucket granularity
-  static constexpr std::size_t kSlots = 1024;  ///< ring horizon ~4.19 ms
-  static constexpr std::size_t kSlotMask = kSlots - 1;
   static constexpr std::uint32_t kChunkShift = 9;  ///< 512 records per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   /// Stale references tolerated before a purge, whatever the queue size.
   static constexpr std::size_t kPurgeFloor = 4096;
-  static constexpr std::int64_t kNoLimit = INT64_MAX;
 
   /// Type-erased event record.  Callables whose capture fits kSboBytes are
   /// stored inline; larger ones spill to a single heap allocation whose
@@ -203,22 +197,11 @@ class Simulator {
   std::uint32_t alloc_rec();
   void free_rec(std::uint32_t idx) { free_list_.push_back(idx); }
   EventId insert_ref(SimTime when, SimTime armed, std::uint32_t idx);
-  /// Make active_ non-empty if an event due in a slot <= `limit` exists.
-  /// The window never advances past `limit`, so events scheduled after a
-  /// run_until() that stopped short of a far event still land in the ring.
-  bool refill(std::int64_t limit);
-  void activate_slot(std::int64_t abs_slot);
-  void drain_overflow();       ///< pull overflow events now inside the window
-  Ref pop_active();
+  Ref pop();
   void dispatch_ref(const Ref& r);
-  /// Drop every stale reference from the active heap, the ring and the
-  /// overflow heap.  Amortised O(1) per cancel(): it runs only once stale
-  /// references make up half the queue.
+  /// Drop every stale reference from the queue.  Amortised O(1) per
+  /// cancel(): it runs only once stale references make up half the queue.
   void purge_stale();
-  void set_occ(std::size_t ring_idx) noexcept { occ_[ring_idx >> 6] |= 1ull << (ring_idx & 63); }
-  void clear_occ(std::size_t ring_idx) noexcept {
-    occ_[ring_idx >> 6] &= ~(1ull << (ring_idx & 63));
-  }
 
   SimTime now_{};
   bool dispatching_ = false;
@@ -228,13 +211,7 @@ class Simulator {
 
   std::vector<std::unique_ptr<EventRec[]>> chunks_;
   std::vector<std::uint32_t> free_list_;
-  std::vector<Ref> active_;    ///< min-heap of events in the active slot
-  std::vector<Ref> overflow_;  ///< min-heap of events beyond the ring horizon
-  std::array<std::vector<Ref>, kSlots> ring_;
-  std::array<std::uint64_t, kSlots / 64> occ_{};
-  std::int64_t active_slot_ = 0;  ///< window start; active_ holds this slot
-  std::size_t ring_count_ = 0;
-  std::size_t size_ = 0;   ///< queued refs, stale ones included
+  std::vector<Ref> queue_;  ///< min-heap under RefLater, stale refs included
   std::size_t stale_ = 0;  ///< queued refs whose event was cancelled
 
   obs::Observability obs_;

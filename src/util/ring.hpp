@@ -2,8 +2,7 @@
 //
 // A RingQueue grows geometrically like std::deque but, once warm, push/pop
 // never touch the allocator: the fast cell path (link pending queues, switch
-// class queues, the event wheel's per-slot buckets) reuses the same storage
-// forever.  Elements must be movable; FIFO order is preserved across growth.
+// class queues) reuses the same storage forever.  Elements must be movable; FIFO order is preserved across growth.
 #pragma once
 
 #include <cassert>

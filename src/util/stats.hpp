@@ -1,4 +1,4 @@
-// stats.hpp — counters and value distributions for experiments.
+// stats.hpp — value distributions and fits for experiments.
 //
 // Every bench in bench/ reports through these so the output format is uniform
 // and paper-vs-measured comparisons (EXPERIMENTS.md) are mechanical.
@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace xunet::util {
@@ -78,23 +76,6 @@ class QuantileSketch {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Named monotonic counters, used for resource-leak audits and drop counts.
-class Counters {
- public:
-  void inc(const std::string& name, std::uint64_t by = 1) { map_[name] += by; }
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
-    auto it = map_.find(name);
-    return it == map_.end() ? 0 : it->second;
-  }
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const noexcept {
-    return map_;
-  }
-  void reset() noexcept { map_.clear(); }
-
- private:
-  std::map<std::string, std::uint64_t> map_;
 };
 
 /// Fits y = a + b*x by least squares; used by the Table 1 bench to recover

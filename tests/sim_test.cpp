@@ -3,12 +3,16 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "util/alloc_hook.hpp"
+#include "util/rng.hpp"
 
 namespace xunet::sim {
 namespace {
@@ -102,7 +106,7 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
 TEST(Simulator, NegativeDelayClampsToNow) {
   // Regression: a negative delay (e.g. computed from a clock that ran
   // slightly backwards) must behave like zero delay, not wrap into the
-  // far future or corrupt the timer wheel.
+  // far future or corrupt the event queue.
   Simulator sim;
   sim.schedule(milliseconds(1), [&] {
     sim.schedule(nanoseconds(-5), [&] {
@@ -118,11 +122,11 @@ TEST(Simulator, NegativeDelayClampsToNow) {
 }
 
 TEST(Simulator, FarFutureEventsBeyondWheelHorizonDispatchInOrder) {
-  // Events past the timer wheel's span land in the overflow heap; they must
-  // still interleave correctly with near events as the wheel advances.
+  // Events seconds out share the one queue with near events; they must
+  // still interleave correctly with them as the clock advances.
   Simulator sim;
   std::vector<int> order;
-  sim.schedule(seconds(30), [&] { order.push_back(3); });   // far overflow
+  sim.schedule(seconds(30), [&] { order.push_back(3); });   // far
   sim.schedule(microseconds(10), [&] { order.push_back(1); });
   sim.schedule(seconds(1), [&] { order.push_back(2); });
   sim.schedule(seconds(60), [&] { order.push_back(4); });
@@ -144,7 +148,7 @@ TEST(Simulator, PeakPendingTracksHighWaterMark) {
 
 TEST(Simulator, DispatchOrderMatchesGolden) {
   // Mixes same-instant FIFO, a clamped negative delay scheduled from inside
-  // a callback, and a far event beyond the ring horizon.
+  // a callback, and a far event seconds out.
   Simulator sim;
   std::vector<int> order;
   sim.schedule(milliseconds(2), [&] { order.push_back(2); });
@@ -339,7 +343,7 @@ TEST(Simulator, PurgeDuringDispatchKeepsOrderAndPendingExact) {
 }
 
 TEST(Simulator, DestructionWithCancellingDestructorsNeverPurges) {
-  // ~Simulator scraps pending callables while walking the queue; a
+  // ~Simulator scraps pending callables latest-due first; a
   // destructor that cancels other events there must not set off a purge
   // that reshuffles the queue under the walk.  4,000 cancelled fillers
   // (just below the purge floor) plus the first ~100 cancels from
@@ -354,10 +358,10 @@ TEST(Simulator, DestructionWithCancellingDestructorsNeverPurges) {
     for (int i = 0; i < 4'000; ++i) {
       ASSERT_TRUE(sim.cancel(sim.schedule(milliseconds(2), [] {})));
     }
-    for (int i = 0; i < kPairs; ++i) {  // near: the ring, scrapped last
+    for (int i = 0; i < kPairs; ++i) {  // near: scrapped last
       victims[i] = sim.schedule(milliseconds(1), [p = DtorProbe(&dtors)] {});
     }
-    for (int i = 0; i < kPairs; ++i) {  // far: the overflow heap, scrapped first
+    for (int i = 0; i < kPairs; ++i) {  // far: scrapped first
       DtorProbe probe(&dtors);
       probe.sim = &sim;
       probe.cancel_on_dtor = &victims[i];
@@ -387,6 +391,58 @@ TEST(Simulator, RunUntilThatPeekedAFarEventKeepsLaterEventsInOrder) {
   sim.schedule(microseconds(1), [&] { order.push_back(9); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{6, 1, 3, 4, 8, 9, 0, 5, 2, 7, -1}));
+}
+
+TEST(Simulator, RandomLoadDispatchesInWhenArmedSequenceOrder) {
+  // The ordering contract under a seeded random mix: near events (<= 50 us),
+  // far ones (<= 5 s) and events armed explicitly up to 16 ms before they
+  // are due.  Callbacks schedule more events and cancel random live ones;
+  // run_until is driven to random deadlines.  Every dispatch must be the
+  // minimum of a reference ordered by (when, armed, seq).
+  using Key = std::tuple<std::int64_t, std::int64_t, std::uint64_t>;  // when, armed, seq
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulator sim;
+    util::Rng rng(seed);
+    std::map<Key, EventId> ref;
+    std::uint64_t seq = 0;
+    std::size_t fired = 0;
+    std::size_t mismatches = 0;
+    std::function<void()> add = [&] {
+      const std::int64_t now = sim.now().ns();
+      const std::uint64_t kind = rng.below(3);
+      const std::int64_t when =
+          now + (kind == 1 ? rng.range(0, 5'000) * 1'000'000 : rng.range(0, 50) * 1'000);
+      const std::int64_t armed = kind == 2 ? when - rng.range(0, 15'999) * 1'000 : now;
+      const Key key{when, armed, seq++};
+      auto fire = [&, key] {
+        if (ref.empty() || ref.begin()->first != key || sim.now().ns() != std::get<0>(key)) {
+          ++mismatches;
+        }
+        ref.erase(key);
+        ++fired;
+        if (seq < 3'000) {
+          for (std::uint64_t n = rng.below(3); n > 0; --n) add();
+        }
+        if (rng.chance(0.2)) {
+          auto victim = ref.lower_bound(Key{sim.now().ns() + rng.range(0, 5'000'000'000), 0, 0});
+          if (victim != ref.end()) {
+            EXPECT_TRUE(sim.cancel(victim->second));
+            ref.erase(victim);
+          }
+        }
+      };
+      ref[key] = kind == 2 ? sim.schedule_at(SimTime(when), SimTime(armed), fire)
+                           : sim.schedule_at(SimTime(when), fire);
+    };
+    for (int i = 0; i < 400; ++i) add();
+    while (!ref.empty()) {
+      const SimDuration step = rng.chance(0.1) ? seconds(1) : microseconds(rng.range(0, 20'000));
+      sim.run_until(sim.now() + step);
+      ASSERT_EQ(sim.pending(), ref.size()) << "seed " << seed;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_GT(fired, 1'000u) << "seed " << seed;
+  }
 }
 
 TEST(Timer, FiresOnce) {

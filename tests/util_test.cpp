@@ -271,14 +271,6 @@ TEST(Stats, LinearFitRecoversExactLine) {
   EXPECT_NEAR(f.max_residual, 0.0, 1e-9);
 }
 
-TEST(Stats, CountersAccumulate) {
-  Counters c;
-  c.inc("drops");
-  c.inc("drops", 4);
-  EXPECT_EQ(c.get("drops"), 5u);
-  EXPECT_EQ(c.get("absent"), 0u);
-}
-
 // --------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicAcrossInstances) {
