@@ -604,6 +604,7 @@ void Sighost::handle_reject_conn(int fd, const std::string& key, const Msg& m) {
   end_incoming(inc, std::nullopt, Errc::rejected);
   (void)k_.close(pid_, fd);
   incoming_.erase(it);
+  record_lists();
 }
 
 // ------------------------------------------------------------- peer flows
@@ -668,6 +669,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
                 ++stats_.rejects_sent;
                 end_incoming(iit->second, std::nullopt, Errc::connection_refused);
                 incoming_.erase(iit);
+                record_lists();
                 return;
               }
               int fd = *r;
@@ -690,6 +692,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
                   ++stats_.rejects_sent;
                   end_incoming(it2->second, std::nullopt, Errc::connection_reset);
                   incoming_.erase(it2);
+                  record_lists();
                 }
                 (void)k_.close(pid_, fd);
               });
@@ -729,6 +732,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
           ++stats_.request_timeouts;
           end_incoming(iit->second, Errc::timed_out, Errc::timed_out);
           incoming_.erase(iit);
+          record_lists();
         });
         incoming_.emplace(key, std::move(inc));
         record_lists();
@@ -893,6 +897,7 @@ void Sighost::handle_peer_setup_failed(const std::string& origin, const Msg& m) 
   if (iit == incoming_.end()) return;
   end_incoming(iit->second, static_cast<Errc>(m.error), std::nullopt);
   incoming_.erase(iit);
+  record_lists();
 }
 
 void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
@@ -907,6 +912,7 @@ void Sighost::handle_peer_teardown(const std::string& origin, const Msg& m) {
     if (auto iit = incoming_.find(key); iit != incoming_.end()) {
       end_incoming(iit->second, Errc::connection_reset, std::nullopt);
       incoming_.erase(iit);
+      record_lists();
       return;
     }
   }
@@ -918,6 +924,7 @@ void Sighost::handle_peer_cancel(const std::string& origin, const Msg& m) {
   if (iit != incoming_.end()) {
     end_incoming(iit->second, Errc::cancelled, std::nullopt);
     incoming_.erase(iit);
+    record_lists();
     return;
   }
   // Already established here: a cancel this late is a teardown.
@@ -969,6 +976,7 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
   e->confirmed = true;
   e->endpoint_ip = origin;
   wait_bind_.erase(vci);  // Timer destructor cancels the pending expiry.
+  record_lists();
   if (e->notify_origin_on_confirm) {
     e->notify_origin_on_confirm = false;
     send_peer(e->peer, MsgType::peer_bound, e->req_id);

@@ -175,6 +175,14 @@ struct SighostFixture : ::testing::Test {
     ASSERT_TRUE(tb->bring_up().ok());
   }
   sig::Sighost& sh(std::size_t i) { return *tb->router(i).sighost; }
+  /// The list-length gauge HealthMonitor reads, e.g. "wait_for_bind".
+  std::int64_t list_gauge(std::size_t i, const std::string& list) {
+    return tb->sim()
+        .obs()
+        .metrics()
+        .gauge("sighost." + sh(i).address().name + ".list." + list)
+        .value();
+  }
 };
 
 TEST_F(SighostFixture, ServiceListTracksRegistrations) {
@@ -213,6 +221,9 @@ TEST_F(SighostFixture, ListsDrainAfterCompleteCall) {
   EXPECT_EQ(sh(1).wait_for_bind_size(), 0u);
   EXPECT_EQ(sh(0).vci_mapping_size(), 1u);
   EXPECT_EQ(sh(1).vci_mapping_size(), 1u);
+  // The gauges follow the lists, including the bind confirmation.
+  EXPECT_EQ(list_gauge(0, "wait_for_bind"), 0);
+  EXPECT_EQ(list_gauge(1, "wait_for_bind"), 0);
 
   client.close_call(*call);
   tb->sim().run_for(sim::seconds(2));
@@ -239,6 +250,8 @@ TEST_F(SighostFixture, RejectingServerProducesRejectedError) {
   EXPECT_EQ(*err, util::Errc::rejected);
   EXPECT_EQ(server.calls_rejected(), 1u);
   EXPECT_EQ(sh(1).stats().rejects_sent, 1u);
+  EXPECT_EQ(sh(1).incoming_requests_size(), 0u);
+  EXPECT_EQ(list_gauge(1, "incoming_requests"), 0);
   EXPECT_TRUE(tb->audit().clean()) << tb->audit().describe();
 }
 
