@@ -7,8 +7,8 @@
 // shards per router (each owning a VCI residue class), adjacent-only
 // signaling PVCs, and an adjacent-pair call workload that holds every call
 // open.  It measures wall-clock setup cost per call and in-sim setup
-// latency at each decade (10^4, 10^5, 10^6 live VCs) — with trie-indexed
-// VCI lookup and sharded sighosts, cost per call must stay flat (sub-linear
+// latency at each decade (10^4, 10^5, 10^6 live VCs) — with ordered-map
+// VCI tables and sharded sighosts, cost per call must stay flat (sub-linear
 // growth) as the live-VC population grows two decades.
 //
 // Short mode (XUNET_BENCH_SHORT=1) runs the same code two decades lower:
@@ -205,7 +205,7 @@ void run() {
               static_cast<unsigned long long>(prog->failed),
               util::fmt(ratio, 2).c_str());
   compare("setup cost vs live-VC population", "(not in paper; extension)",
-          "flat per-call cost across two decades (trie index + shards)");
+          "flat per-call cost across two decades (VCI maps + shards)");
 
   JsonReport rep("call_load");
   rep.metric("live_vcs_peak", static_cast<double>(prog->ok));
@@ -228,9 +228,9 @@ void run() {
   XBENCH_CHECK(prog->ok >= sh.hi);
   // Sub-linear growth gate: per-call wall cost must grow strictly slower
   // than the live-VC population across the 10^4 -> 10^6 sweep, i.e. the
-  // hi/lo ratio stays below the 100x decade factor.  The trie keeps the
-  // lookup path logarithmic (~17x measured, dominated by per-VC timer
-  // background at 10^6 live sockets, not by table walks).  Full mode only —
+  // hi/lo ratio stays below the 100x decade factor.  Map lookups are
+  // logarithmic; the ratio is dominated by per-VC timer background at 10^6
+  // live sockets, not by table walks.  Full mode only —
   // the short workload is too small for stable wall-clock ratios.
   if (!bench_short()) {
     XBENCH_CHECK(ratio <

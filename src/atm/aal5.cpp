@@ -74,8 +74,8 @@ util::Result<std::vector<Cell>> Aal5Segmenter::segment(Vci vci,
 }
 
 std::uint8_t Aal5Segmenter::next_seq(Vci vci) const noexcept {
-  const std::uint8_t* s = seq_.find(vci);
-  return s == nullptr ? 0 : *s;
+  auto it = seq_.find(vci);
+  return it == seq_.end() ? 0 : it->second;
 }
 
 Aal5Reassembler::Aal5Reassembler(FrameHandler on_frame, ErrorHandler on_error)

@@ -16,12 +16,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "atm/cell.hpp"
 #include "util/buffer.hpp"
 #include "util/result.hpp"
-#include "util/vci_index.hpp"
 
 namespace xunet::atm {
 
@@ -70,7 +70,7 @@ class Aal5Segmenter {
   void release(Vci vci) { seq_.erase(vci); }
 
  private:
-  util::VciIndex<Vci, std::uint8_t> seq_;
+  std::map<Vci, std::uint8_t> seq_;
 };
 
 /// Per-VC reassembler.  Feed cells in arrival order; completed frames and
@@ -118,7 +118,7 @@ class Aal5Reassembler {
 
   FrameHandler on_frame_;
   ErrorHandler on_error_;
-  util::VciIndex<Vci, VcState> vcs_;
+  std::map<Vci, VcState> vcs_;
   std::uint64_t errors_ = 0;
   std::array<std::uint64_t, 4> errors_by_cause_{};
   std::uint64_t frames_ = 0;

@@ -186,6 +186,7 @@ util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
     const std::vector<int>& path, const Qos& qos,
     std::optional<Vci> fixed_vci, VciPartition part) {
   ActiveVc vc;
+  vc.hops.reserve(path.size() - 1);
   // Allocate a VCI on every edge of the path.  The partition constraint
   // applies only to the two endpoint-facing edges: those VCIs are what the
   // endpoint kernels demux on, while interior trunk VCIs are private to the
@@ -193,7 +194,7 @@ util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     int ei = edge_between(path[i], path[i + 1]);
     if (ei < 0) {
-      uninstall(vc);
+      uninstall(vc, 0);
       return Errc::no_route;
     }
     const bool endpoint_edge = (i == 0) || (i + 2 == path.size());
@@ -205,40 +206,53 @@ util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
                                              ? e.vcis->allocate(part.mod, part.rem)
                                              : e.vcis->allocate());
     if (!vci) {
-      uninstall(vc);
+      uninstall(vc, 0);
       return vci.error();
     }
     vc.hops.push_back(HopState{ei, *vci});
   }
-  // Install switch routes: for each switch node path[i] (0<i<n-1), route
+  // Install switch routes: the switch each hop but the last enters routes
   // (incoming edge's port, incoming VCI) -> (outgoing edge's port, out VCI).
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    const Node& n = nodes_[static_cast<std::size_t>(path[i])];
-    assert(n.kind == Node::Kind::sw);
-    const HopState& in = vc.hops[i - 1];
-    const HopState& out = vc.hops[i];
+  for (std::size_t i = 0; i + 1 < vc.hops.size(); ++i) {
+    const HopState& in = vc.hops[i];
+    const HopState& out = vc.hops[i + 1];
     const Edge& in_e = edges_[static_cast<std::size_t>(in.edge)];
     const Edge& out_e = edges_[static_cast<std::size_t>(out.edge)];
+    const Node& n = nodes_[static_cast<std::size_t>(in_e.to)];
+    assert(n.kind == Node::Kind::sw);
     auto r = n.sw->install_route(in_e.to_port, in.vci, out_e.from_port,
                                  out.vci, qos);
     if (!r) {
-      uninstall(vc);
+      uninstall(vc, i);
       return r.error();
     }
-    vc.routes.emplace_back(n.sw, std::make_pair(in_e.to_port, in.vci));
   }
   return vc;
 }
 
-void AtmNetwork::uninstall(ActiveVc& vc) {
-  for (auto& [sw, key] : vc.routes) {
-    (void)sw->remove_route(key.first, key.second);
+void AtmNetwork::uninstall(ActiveVc& vc, std::size_t routes) {
+  for (std::size_t i = 0; i < routes; ++i) {
+    const HopState& h = vc.hops[i];
+    const Edge& e = edges_[static_cast<std::size_t>(h.edge)];
+    (void)nodes_[static_cast<std::size_t>(e.to)].sw->remove_route(e.to_port, h.vci);
   }
-  vc.routes.clear();
   for (const HopState& h : vc.hops) {
     edges_[static_cast<std::size_t>(h.edge)].vcis->release(h.vci);
   }
   vc.hops.clear();
+}
+
+VcHandle AtmNetwork::activate(ActiveVc vc, const AtmAddress& src,
+                              const AtmAddress& dst) {
+  VcHandle h;
+  h.id = next_vc_id_++;
+  h.src_vci = vc.hops.front().vci;
+  h.dst_vci = vc.hops.back().vci;
+  h.hop_count = static_cast<int>(vc.hops.size());
+  vc.src = src;
+  vc.dst = dst;
+  active_.try_emplace(h.id, std::move(vc));
+  return h;
 }
 
 void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
@@ -302,15 +316,7 @@ void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
     return;
   }
   trace_setup(latency, true);
-  VcHandle h;
-  h.id = next_vc_id_++;
-  h.src_vci = vc->hops.front().vci;
-  h.dst_vci = vc->hops.back().vci;
-  h.hop_count = static_cast<int>(vc->hops.size());
-  vc->src = src;
-  vc->dst = dst;
-  active_.insert(h.id, std::move(*vc));
-  finish(h, latency);
+  finish(activate(std::move(*vc), src, dst), latency);
 }
 
 util::Result<VcHandle> AtmNetwork::setup_pvc(const AtmAddress& src,
@@ -318,22 +324,14 @@ util::Result<VcHandle> AtmNetwork::setup_pvc(const AtmAddress& src,
                                              const Qos& qos) {
   auto s = endpoint_nodes_.find(src);
   auto d = endpoint_nodes_.find(dst);
-  if (s == endpoint_nodes_.end() || d == endpoint_nodes_.end()) {
+  if (s == endpoint_nodes_.end() || d == endpoint_nodes_.end() || src == dst) {
     return Errc::no_route;
   }
   std::vector<int> path = find_path(s->second, d->second);
   if (path.empty()) return Errc::no_route;
   auto vc = install_path(path, qos, vci);
   if (!vc) return vc.error();
-  VcHandle h;
-  h.id = next_vc_id_++;
-  h.src_vci = vc->hops.front().vci;
-  h.dst_vci = vc->hops.back().vci;
-  h.hop_count = static_cast<int>(vc->hops.size());
-  vc->src = src;
-  vc->dst = dst;
-  active_.insert(h.id, std::move(*vc));
-  return h;
+  return activate(std::move(*vc), src, dst);
 }
 
 std::size_t AtmNetwork::set_trunk_down(const AtmSwitch& a, const AtmSwitch& b,
@@ -376,8 +374,7 @@ std::vector<CellLink*> AtmNetwork::endpoint_links(const AtmAddress& addr) {
 std::vector<AtmNetwork::VcAudit> AtmNetwork::audit_vcs(
     const AtmAddress& endpoint) const {
   std::vector<VcAudit> out;
-  active_.for_each([&](const VcId& id, const ActiveVc& vc) {
-    if (vc.hops.empty()) return;
+  for (const auto& [id, vc] : active_) {
     VcAudit a;
     a.id = id;
     if (vc.src == endpoint) {
@@ -391,12 +388,11 @@ std::vector<AtmNetwork::VcAudit> AtmNetwork::audit_vcs(
       a.remote = vc.src;
       a.originator = false;
     } else {
-      return;
+      continue;
     }
     out.push_back(std::move(a));
-  });
-  // The trie iterates by VC id; this surface is keyed by local VCI, so it
-  // still needs its own sort.
+  }
+  // active_ iterates by VC id; this surface is keyed by local VCI.
   std::sort(out.begin(), out.end(), [](const VcAudit& x, const VcAudit& y) {
     return x.local_vci < y.local_vci;
   });
@@ -405,32 +401,22 @@ std::vector<AtmNetwork::VcAudit> AtmNetwork::audit_vcs(
 
 std::vector<AtmNetwork::VcSummary> AtmNetwork::audit_all_vcs() const {
   std::vector<VcSummary> out;
-  active_.for_each([&](const VcId& id, const ActiveVc& vc) {
-    if (vc.hops.empty()) return;
-    VcSummary s;
-    s.id = id;
-    s.src = vc.src;
-    s.dst = vc.dst;
-    s.src_vci = vc.hops.front().vci;
-    s.dst_vci = vc.hops.back().vci;
-    out.push_back(std::move(s));
-  });
-  // The trie iterates in ascending id order already; no re-sort needed.
+  for (const auto& [id, vc] : active_) {
+    out.push_back(VcSummary{id, vc.src, vc.dst, vc.hops.front().vci,
+                            vc.hops.back().vci});
+  }
   return out;
 }
 
 std::vector<AtmNetwork::RouteAudit> AtmNetwork::audit_routes() const {
   std::vector<RouteAudit> out;
-  active_.for_each([&](const VcId& id, const ActiveVc& vc) {
-    for (const auto& [sw, key] : vc.routes) {
-      RouteAudit a;
-      a.sw = sw->name();
-      a.in_port = key.first;
-      a.in_vci = key.second;
-      a.vc = id;
-      out.push_back(std::move(a));
+  for (const auto& [id, vc] : active_) {
+    for (std::size_t i = 0; i + 1 < vc.hops.size(); ++i) {
+      const Edge& e = edges_[static_cast<std::size_t>(vc.hops[i].edge)];
+      out.push_back(RouteAudit{nodes_[static_cast<std::size_t>(e.to)].sw->name(),
+                               e.to_port, vc.hops[i].vci, id});
     }
-  });
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -461,10 +447,11 @@ AtmSwitch* AtmNetwork::switch_by_name(const std::string& name) noexcept {
 }
 
 util::Result<void> AtmNetwork::teardown(VcId id) {
-  ActiveVc* vc = active_.find(id);
-  if (vc == nullptr) return Errc::not_found;
-  uninstall(*vc);
-  active_.erase(id);
+  auto it = active_.find(id);
+  if (it == active_.end()) return Errc::not_found;
+  ActiveVc& vc = it->second;
+  uninstall(vc, vc.hops.size() - 1);
+  active_.erase(it);
   return {};
 }
 

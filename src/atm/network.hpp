@@ -19,7 +19,6 @@
 
 #include "atm/switch.hpp"
 #include "atm/types.hpp"
-#include "util/vci_index.hpp"
 
 namespace xunet::atm {
 
@@ -239,9 +238,10 @@ class AtmNetwork {
     int edge = -1;
     Vci vci = kInvalidVci;
   };
+  /// Every hop but the last enters a switch, where the VC owns the route
+  /// (edge.to_port, hop.vci) of `nodes_[edge.to]`.
   struct ActiveVc {
-    std::vector<HopState> hops;             ///< one per traversed edge
-    std::vector<std::pair<AtmSwitch*, std::pair<int, Vci>>> routes;  ///< installed switch routes
+    std::vector<HopState> hops;  ///< one per traversed edge
     AtmAddress src;  ///< source endpoint (for post-crash audits)
     AtmAddress dst;  ///< destination endpoint
   };
@@ -255,7 +255,11 @@ class AtmNetwork {
   [[nodiscard]] util::Result<ActiveVc> install_path(
       const std::vector<int>& path, const Qos& qos,
       std::optional<Vci> fixed_vci, VciPartition part = {});
-  void uninstall(ActiveVc& vc);
+  /// Remove the switch routes of the first `routes` hops, then release
+  /// every hop's VCI.
+  void uninstall(ActiveVc& vc, std::size_t routes);
+  /// Record an installed VC as active and build its handle.
+  VcHandle activate(ActiveVc vc, const AtmAddress& src, const AtmAddress& dst);
 
   sim::Simulator& sim_;
   std::vector<Node> nodes_;
@@ -263,12 +267,8 @@ class AtmNetwork {
   std::vector<std::vector<int>> out_edges_;  ///< per node, indices into edges_
   std::vector<std::unique_ptr<AtmSwitch>> switches_;
   std::unordered_map<AtmAddress, int> endpoint_nodes_;
-  /// Active VCs, id -> state, behind the compressed-trie index.  Teardown
-  /// and the per-call signaling path hit this table once per hop, and
-  /// crash-recovery audits iterate it; the trie keeps lookups O(key bits)
-  /// at millions of live VCs and iterates in ascending id order, so audit
-  /// surfaces need no re-sort.
-  util::VciIndex<VcId, ActiveVc> active_;
+  /// Active VCs by id; audits iterate them in ascending id order.
+  std::map<VcId, ActiveVc> active_;
   VcId next_vc_id_ = 1;
   /// find_path's BFS predecessor table and queue, reused across lookups.
   mutable std::vector<int> bfs_prev_;

@@ -115,31 +115,27 @@ util::Result<void> AtmSwitch::install_route(int in_port, Vci in_vci,
   // warmup).  Routes from several input ports may merge onto one outgoing
   // VCI; they share the queue (first contract wins) and it lives until the
   // last of them is removed.
-  VcQueue* vq;
-  auto it = out.vc_queues.find(out_vci);
-  if (it == out.vc_queues.end()) {
-    auto owned = std::make_unique<VcQueue>();
-    vq = owned.get();
-    vq->vci = out_vci;
-    vq->band = qos.service_class;
-    vq->weight = std::max<std::uint64_t>(1, qos.bandwidth_bps / 1'000'000);
-    out.vc_queues.emplace(out_vci, std::move(owned));
-  } else {
-    vq = it->second.get();
+  auto [it, fresh] = out.vc_queues.try_emplace(out_vci);
+  VcQueue& vq = it->second;
+  if (fresh) {
+    vq.vci = out_vci;
+    vq.band = qos.service_class;
+    vq.weight = std::max<std::uint64_t>(1, qos.bandwidth_bps / 1'000'000);
   }
-  ++vq->refs;
+  ++vq.refs;
   if (qos.service_class == ServiceClass::abr) ++out.abr_routes;
 
   Route r{out_port, out_vci, reserve, qos.service_class, DualGcra{}};
   if (qos.needs_policing()) r.police = DualGcra(qos);
-  table_.insert(key, r);
+  table_.try_emplace(key, r);
   return {};
 }
 
 util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
   std::uint64_t key = route_key(in_port, in_vci);
-  Route* r = table_.find(key);
-  if (r == nullptr) return Errc::not_found;
+  auto route_it = table_.find(key);
+  if (route_it == table_.end()) return Errc::not_found;
+  const Route* r = &route_it->second;
   Port& out = *ports_[static_cast<std::size_t>(r->out_port)];
   materialise(out, cut_now(sim_), Materialise::route);
   assert(out.reserved_bps >= r->reserved_bps);
@@ -150,7 +146,7 @@ util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
   }
   auto it = out.vc_queues.find(r->out_vci);
   if (it != out.vc_queues.end()) {
-    VcQueue& vq = *it->second;
+    VcQueue& vq = it->second;
     assert(vq.refs > 0);
     if (--vq.refs == 0) {
       // Tear-down flushes queued cells without counting them as discards:
@@ -163,7 +159,7 @@ util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
       out.vc_queues.erase(it);
     }
   }
-  table_.erase(key);
+  table_.erase(route_it);
   return {};
 }
 
@@ -186,16 +182,10 @@ void AtmSwitch::debug_overreserve(int port, std::uint64_t bps) {
 std::vector<AtmSwitch::RouteInfo> AtmSwitch::route_table() const {
   std::vector<RouteInfo> out;
   out.reserve(table_.size());
-  table_.for_each([&out](const std::uint64_t& key, const Route& r) {
-    RouteInfo info;
-    info.in_port = static_cast<int>(key >> 16);
-    info.in_vci = static_cast<Vci>(key & 0xffff);
-    info.out_port = r.out_port;
-    info.out_vci = r.out_vci;
-    out.push_back(info);
-  });
-  // The trie iterates route_key ascending, which IS (in_port, in_vci)
-  // order; no re-sort needed.
+  for (const auto& [key, r] : table_) {
+    out.push_back(RouteInfo{static_cast<int>(key >> 16), static_cast<Vci>(key & 0xffff),
+                            r.out_port, r.out_vci});
+  }
   return out;
 }
 
@@ -232,7 +222,8 @@ TrainTake AtmSwitch::take_train(Port& ingress, const CellTrain& train) {
     if (fast) {
       const std::uint64_t key = route_key(ingress.index, tc.cell.vci);
       if (key != last_key) {
-        route = table_.find(key);
+        auto it = table_.find(key);
+        route = it != table_.end() ? &it->second : nullptr;
         last_key = key;
       }
       if (route != nullptr &&
@@ -256,7 +247,8 @@ TrainTake AtmSwitch::take_train(Port& ingress, const CellTrain& train) {
 
 void AtmSwitch::handle_cell(Port& ingress, const Cell& cell,
                             const DeliveryOrder* order) {
-  Route* route = table_.find(route_key(ingress.index, cell.vci));
+  auto route_it = table_.find(route_key(ingress.index, cell.vci));
+  Route* route = route_it != table_.end() ? &route_it->second : nullptr;
   Port* out = route != nullptr ? ports_[static_cast<std::size_t>(route->out_port)].get()
                                : nullptr;
   if (out == nullptr || out->out == nullptr) {
@@ -346,7 +338,7 @@ bool AtmSwitch::run_append(Port& ingress, const Route& route, Port& out,
     if (out.depth != 0 || !out.fabric.empty() || epd_threshold() < 2) return false;
     auto it = out.vc_queues.find(route.out_vci);
     if (it == out.vc_queues.end()) return false;
-    VcQueue& vq = *it->second;
+    VcQueue& vq = it->second;
     if (vq.skipping_epd || vq.discarding_ppd) return false;
     // The run takes over the line from the drain: its first cell goes when
     // a pending drain wakeup would have served it.  That is not always when
@@ -522,7 +514,7 @@ void AtmSwitch::fabric_deliver(Port& out) {
     const Staged& s = out.fabric.front();
     if (s.cell.vci != last_vci) {
       auto it = out.vc_queues.find(s.cell.vci);
-      vq = it != out.vc_queues.end() ? it->second.get() : nullptr;
+      vq = it != out.vc_queues.end() ? &it->second : nullptr;
       last_vci = s.cell.vci;
     }
     if (vq == nullptr) {

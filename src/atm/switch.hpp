@@ -27,7 +27,7 @@
 // ppd, overflow) in addition to its class counter, so observability can
 // tell a policer doing its job from a congested trunk.
 //
-// Fast path: the VC table is a compressed-trie index (util::VciIndex) keyed
+// Fast path: the VC table is one std::map of routes, keyed
 // by (input port, VCI) and the per-VC queues are allocation-free rings
 // created at route install.  An input link hands a port its whole queued
 // run of cells in one event, and the port takes up to a frame of it.  When
@@ -55,7 +55,6 @@
 #include "obs/obs.hpp"
 #include "util/result.hpp"
 #include "util/ring.hpp"
-#include "util/vci_index.hpp"
 
 namespace xunet::atm {
 
@@ -161,7 +160,7 @@ class AtmSwitch {
     [[nodiscard]] auto operator<=>(const RouteInfo&) const = default;
   };
   /// Every installed route, in ascending (in_port, in_vci) order — the
-  /// trie's native iteration order over route_key, so no re-sort happens.
+  /// table's own order over route_key, so no re-sort happens.
   /// The chaos InvariantChecker diffs this against the network controller's
   /// active-VC hop state to find dangling or missing routes.
   [[nodiscard]] std::vector<RouteInfo> route_table() const;
@@ -271,10 +270,9 @@ class AtmSwitch {
     sim::EventId drain_armed = 0;
     sim::SimTime drain_at{};  ///< when drain_armed fires
     Run run;
-    /// Per-VC egress queues, keyed by outgoing VCI.  unique_ptr so VcQueue
-    /// addresses stay stable across map rebalancing (active lists hold
-    /// pointers).
-    std::map<Vci, std::unique_ptr<VcQueue>> vc_queues;
+    /// Per-VC egress queues, keyed by outgoing VCI.  Map nodes never move,
+    /// so the active lists and the run may point at them.
+    std::map<Vci, VcQueue> vc_queues;
     /// Non-empty VC queues per band, in activation order; the scheduler
     /// picks the minimum SCFQ finish tag (ties to the lowest VCI).
     std::array<std::vector<VcQueue*>, kServiceClassCount> active;
@@ -352,9 +350,8 @@ class AtmSwitch {
   obs::Counter* m_unroutable_ = nullptr;
   std::array<obs::Counter*, kDiscardCauseCount> m_discards_{};
   std::vector<std::unique_ptr<Port>> ports_;
-  /// VC table behind the compressed-trie index: ordered iteration for the
-  /// audit surface, O(key bits) lookups at millions of routes.
-  util::VciIndex<std::uint64_t, Route> table_;
+  /// VC table keyed by route_key; iterates in (in_port, in_vci) order.
+  std::map<std::uint64_t, Route> table_;
   std::uint64_t cells_switched_ = 0;
   std::uint64_t cells_unroutable_ = 0;
   std::uint64_t cells_in_runs_ = 0;

@@ -17,7 +17,7 @@ using Vci = std::uint16_t;
 /// shard).
 inline constexpr Vci kFirstSwitchedVci = 1024;
 /// Largest allocatable VCI (the full 16-bit cell field; control-plane
-/// sharding and the trie index need the headroom for ≥10^6 live VCs).
+/// sharding needs the headroom for ≥10^6 live VCs).
 inline constexpr Vci kMaxVci = 65535;
 /// Sentinel meaning "no VCI".
 inline constexpr Vci kInvalidVci = 0;

@@ -534,6 +534,7 @@ util::Result<void> Kernel::xunet_bind(Pid pid, int fd, atm::Vci vci,
   xs.vci = vci;
   xs.cookie = cookie;
   xsocks_by_vci_.emplace(vci, d->handle);
+  orc_->set_discard(vci, false);  // a new call lifts an old VCI_SHUT mark
   // "The kernel passes messages upwards ... when it binds or connects to a
   // PF_XUNET socket."  A full pseudo-device buffer silently loses this.
   (void)anand_.post(AnandUpMsg{AnandUpType::bind_indication, vci, cookie, pid});
@@ -551,6 +552,7 @@ util::Result<void> Kernel::xunet_connect(Pid pid, int fd, atm::Vci vci,
   xs.vci = vci;
   xs.cookie = cookie;
   xsocks_by_vci_.emplace(vci, d->handle);
+  orc_->set_discard(vci, false);
   (void)anand_.post(
       AnandUpMsg{AnandUpType::connect_indication, vci, cookie, pid});
   return {};
@@ -694,7 +696,10 @@ void Kernel::mark_vci_disconnected(atm::Vci vci) {
     }
   }
   xsocks_by_vci_.erase(first, last);
+  // The call on `vci` is gone: a later call on it starts with fresh AAL5
+  // and IPPROTO_ATM sequence state.
   if (hobbit_) hobbit_->release_vc(vci);
+  proto_atm_->release(vci);
 }
 
 std::vector<Kernel::XunetVciInfo> Kernel::audit_xunet_vcis() const {
@@ -839,7 +844,9 @@ util::Result<void> Kernel::proto_atm_vci_shut(Pid pid, int fd, atm::Vci vci) {
   auto d = descriptor(pid, fd, Descriptor::Kind::proto_atm_raw);
   if (!d) return d.error();
   if (role_ != Role::router) return Errc::invalid_argument;
+  // VCI_SHUT is how the router learns that a host's call on `vci` is gone.
   proto_atm_->control_vci_shut(vci);
+  if (hobbit_) hobbit_->release_vc(vci);
   return {};
 }
 

@@ -133,7 +133,8 @@ class Kernel {
   [[nodiscard]] std::size_t xunet_socket_count() const noexcept { return xsocks_.size(); }
   [[nodiscard]] std::uint64_t xunet_frames_dropped() const noexcept { return x_dropped_; }
 
-  /// soisdisconnected() on every socket using `vci` (downward anand path).
+  /// soisdisconnected() on every socket using `vci` (downward anand path),
+  /// then drop the VCI's AAL5 and IPPROTO_ATM state.
   void mark_vci_disconnected(atm::Vci vci);
 
   /// One live PF_XUNET binding, as reported to a recovering signaling
@@ -175,7 +176,7 @@ class Kernel {
   /// Router: VCI_BIND control write.
   util::Result<void> proto_atm_vci_bind(Pid pid, int fd, atm::Vci vci,
                                         ip::IpAddress host);
-  /// Router: VCI_SHUT control write.
+  /// Router: VCI_SHUT control write.  Also drops the VCI's AAL5 state.
   util::Result<void> proto_atm_vci_shut(Pid pid, int fd, atm::Vci vci);
 
  private:

@@ -4,12 +4,26 @@ namespace xunet::kern {
 
 using util::Errc;
 
+void OrcDriver::trim(std::map<atm::Vci, VciRecord>::iterator it) {
+  if (!it->second.handler && !it->second.discard) vcis_.erase(it);
+}
+
+void OrcDriver::clear_vci_handler(atm::Vci vci) {
+  auto it = vcis_.find(vci);
+  if (it == vcis_.end()) return;
+  it->second.handler = nullptr;
+  trim(it);
+}
+
 void OrcDriver::set_discard(atm::Vci vci, bool discard) {
   if (discard) {
-    discard_.insert(vci);
-  } else {
-    discard_.erase(vci);
+    vcis_[vci].discard = true;
+    return;
   }
+  auto it = vcis_.find(vci);
+  if (it == vcis_.end()) return;
+  it->second.discard = false;
+  trim(it);
 }
 
 util::Result<void> OrcDriver::output(atm::Vci vci, const MbufChain& chain) {
@@ -27,7 +41,8 @@ util::Result<void> OrcDriver::output(atm::Vci vci, const MbufChain& chain) {
 }
 
 void OrcDriver::input(atm::Vci vci, MbufChain chain) {
-  if (discard_.contains(vci)) {
+  auto it = vcis_.find(vci);
+  if (it != vcis_.end() && it->second.discard) {
     ++frames_discarded_;
     return;
   }
@@ -41,8 +56,8 @@ void OrcDriver::input(atm::Vci vci, MbufChain chain) {
   }
   // Table 1: device driver receive cost is the handler dispatch.
   instr_.charge(InstrComponent::orc_driver, InstrDir::receive, kOrcRecvDispatch);
-  if (auto it = handlers_.find(vci); it != handlers_.end()) {
-    it->second(vci, std::move(chain));
+  if (it != vcis_.end() && it->second.handler) {
+    it->second.handler(vci, std::move(chain));
     return;
   }
   if (default_handler_) default_handler_(vci, std::move(chain));

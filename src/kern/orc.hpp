@@ -10,8 +10,7 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
 
 #include "atm/types.hpp"
 #include "kern/instr.hpp"
@@ -54,14 +53,16 @@ class OrcDriver {
 
   /// Per-VCI override installed by a VCI_BIND control message: frames on
   /// this VCI are forwarded (re-encapsulated toward a remote host).
-  void set_vci_handler(atm::Vci vci, Handler h) { handlers_[vci] = std::move(h); }
-  void clear_vci_handler(atm::Vci vci) { handlers_.erase(vci); }
+  void set_vci_handler(atm::Vci vci, Handler h) { vcis_[vci].handler = std::move(h); }
+  void clear_vci_handler(atm::Vci vci);
 
   /// VCI_SHUT: "the Orc driver is told to discard any more data arriving
-  /// with that VCI."
+  /// with that VCI."  The kernel lifts the mark when the VCI is next bound
+  /// or connected.
   void set_discard(atm::Vci vci, bool discard);
   [[nodiscard]] bool discarding(atm::Vci vci) const noexcept {
-    return discard_.contains(vci);
+    auto it = vcis_.find(vci);
+    return it != vcis_.end() && it->second.discard;
   }
 
   /// Send path.  Zero instructions charged: Table 1's send row for the
@@ -83,8 +84,16 @@ class OrcDriver {
   obs::Counter* m_rx_ = nullptr;
   FrameFn output_;
   Handler default_handler_;
-  std::unordered_map<atm::Vci, Handler> handlers_;
-  std::unordered_set<atm::Vci> discard_;
+  /// A VCI with a forwarding handler or a discard mark; every other VCI
+  /// goes to the default handler.
+  struct VciRecord {
+    Handler handler;
+    bool discard = false;
+  };
+  /// Drop `it` once it holds neither a handler nor a mark.
+  void trim(std::map<atm::Vci, VciRecord>::iterator it);
+
+  std::map<atm::Vci, VciRecord> vcis_;
   std::uint64_t frames_in_ = 0;
   std::uint64_t frames_out_ = 0;
   std::uint64_t frames_discarded_ = 0;

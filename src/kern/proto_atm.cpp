@@ -1,5 +1,7 @@
 #include "kern/proto_atm.hpp"
 
+#include <algorithm>
+
 #include "util/checksum.hpp"
 
 namespace xunet::kern {
@@ -20,7 +22,7 @@ ProtoAtm::ProtoAtm(ip::IpNode& node, InstrCounter& instr, Role role,
 }
 
 void ProtoAtm::control_vci_bind(atm::Vci vci, ip::IpAddress host) {
-  vci_dest_[vci] = host;
+  vcis_[vci].dest = host;
   if (orc_ != nullptr) {
     orc_->set_discard(vci, false);
     orc_->set_vci_handler(vci, [this, host](atm::Vci v, MbufChain c) {
@@ -30,13 +32,16 @@ void ProtoAtm::control_vci_bind(atm::Vci vci, ip::IpAddress host) {
 }
 
 void ProtoAtm::control_vci_shut(atm::Vci vci) {
-  vci_dest_.erase(vci);
-  expect_seq_.erase(vci);
-  send_seq_.erase(vci);
+  release(vci);
   if (orc_ != nullptr) {
     orc_->clear_vci_handler(vci);
     orc_->set_discard(vci, true);
   }
+}
+
+std::size_t ProtoAtm::bound_vci_count() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      vcis_.begin(), vcis_.end(), [](const auto& kv) { return kv.second.dest.has_value(); }));
 }
 
 util::Result<void> ProtoAtm::encap_output(atm::Vci vci, const MbufChain& chain) {
@@ -54,7 +59,7 @@ util::Result<void> ProtoAtm::encap_output_to(ip::IpAddress dst, atm::Vci vci,
   instr_.charge(InstrComponent::proto_atm, InstrDir::send,
                 kPerMbufWalk * chain.mbuf_count());
 
-  std::uint32_t& seq = send_seq_[vci];
+  std::uint32_t& seq = vcis_[vci].send_seq;
   util::Writer w;
   // Header (checksum, length-prefixed source, sequence, VCI) plus payload.
   w.reserve(2 + 2 + self_.name.size() + 4 + 2 + chain.total_bytes());
@@ -120,13 +125,13 @@ void ProtoAtm::decap_input(const ip::IpPacket& p) {
   }
 
   // Out-of-order detection via the sequence-number field (§5.4).
-  auto [it, fresh] = expect_seq_.try_emplace(*vci, *seq);
-  if (!fresh && *seq != it->second) {
+  std::optional<std::uint32_t>& expect = vcis_[*vci].expect_seq;
+  const bool in_order = !expect || *seq == *expect;
+  expect = *seq + 1;  // resynchronize past any gap
+  if (!in_order) {
     ++out_of_order_;
-    it->second = *seq + 1;  // resynchronize past the gap
     return;
   }
-  it->second = *seq + 1;
 
   ++decapsulated_;
   if (orc_ == nullptr) return;

@@ -14,8 +14,8 @@
 // remote hosts.
 #pragma once
 
+#include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "atm/types.hpp"
 #include "ip/node.hpp"
@@ -52,12 +52,16 @@ class ProtoAtm {
   /// `host`; installs the Orc per-VCI handler.
   void control_vci_bind(atm::Vci vci, ip::IpAddress host);
 
-  /// Router: VCI_SHUT — stop forwarding `vci`, clear both mappings, tell
+  /// Router: VCI_SHUT — stop forwarding `vci`, release its record, tell
   /// the Orc driver to discard further arrivals.
   void control_vci_shut(atm::Vci vci);
 
+  /// Forget `vci`'s record (destination and both sequence numbers) when
+  /// its call is gone, so a later call on the same VCI starts fresh.
+  void release(atm::Vci vci) { vcis_.erase(vci); }
+
   /// Router: current forwarding table size (leak audits).
-  [[nodiscard]] std::size_t bound_vci_count() const noexcept { return vci_dest_.size(); }
+  [[nodiscard]] std::size_t bound_vci_count() const noexcept;
 
   // -- data path -----------------------------------------------------------
 
@@ -89,9 +93,14 @@ class ProtoAtm {
   bool checksum_;
   OrcDriver* orc_ = nullptr;
   std::optional<ip::IpAddress> router_;
-  std::unordered_map<atm::Vci, ip::IpAddress> vci_dest_;  ///< router: VCI → host
-  std::unordered_map<atm::Vci, std::uint32_t> send_seq_;
-  std::unordered_map<atm::Vci, std::uint32_t> expect_seq_;
+  /// Everything the layer keeps for one VCI.
+  struct VciState {
+    std::optional<ip::IpAddress> dest;        ///< router: VCI_BIND host
+    std::uint32_t send_seq = 0;               ///< next sequence number sent
+    std::optional<std::uint32_t> expect_seq;  ///< next one expected, once
+                                              ///< a frame has arrived
+  };
+  std::map<atm::Vci, VciState> vcis_;
   std::uint64_t encapsulated_ = 0;
   std::uint64_t decapsulated_ = 0;
   std::uint64_t out_of_order_ = 0;

@@ -146,12 +146,14 @@ void AnandServerStub::handle_down(const StubMsg& m) {
     o.instant("stub", "anand.relay_down", k_.name(), std::move(ids));
   }
   // Stop forwarding first: "the server then writes a VCI_SHUT message ...
-  // so that no more data is forwarded to the remote host on that VCI."
-  if (auto it = vci_host_.find(m.vci); it != vci_host_.end()) {
+  // so that no more data is forwarded to the remote host on that VCI."  A
+  // VCI a host connected on was never VCI_BIND-ed, but the router holds
+  // its IPPROTO_ATM and AAL5 state all the same, so it is shut too.
+  const bool local = !m.machine.valid() || m.machine == k_.ip_node().address();
+  if (vci_host_.erase(m.vci) > 0 || !local) {
     (void)k_.proto_atm_vci_shut(pid_, ctl_fd_, m.vci);
-    vci_host_.erase(it);
   }
-  if (!m.machine.valid() || m.machine == k_.ip_node().address()) {
+  if (local) {
     // Local: write the router's pseudo-device; its write routine calls
     // soisdisconnected().
     (void)k_.anand_write(pid_, anand_fd_,

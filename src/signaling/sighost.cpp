@@ -875,20 +875,21 @@ void Sighost::handle_peer_bound(const std::string&, const Msg& m) {
   // client's VCI_FOR_CONN.
   const std::string key = call_name(k_.atm_address().name, m.req_id);
   const atm::Vci vci = vci_for_call(key);
-  VciEntry* e = vci_map_.find(vci);  // kInvalidVci is never mapped
-  if (e == nullptr || e->pending_client_fd < 0) return;
+  auto it = vci_map_.find(vci);  // kInvalidVci is never mapped
+  if (it == vci_map_.end() || it->second.pending_client_fd < 0) return;
+  VciEntry& e = it->second;
   Msg vmsg;
   vmsg.type = MsgType::vci_for_conn;
-  vmsg.req_id = e->req_id;
+  vmsg.req_id = e.req_id;
   vmsg.vci = vci;
-  vmsg.cookie = e->cookie;
-  vmsg.qos = e->qos;
-  send_app(e->pending_client_fd, vmsg);
-  e->pending_client_fd = -1;
+  vmsg.cookie = e.cookie;
+  vmsg.qos = e.qos;
+  send_app(e.pending_client_fd, vmsg);
+  e.pending_client_fd = -1;
   fsm("fsm.peer_bound", key, vci);
   // The callee is bound and the client has its VCI: setup is complete
   // from the originating sighost's point of view.
-  end_setup_trace(e->setup);
+  end_setup_trace(e.setup);
 }
 
 void Sighost::handle_peer_setup_failed(const std::string& origin, const Msg& m) {
@@ -956,8 +957,8 @@ void Sighost::handle_indication(const StubMsg& m) {
 
 void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
                                ip::IpAddress origin) {
-  VciEntry* e = vci_map_.find(vci);
-  if (e == nullptr) {
+  auto it = vci_map_.find(vci);
+  if (it == vci_map_.end()) {
     // Stale indication: the call this bind/connect belongs to is already
     // gone.  Silently ignoring it would leave the endpoint's socket
     // bound/connected to a dead VCI forever (nothing else will ever
@@ -966,20 +967,21 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
     send_down_disconnect(vci, origin);
     return;
   }
-  if (cookie == 0 || cookie != e->cookie) {
+  VciEntry& e = it->second;
+  if (cookie == 0 || cookie != e.cookie) {
     // §7.1: authentication failure tears the call down and the socket is
     // marked unusable (the teardown's downward disconnect does that).
     ++stats_.auth_failures;
     teardown_vci(vci, /*notify_peer=*/true);
     return;
   }
-  e->confirmed = true;
-  e->endpoint_ip = origin;
+  e.confirmed = true;
+  e.endpoint_ip = origin;
   wait_bind_.erase(vci);  // Timer destructor cancels the pending expiry.
   record_lists();
-  if (e->notify_origin_on_confirm) {
-    e->notify_origin_on_confirm = false;
-    send_peer(e->peer, MsgType::peer_bound, e->req_id);
+  if (e.notify_origin_on_confirm) {
+    e.notify_origin_on_confirm = false;
+    send_peer(e.peer, MsgType::peer_bound, e.req_id);
   }
 }
 
@@ -1031,12 +1033,12 @@ std::string Sighost::management_report() const {
   out += "  incoming_requests: " + std::to_string(incoming_.size()) + "\n";
   out += "  wait_for_bind: " + std::to_string(wait_bind_.size()) + "\n";
   out += "  VCI_mapping (" + std::to_string(vci_map_.size()) + "):\n";
-  vci_map_.for_each([this, &out](const atm::Vci& vci, const VciEntry& e) {
+  for (const auto& [vci, e] : vci_map_) {
     out += "    vci=" + std::to_string(vci) + " call=" + call_key(e) +
            (e.originator ? " (originator)" : " (callee)") +
            (e.confirmed ? " confirmed" : " unconfirmed") + " qos=<" + e.qos +
            ">\n";
-  });
+  }
   const SighostStats& st = stats_;
   out += "  stats: established=" + std::to_string(st.calls_established) +
          " torn_down=" + std::to_string(st.calls_torn_down) +
@@ -1061,7 +1063,7 @@ Sighost::ListSnapshot Sighost::audit_snapshot() const {
   }
   for (const auto& [key, inc] : incoming_) snap.incoming_calls.push_back(key);
   for (const auto& [vci, wb] : wait_bind_) snap.wait_for_bind.push_back(vci);
-  vci_map_.for_each([this, &snap](const atm::Vci& vci, const VciEntry& e) {
+  for (const auto& [vci, e] : vci_map_) {
     VciAuditEntry a;
     a.vci = vci;
     a.call_key = call_key(e);
@@ -1073,9 +1075,8 @@ Sighost::ListSnapshot Sighost::audit_snapshot() const {
     a.endpoint_ip = e.endpoint_ip;
     a.remote_vci = e.remote_vci;
     snap.vci_mapping.push_back(std::move(a));
-  });
-  // Every source is ordered (the trie iterates VCIs ascending), so the
-  // vectors are already sorted.
+  }
+  // Every source is an ordered map, so the vectors are already sorted.
   return snap;
 }
 
@@ -1085,10 +1086,9 @@ atm::Vci Sighost::vci_for_call(const std::string& key) const {
 }
 
 void Sighost::teardown_vci(atm::Vci vci, bool notify_peer) {
-  VciEntry* vp = vci_map_.find(vci);
-  if (vp == nullptr) return;
-  const VciEntry e = std::move(*vp);
-  vci_map_.erase(vci);
+  auto node = vci_map_.extract(vci);
+  if (node.empty()) return;
+  const VciEntry& e = node.mapped();
   const std::string key = call_key(e);
   if (auto cit = call_by_key_.find(key);
       cit != call_by_key_.end() && cit->second == vci) {
@@ -1235,11 +1235,11 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
   transmit_peer(p, ack);
   // Report every established call we share with the restarted host so it
   // can restore req_id on the VCI entries it audited back.  The
-  // trie iterates ascending, preserving the replay-pinned INFO order.
-  vci_map_.for_each([&](const atm::Vci& vci, const VciEntry& e) {
+  // map iterates ascending, preserving the replay-pinned INFO order.
+  for (const auto& [vci, e] : vci_map_) {
     if (e.peer != origin || !e.confirmed || e.req_id == 0 ||
         e.remote_vci == atm::kInvalidVci) {
-      return;
+      continue;
     }
     Msg info;
     info.type = MsgType::peer_resync_info;
@@ -1251,7 +1251,7 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
     info.vci2 = vci;          // ours
     info.qos = e.qos;
     send_peer(origin, info);
-  });
+  }
   maintenance_log("", [] {});
 }
 
@@ -1271,14 +1271,14 @@ void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
 }
 
 void Sighost::handle_peer_resync_info(const std::string& origin, const Msg& m) {
-  VciEntry* ep = vci_map_.find(m.vci);
-  if (ep == nullptr) {
+  auto it = vci_map_.find(m.vci);
+  if (it == vci_map_.end()) {
     // We audited no such call: the endpoint socket died with us.  Tell the
     // peer so it can release its half (and the VC, if it originated).
     send_peer(origin, MsgType::peer_teardown, m.req_id);
     return;
   }
-  VciEntry& e = *ep;
+  VciEntry& e = it->second;
   if (!e.recovered || e.req_id != 0) return;  // already claimed
   e.req_id = m.req_id;
   e.qos = m.qos;
@@ -1296,9 +1296,9 @@ void Sighost::expire_unclaimed_recoveries() {
   // the peer lost the call too, or it was never fully established.  Either
   // way nobody will route data over them again.
   std::vector<atm::Vci> stale;
-  vci_map_.for_each([&stale](const atm::Vci& vci, const VciEntry& e) {
+  for (const auto& [vci, e] : vci_map_) {
     if (e.recovered && e.req_id == 0) stale.push_back(vci);
-  });
+  }
   for (atm::Vci vci : stale) {
     ++stats_.orphans_torn_down;
     // No req_id the peer could match — don't notify.

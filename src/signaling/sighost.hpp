@@ -23,7 +23,6 @@
 #include "signaling/stub_proto.hpp"
 #include "sim/timer.hpp"
 #include "util/rng.hpp"
-#include "util/vci_index.hpp"
 
 namespace xunet::sig {
 
@@ -153,12 +152,13 @@ class Sighost {
   /// VCI_mapping keys in iteration order.  The resync path
   /// (handle_peer_resync emitting PEER_RESYNC_INFO per shared call) and the
   /// management report both walk vci_map_ in this order, so deterministic
-  /// replay requires it to be ascending — the VciIndex trie's in-order
-  /// traversal guarantees that, and the recovery tests pin the contract.
-  /// This reads straight through the index (the single source of truth for
-  /// VCI_mapping; there is no parallel vector to drift after recovery).
+  /// replay requires it to be ascending — the map's order — and the
+  /// recovery tests pin the contract.
   [[nodiscard]] std::vector<atm::Vci> vci_mapping_vcis() const {
-    return vci_map_.keys();
+    std::vector<atm::Vci> out;
+    out.reserve(vci_map_.size());
+    for (const auto& [vci, e] : vci_map_) out.push_back(vci);
+    return out;
   }
   /// Sharding: does this sighost own `vci`'s residue class?
   [[nodiscard]] bool owns_vci(atm::Vci vci) const noexcept {
@@ -416,14 +416,12 @@ class Sighost {
   std::uint32_t next_resync_nonce_ = 1;
   sim::Timer recovery_grace_;  ///< armed once by recover()
 
-  // The five lists.  VCI_mapping sits behind the compressed-trie index:
-  // O(key bits) lookups at millions of live calls, in-order traversal for
-  // the audit/resync surfaces.
+  // The five lists.
   std::map<std::string, Service> services_;          // service_list
   std::map<ReqId, Outgoing> outgoing_;               // outgoing_requests
   std::map<std::string, Incoming> incoming_;         // incoming_requests
   std::map<atm::Vci, WaitBind> wait_bind_;           // wait_for_bind
-  util::VciIndex<atm::Vci, VciEntry> vci_map_;       // VCI_mapping
+  std::map<atm::Vci, VciEntry> vci_map_;             // VCI_mapping
   /// Reverse index call key → VCI, maintained strictly alongside vci_map_
   /// (entries with a non-zero req_id only), so finding a call's VCI never
   /// walks VCI_mapping.

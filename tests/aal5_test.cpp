@@ -333,10 +333,10 @@ TEST(Aal5, ErrorAndFrameCountersTrack) {
 
 // ------------------------------------------ handlers and table churn
 //
-// Per-VC state lives in a VciIndex trie, where an erase frees the node and
-// may rebuild its neighbours.  A handler is free to release() the VC it is
-// told about (an application tearing the call down on a bad frame), so the
-// reassembler must not touch that VC's state once a handler has run.
+// Per-VC state lives in a std::map, where an erase frees the VC's node.  A
+// handler is free to release() the VC it is told about (an application
+// tearing the call down on a bad frame), so the reassembler must not touch
+// that VC's state once a handler has run.
 
 TEST(Aal5, HandlersMayReleaseTheirVcFromInsideTheCallback) {
   Aal5Segmenter seg;
@@ -403,7 +403,7 @@ TEST(Aal5, ManyInterleavedVcsSurviveTrieRebuildsReleaseAndRecreate) {
   Collector c;
   util::Rng rng(2024);
   // 320 VCIs spread over the switched range, so both the per-VC sequence
-  // table and the reassembly table grow, churn and rebuild.
+  // table and the reassembly table grow and churn.
   std::vector<Vci> vcis;
   for (int i = 0; i < 320; ++i) vcis.push_back(static_cast<Vci>(1024 + 7 * i));
   std::map<Vci, std::deque<util::Buffer>> expected;

@@ -315,6 +315,12 @@ TEST(AtmSwitch, AdmissionControlEnforcesLinkCapacity) {
   EXPECT_TRUE(sw.remove_route(p_in, 50).ok());
   EXPECT_EQ(sw.reserved_bps(p_out), 0u);
   EXPECT_TRUE(sw.install_route(p_in, 51, p_out, 61, q20).ok());
+  // route_table() lists routes in ascending (in_port, in_vci) order,
+  // whatever order they were installed in.
+  EXPECT_TRUE(sw.install_route(p_out, 10, p_in, 70, Qos{}).ok());
+  const std::vector<AtmSwitch::RouteInfo> expect = {
+      {p_in, 51, p_out, 61}, {p_in, 52, p_out, 62}, {p_out, 10, p_in, 70}};
+  EXPECT_EQ(sw.route_table(), expect);
 }
 
 // A switch destroyed while cells still queue at its output port: the
@@ -447,6 +453,33 @@ TEST_F(NetFixture, AdmissionDenialRollsBackPartialState) {
                [&](util::Result<VcHandle> r) { r3 = r; });
   sim.run();
   ASSERT_TRUE(r3 && r3->ok());
+}
+
+TEST_F(NetFixture, DenialAtALaterSwitchRemovesOnlyTheRoutesInstalled) {
+  // s2 has no bandwidth left, so a reserved VC is admitted at s1 and then
+  // refused at s2: the rollback takes s1's route and reservation back, and
+  // an established VC keeps its routes.
+  AtmSwitch& s1 = *net.switch_by_name("s1");
+  AtmSwitch& s2 = *net.switch_by_name("s2");
+  std::optional<util::Result<VcHandle>> kept, denied;
+  net.setup_vc(AtmAddress{"a"}, AtmAddress{"b"}, Qos{},
+               [&](util::Result<VcHandle> r) { kept = r; });
+  sim.run();
+  ASSERT_TRUE(kept && kept->ok());
+  const auto routes = net.audit_routes();
+  ASSERT_EQ(routes.size(), 2u);
+  for (int p = 0; p < s2.port_count(); ++p) s2.debug_overreserve(p, kDs3Bps);
+  net.setup_vc(AtmAddress{"a"}, AtmAddress{"b"},
+               Qos{ServiceClass::guaranteed, 10'000'000},
+               [&](util::Result<VcHandle> r) { denied = r; });
+  sim.run();
+  ASSERT_TRUE(denied.has_value());
+  EXPECT_EQ(denied->error(), util::Errc::no_resources);
+  EXPECT_EQ(s1.route_count(), 1u);
+  EXPECT_EQ(s2.route_count(), 1u);
+  for (int p = 0; p < s1.port_count(); ++p) EXPECT_EQ(s1.reserved_bps(p), 0u);
+  EXPECT_EQ(net.active_vc_count(), 1u);
+  EXPECT_EQ(net.audit_routes(), routes);
 }
 
 TEST_F(NetFixture, UnknownEndpointsFail) {

@@ -175,6 +175,96 @@ TEST(Encap, RouterPerVciIpDestinationTableRoutesTwoHosts) {
   EXPECT_EQ(s2.bytes_received(), 40u);
 }
 
+// ---- a VCI handed to a new call after a call over the encapsulation path
+
+/// Routers mh.rt and berkeley.rt, host 0 behind mh.rt, host 1 behind
+/// berkeley.rt, and a service on host 1 ("on_host") and on berkeley.rt
+/// itself ("on_router").
+struct VciReuseRig {
+  std::unique_ptr<Testbed> tb = TestbedConfig{}.hosts(2).build_deferred();
+  std::unique_ptr<CallServer> on_host;
+  std::unique_ptr<CallServer> on_router;
+
+  VciReuseRig() {
+    EXPECT_TRUE(tb->bring_up().ok());
+    const ip::IpAddress berkeley = tb->router(1).kernel->ip_node().address();
+    on_host = std::make_unique<CallServer>(*tb->host(1).kernel, berkeley,
+                                           "on_host", 4500);
+    on_router = std::make_unique<CallServer>(*tb->router(1).kernel, berkeley,
+                                             "on_router", 4501);
+    on_host->start([](util::Result<void>) {});
+    on_router->start([](util::Result<void>) {});
+    tb->sim().run_for(sim::milliseconds(300));
+  }
+
+  /// Open a call from `client` to `service` at berkeley.rt, send three
+  /// frames on it and close it.  Returns the call's VCI at berkeley.rt.
+  atm::Vci call_once(CallClient& client, const char* service) {
+    std::optional<CallClient::Call> call;
+    client.open("berkeley.rt", service, "",
+                [&](util::Result<CallClient::Call> r) {
+                  ASSERT_TRUE(r.ok()) << to_string(r.error());
+                  call = *r;
+                });
+    tb->sim().run_for(sim::seconds(2));
+    const std::vector<atm::Vci> vcis = tb->router(1).sighost->vci_mapping_vcis();
+    if (!call || vcis.size() != 1) {
+      ADD_FAILURE() << "call to " << service << " not established";
+      return atm::kInvalidVci;
+    }
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(client.send(*call, util::Buffer(100, 0x5A)).ok());
+    }
+    tb->sim().run_for(sim::seconds(1));
+    client.close_call(*call);
+    tb->sim().run_for(sim::seconds(2));
+    return vcis.front();
+  }
+};
+
+TEST(Encap, VciOfAForwardedCallServesTheRouterNext) {
+  // berkeley.rt forwards the first call to host 1 and shuts its VCI; the
+  // second call lands on the same VCI at berkeley.rt itself.  Neither the
+  // old AAL5 sequence state nor the VCI_SHUT discard mark may survive.
+  VciReuseRig rig;
+  CallClient client(*rig.tb->router(0).kernel,
+                    rig.tb->router(0).kernel->ip_node().address());
+  const atm::Vci first = rig.call_once(client, "on_host");
+  EXPECT_EQ(rig.on_host->frames_received(), 3u);
+  const atm::Vci second = rig.call_once(client, "on_router");
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(rig.on_router->frames_received(), 3u);
+  kern::Kernel& berkeley = *rig.tb->router(1).kernel;
+  EXPECT_EQ(berkeley.hobbit()->aal5_errors(), 0u);
+  EXPECT_EQ(berkeley.orc().frames_discarded(), 0u);
+}
+
+TEST(Encap, VciOfAForwardedCallServesTheHostAgain) {
+  // Two calls in a row to host 1 share berkeley.rt's VCI: the router's
+  // reassembler and the host's IPPROTO_ATM sequence number start afresh.
+  VciReuseRig rig;
+  CallClient client(*rig.tb->router(0).kernel,
+                    rig.tb->router(0).kernel->ip_node().address());
+  const atm::Vci first = rig.call_once(client, "on_host");
+  const atm::Vci second = rig.call_once(client, "on_host");
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(rig.on_host->frames_received(), 6u);
+  EXPECT_EQ(rig.tb->router(1).kernel->hobbit()->aal5_errors(), 0u);
+  EXPECT_EQ(rig.tb->host(1).kernel->proto_atm().out_of_order(), 0u);
+}
+
+TEST(Encap, VciOfAHostOriginatedCallServesTheHostAgain) {
+  // Host 0 originates both calls through mh.rt on one VCI: the host's send
+  // sequence and mh.rt's expected sequence both start afresh.
+  VciReuseRig rig;
+  CallClient client(*rig.tb->host(0).kernel,
+                    rig.tb->router(0).kernel->ip_node().address());
+  (void)rig.call_once(client, "on_router");
+  (void)rig.call_once(client, "on_router");
+  EXPECT_EQ(rig.on_router->frames_received(), 6u);
+  EXPECT_EQ(rig.tb->router(0).kernel->proto_atm().out_of_order(), 0u);
+}
+
 TEST(Encap, ReconfiguringTheTargetRouterTakesEffect) {
   // "This allows a host to reconfigure its target router easily."
   auto tb = TestbedConfig{}.hosts(2).build_deferred();

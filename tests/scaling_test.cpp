@@ -12,12 +12,8 @@
 // records the mapping.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "core/apps.hpp"
 #include "core/testbed.hpp"
-#include "util/rng.hpp"
-#include "util/vci_index.hpp"
 
 namespace xunet {
 namespace {
@@ -234,109 +230,6 @@ TEST(Scaling, TwoHundredConnectionsStayOpenBetweenTwoRouters) {
   EXPECT_EQ(tb->network().active_vc_count(), 2u + 200u);
   EXPECT_EQ(sa.calls_accepted(), 100u);
   EXPECT_EQ(sb.calls_accepted(), 100u);
-}
-
-// ---- the routing index behind every VCI surface ---------------------------
-
-TEST(Scaling, VciIndexMatchesMapUnderRandomizedChurn) {
-  // Differential test: VciIndex must agree with std::map after any
-  // interleaving of insert/overwrite/erase/find, including its ordered
-  // iteration — the property the deterministic audits depend on.
-  util::Rng rng(0xC0FFEE);
-  util::VciIndex<atm::Vci, int> idx;
-  std::map<atm::Vci, int> ref;
-  for (int step = 0; step < 20000; ++step) {
-    const auto vci = static_cast<atm::Vci>(rng.below(4096));
-    const int val = static_cast<int>(rng.below(1 << 20));
-    switch (rng.below(4)) {
-      case 0:  // emplace: first write wins
-        ASSERT_EQ(idx.emplace(vci, val), ref.emplace(vci, val).second);
-        break;
-      case 1: {  // insert: insert-or-assign
-        const bool fresh = ref.find(vci) == ref.end();
-        ASSERT_EQ(idx.insert(vci, val), fresh);
-        ref[vci] = val;
-        break;
-      }
-      case 2:  // erase
-        ASSERT_EQ(idx.erase(vci), ref.erase(vci) > 0);
-        break;
-      default: {  // find
-        const int* p = idx.find(vci);
-        auto it = ref.find(vci);
-        ASSERT_EQ(p != nullptr, it != ref.end());
-        if (p != nullptr) {
-          ASSERT_EQ(*p, it->second);
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(idx.size(), ref.size());
-  }
-  // Ordered-iteration parity: keys() ascending, for_each in key order.
-  std::vector<atm::Vci> expect;
-  expect.reserve(ref.size());
-  for (const auto& kv : ref) expect.push_back(kv.first);
-  EXPECT_EQ(idx.keys(), expect);
-  std::vector<std::pair<atm::Vci, int>> walked;
-  idx.for_each([&walked](const atm::Vci& k, const int& v) {
-    walked.emplace_back(k, v);
-  });
-  ASSERT_EQ(walked.size(), ref.size());
-  std::size_t i = 0;
-  for (const auto& [k, v] : ref) {
-    EXPECT_EQ(walked[i].first, k);
-    EXPECT_EQ(walked[i].second, v);
-    ++i;
-  }
-}
-
-/// A value that counts its live instances, moved-from shells included:
-/// every V the index keeps alive shows up in `live`.
-struct Counted {
-  static inline long live = 0;
-  int v = 0;
-  Counted() { ++live; }
-  explicit Counted(int x) : v(x) { ++live; }
-  Counted(const Counted& o) : v(o.v) { ++live; }
-  Counted(Counted&& o) noexcept : v(o.v) { ++live; }
-  Counted& operator=(const Counted&) = default;
-  Counted& operator=(Counted&&) noexcept = default;
-  ~Counted() { --live; }
-};
-
-TEST(Scaling, VciIndexHoldsExactlyOneValuePerKey) {
-  // Only leaves hold values, and a rebuild leaves no staged copies
-  // behind: through churn heavy enough to rebuild subtrees and the root,
-  // the live values are exactly size(), and clear() leaves none.
-  util::Rng rng(0xBEEF);
-  {
-    util::VciIndex<std::uint32_t, Counted> idx;
-    for (int step = 0; step < 50'000; ++step) {
-      const auto key = static_cast<std::uint32_t>(rng.below(1u << 14));
-      switch (rng.below(4)) {
-        case 0:
-          (void)idx.emplace(key, Counted(step));
-          break;
-        case 1:
-          (void)idx.insert(key, Counted(step));
-          break;
-        case 2:
-          (void)idx.erase(key);
-          break;
-        default:
-          idx[key].v = step;
-          break;
-      }
-      ASSERT_EQ(Counted::live, static_cast<long>(idx.size())) << "step " << step;
-    }
-    EXPECT_GT(idx.size(), 1000u);
-    idx.clear();
-    EXPECT_EQ(Counted::live, 0);
-    for (std::uint32_t k = 0; k < 5'000; ++k) (void)idx.emplace(k * 7, Counted(1));
-    EXPECT_EQ(Counted::live, 5'000);
-  }
-  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(Scaling, ShardOwnershipIsStableAcrossRestart) {

@@ -67,7 +67,8 @@ std::size_t find_body_open(const std::vector<Token>& t, std::size_t close) {
 const std::map<std::string, const char*>& list_ops() {
   static const std::map<std::string, const char*> k = {
       {"emplace", "insert"}, {"try_emplace", "insert"}, {"insert", "insert"},
-      {"erase", "erase"},    {"clear", "clear"},
+      {"insert_or_assign", "insert"}, {"erase", "erase"}, {"extract", "erase"},
+      {"clear", "clear"},
   };
   return k;
 }
