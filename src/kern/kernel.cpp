@@ -377,7 +377,7 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
     if (ts.app_receive) {
-      deliver_tcp(ts.app_receive, std::move(data));
+      deliver(ts.app_receive, std::move(data), cfg_.context_switch);
     } else if (ts.pending_data.empty()) {
       ts.pending_data = std::move(data);
     } else {
@@ -399,12 +399,13 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
   });
 }
 
-void Kernel::deliver_tcp(std::shared_ptr<const TcpReceiver> to, util::Buffer data) {
+void Kernel::deliver(std::shared_ptr<const Receiver> to, util::Buffer data,
+                     sim::SimDuration delay) {
   auto up = [this, to = std::move(to), data = std::move(data)] {
     if (alive(to->owner)) to->fn(data);
   };
   static_assert(sim::Simulator::stored_inline<decltype(up)>);
-  sim_.schedule(cfg_.context_switch, std::move(up));
+  sim_.schedule(delay, std::move(up));
 }
 
 void Kernel::tcp_released(tcp::ConnId conn) {
@@ -460,11 +461,10 @@ util::Result<void> Kernel::tcp_on_receive(Pid pid, int fd, DataFn fn) {
   if (it == tsocks_.end() || it->second.listener) return Errc::not_connected;
   TcpSock& ts = it->second;
   ts.app_receive =
-      fn ? std::make_shared<const TcpReceiver>(TcpReceiver{ts.owner, std::move(fn)})
-         : nullptr;
+      fn ? std::make_shared<const Receiver>(Receiver{ts.owner, std::move(fn)}) : nullptr;
   if (ts.app_receive && !ts.pending_data.empty()) {
     // Deliver whatever arrived before the handler existed.
-    deliver_tcp(ts.app_receive, std::move(ts.pending_data));
+    deliver(ts.app_receive, std::move(ts.pending_data), cfg_.context_switch);
     ts.pending_data.clear();
   }
   return {};
@@ -599,15 +599,12 @@ util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
   auto d = descriptor(pid, fd, Descriptor::Kind::xunet);
   if (!d) return d.error();
   XunetSock& xs = xsocks_.at(d->handle);
-  xs.on_receive = std::move(fn);
+  xs.on_receive =
+      fn ? std::make_shared<const Receiver>(Receiver{xs.owner, std::move(fn)}) : nullptr;
+  if (!xs.on_receive) return {};
   // Drain anything sbappend()ed before the reader showed up, preserving
   // arrival order.
-  for (util::Buffer& buf : xs.rx_queue) {
-    sim_.schedule(kDataSyscall, [this, owner = xs.owner, fn = xs.on_receive,
-                                 buf = std::move(buf)] {
-      if (alive(owner)) fn(buf);
-    });
-  }
+  for (util::Buffer& buf : xs.rx_queue) deliver(xs.on_receive, std::move(buf), kDataSyscall);
   xs.rx_queue.clear();
   return {};
 }
@@ -662,10 +659,7 @@ void Kernel::pf_xunet_input(atm::Vci vci, MbufChain chain) {
     ids.pid = xs.owner;
     obs_->complete(kDataSyscall, "kern", "xunet.recv", name_, std::move(ids));
   }
-  sim_.schedule(kDataSyscall, [this, owner = xs.owner, fn = xs.on_receive,
-                                buf = std::move(chain).take()] {
-    if (alive(owner)) fn(buf);
-  });
+  deliver(xs.on_receive, std::move(chain).take(), kDataSyscall);
 }
 
 Kernel::XunetSock* Kernel::bound_xsock(atm::Vci vci) {

@@ -194,25 +194,26 @@ class Kernel {
     /// quadratic across a call burst at 10^5+ live fds per process).
     std::set<std::size_t> free_slots;
   };
+  /// An application's receive upcall on a TCP or PF_XUNET socket.
+  /// Deliveries already queued share it, so each is one pointer and the
+  /// payload, within the event store; a handler replaced meanwhile still
+  /// gets what was queued to it.
+  struct Receiver {
+    Pid owner = -1;
+    DataFn fn;
+  };
   struct XunetSock {
     Pid owner = -1;
     int fd = -1;
     SocketState state = SocketState::created;
     atm::Vci vci = atm::kInvalidVci;
     std::uint16_t cookie = 0;
-    DataFn on_receive;
+    std::shared_ptr<const Receiver> on_receive;
     std::function<void()> on_disconnect;
     /// Socket receive buffer (sbappend): frames that arrive before the
     /// process reads are queued, bounded like a real socket buffer.  It is
     /// drained in order once a reader shows up, then cleared.
     std::vector<util::Buffer> rx_queue;
-  };
-  /// An application's TCP receive upcall.  Deliveries already queued
-  /// share it, so each is one pointer and the payload, within the event
-  /// store; a handler replaced meanwhile still gets what was queued to it.
-  struct TcpReceiver {
-    Pid owner = -1;
-    DataFn fn;
   };
   struct TcpSock {
     Pid owner = -1;
@@ -225,7 +226,7 @@ class Kernel {
     bool released = false;  ///< the connection left the TCP state machine
     // Events that arrived before the application installed its handlers are
     // buffered here so nothing is lost to registration races.
-    std::shared_ptr<const TcpReceiver> app_receive;
+    std::shared_ptr<const Receiver> app_receive;
     CloseFn app_close;
     util::Buffer pending_data;
     std::optional<util::Errc> pending_close;
@@ -241,8 +242,10 @@ class Kernel {
   void cleanup_descriptor(Proc& p, int fd, bool process_dying);
   /// Wire kernel-owned receive/close handlers for a fresh connection.
   void attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn);
-  /// Hand `data` to the application one context switch from now.
-  void deliver_tcp(std::shared_ptr<const TcpReceiver> to, util::Buffer data);
+  /// Hand `data` to the receiver's application `delay` from now (the
+  /// kernel-to-user crossing), unless the process has died meanwhile.
+  void deliver(std::shared_ptr<const Receiver> to, util::Buffer data,
+               sim::SimDuration delay);
   void close_xunet(std::uint64_t handle, XunetSock& xs);
   /// The socket bound to `vci` (state bound), or nullptr.
   XunetSock* bound_xsock(atm::Vci vci);

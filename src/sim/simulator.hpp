@@ -5,20 +5,20 @@
 // order, so simulations are fully deterministic.
 //
 // Events live in a chunked pool of small-buffer-optimized records (captures
-// up to 48 bytes never touch the allocator).  Pending events are references
-// into that pool kept in one binary min-heap, ordered by (time, scheduling
-// instant, schedule sequence), which is exactly the classic (time,
-// insertion) order; schedule_at() with an explicit scheduling instant lets
-// a lazily evaluated model keep the order of a step-by-step one.
+// up to 48 bytes never touch the allocator).  Pending events, and only
+// those, are references into that pool kept in one indexed 4-ary min-heap,
+// ordered by (time, scheduling instant, schedule sequence), which is
+// exactly the classic (time, insertion) order; schedule_at() with an
+// explicit scheduling instant lets a lazily evaluated model keep the order
+// of a step-by-step one.  The key is a strict total order, so the dispatch
+// sequence does not depend on how the heap is laid out.
 //
-// Cancellation is generation-stamped.  An EventId packs a pool record index
-// with the record's generation, which is odd while the event is pending and
-// bumped when it is cancelled or starts running.  cancel() destroys the
-// callable and frees the record at once; the queued reference goes stale
-// and dispatch skips it after comparing one integer.  Stale references
-// are also swept out in bulk once they outnumber the live ones (and a
-// floor), so cancelled far timers do not sit in the queue until their
-// original deadline.  Byte-identical replay is pinned by golden digests in
+// Cancellation is exact and generation-stamped.  An EventId packs a pool
+// record index with the record's generation, which is odd while the event
+// is pending and bumped when it is cancelled or starts running.  cancel()
+// destroys the callable, frees the record and takes its reference out of
+// the heap at once, in O(log n): a side array keeps each pending record's
+// heap position.  Byte-identical replay is pinned by golden digests in
 // tests/determinism_test.cpp.
 #pragma once
 
@@ -67,12 +67,12 @@ class Simulator {
   /// Largest callable stored in its event record.
   static constexpr std::size_t kSboBytes = 48;
   /// True when a callable of type F is stored in its event record, with no
-  /// heap allocation of its own.
+  /// heap allocation of its own.  A record never moves, so the callable is
+  /// built and destroyed in place and need not be movable without throwing.
   template <typename F>
   static constexpr bool stored_inline =
       sizeof(std::decay_t<F>) <= kSboBytes &&
-      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
   /// Schedule at an absolute instant (must not be in the past).
   template <typename F>
@@ -93,9 +93,9 @@ class Simulator {
     return insert_ref(when, armed, idx);
   }
 
-  /// Cancel a scheduled event and destroy its callable now.  Returns true
-  /// only if the event was still pending: false once it has started
-  /// running, fired, or been cancelled.
+  /// Cancel a scheduled event: destroy its callable and take it out of the
+  /// queue now.  Returns true only if the event was still pending: false
+  /// once it has started running, fired, or been cancelled.
   bool cancel(EventId id);
 
   /// True while `id` is pending: the same generation test cancel() makes,
@@ -103,20 +103,19 @@ class Simulator {
   /// cancelled, and for a stale id whose pool record was reused.
   [[nodiscard]] bool scheduled(EventId id) const noexcept;
 
-  /// Run events until the queue empties.  Returns the number of queue
-  /// entries popped: every dispatched event, plus the cancelled ones a
-  /// purge had not already swept out of the queue.
+  /// Run events until the queue empties.  Returns the number of events
+  /// dispatched.
   std::size_t run();
 
   /// Run events with timestamp <= deadline; the clock ends at `deadline`
-  /// even if the queue empties earlier.  Returns the number popped.
+  /// even if the queue empties earlier.  Returns the number dispatched.
   std::size_t run_until(SimTime deadline);
 
   /// Advance by `d` from the current time (convenience over run_until).
   std::size_t run_for(SimDuration d) { return run_until(now_ + d); }
 
   /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size() - stale_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// True while an event's callback runs; false between events (inside
   /// run() and run_until() loops, or outside them), when everything due at
@@ -134,8 +133,7 @@ class Simulator {
  private:
   static constexpr std::uint32_t kChunkShift = 9;  ///< 512 records per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  /// Stale references tolerated before a purge, whatever the queue size.
-  static constexpr std::size_t kPurgeFloor = 4096;
+  static constexpr std::size_t kArity = 4;  ///< children per heap node
 
   /// Type-erased event record.  Callables whose capture fits kSboBytes are
   /// stored inline; larger ones spill to a single heap allocation whose
@@ -148,13 +146,14 @@ class Simulator {
   };
 
   /// Queue handle: (when, order) is the dispatch key, rec indexes the
-  /// pool, and gen tells a live reference from one whose event was
-  /// cancelled.  `order` packs the scheduling instant, as the lead time
-  /// when - armed (high bits, inverted so earlier arming sorts first), over
-  /// the schedule sequence (low kSeqBits).  Lead times saturate at about
-  /// 16.7 ms; past that only ordinary events remain, whose arming order is
-  /// their sequence order anyway.  So ordinary events order exactly as
-  /// (when, seq), for the first 2^40 events a Simulator schedules.
+  /// pool, and gen is the generation the event was queued under (only
+  /// ~Simulator's walk needs it).  `order` packs the scheduling instant,
+  /// as the lead time when - armed (high bits, inverted so earlier arming
+  /// sorts first), over the schedule sequence (low kSeqBits).  Lead times
+  /// saturate at about 16.7 ms; past that only ordinary events remain,
+  /// whose arming order is their sequence order anyway.  So ordinary
+  /// events order exactly as (when, seq), for the first 2^40 events a
+  /// Simulator schedules.
   struct Ref {
     std::int64_t when;
     std::uint64_t order;
@@ -163,12 +162,9 @@ class Simulator {
   };
   static constexpr unsigned kSeqBits = 40;
   static constexpr std::uint64_t kMaxLead = (std::uint64_t{1} << (64 - kSeqBits)) - 1;
-  struct RefLater {
-    bool operator()(const Ref& a, const Ref& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.order > b.order;
-    }
-  };
+  static bool earlier(const Ref& a, const Ref& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.order < b.order;
+  }
 
   template <typename F>
   static void bind(EventRec& r, F&& fn) {
@@ -197,22 +193,29 @@ class Simulator {
   std::uint32_t alloc_rec();
   void free_rec(std::uint32_t idx) { free_list_.push_back(idx); }
   EventId insert_ref(SimTime when, SimTime armed, std::uint32_t idx);
-  Ref pop();
-  void dispatch_ref(const Ref& r);
-  /// Drop every stale reference from the queue.  Amortised O(1) per
-  /// cancel(): it runs only once stale references make up half the queue.
-  void purge_stale();
+  /// Put `r` in heap slot `i` and record where it went.
+  void place(std::size_t i, const Ref& r) noexcept {
+    queue_[i] = r;
+    pos_[r.rec] = static_cast<std::uint32_t>(i);
+  }
+  /// Settle `r` into the hole at slot `i`, moving toward the root or the
+  /// leaves.
+  void sift_up(std::size_t i, const Ref& r) noexcept;
+  void sift_down(std::size_t i, const Ref& r) noexcept;
+  /// Remove the entry at slot `i`: the last entry fills the hole.
+  void erase_at(std::size_t i) noexcept;
+  void dispatch_front();
 
   SimTime now_{};
   bool dispatching_ = false;
-  bool scrapping_ = false;  ///< ~Simulator is walking the queue
+  bool scrapping_ = false;  ///< ~Simulator is walking moved-out queue copies
   std::uint64_t next_seq_ = 0;
   std::size_t peak_pending_ = 0;
 
   std::vector<std::unique_ptr<EventRec[]>> chunks_;
   std::vector<std::uint32_t> free_list_;
-  std::vector<Ref> queue_;  ///< min-heap under RefLater, stale refs included
-  std::size_t stale_ = 0;  ///< queued refs whose event was cancelled
+  std::vector<Ref> queue_;  ///< 4-ary min-heap under earlier(), pending events only
+  std::vector<std::uint32_t> pos_;  ///< heap slot of each pending pool record
 
   obs::Observability obs_;
 };

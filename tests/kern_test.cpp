@@ -3,6 +3,9 @@
 // process-termination hooks.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "kern/kernel.hpp"
 #include "util/alloc_hook.hpp"
 
@@ -165,6 +168,33 @@ TEST_F(KernelFixture, XunetBindPostsIndication) {
   EXPECT_EQ(m->vci, 70);
   EXPECT_EQ(m->cookie, 0xBEEF);
   EXPECT_EQ(m->pid, p);
+}
+
+TEST_F(KernelFixture, QueuedFrameReachesTheHandlerItWasQueuedTo) {
+  // A frame whose delivery is already scheduled goes to the handler that
+  // was installed when it was queued, even if xunet_on_receive replaces
+  // that handler before the delivery runs.  This holds for frames drained
+  // from the socket buffer and for frames that found a reader waiting.
+  Pid p = k->spawn("app");
+  auto fd = k->xunet_socket(p);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(k->xunet_bind(p, *fd, 70, 1).ok());
+  auto frame = [&](std::uint8_t tag) {
+    k->orc().input(70, MbufChain::from_bytes(util::Buffer(8, tag), 128));
+  };
+  std::vector<std::pair<char, int>> got;
+  auto handler = [&got](char name) {
+    return [&got, name](util::BytesView d) { got.emplace_back(name, d[0]); };
+  };
+  frame(1);  // no reader yet: sbappend()ed
+  frame(2);
+  ASSERT_TRUE(k->xunet_on_receive(p, *fd, handler('a')).ok());  // drains 1, 2 to a
+  frame(3);                                                       // queued to a
+  ASSERT_TRUE(k->xunet_on_receive(p, *fd, handler('b')).ok());
+  frame(4);  // queued to b
+  EXPECT_TRUE(got.empty());
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::pair<char, int>>{{'a', 1}, {'a', 2}, {'a', 3}, {'b', 4}}));
 }
 
 TEST_F(KernelFixture, XunetSocketStateMachine) {
