@@ -183,7 +183,7 @@ class AtmNetwork {
     [[nodiscard]] auto operator<=>(const RouteAudit&) const = default;
   };
   /// Every switch route owned by any active VC, sorted by
-  /// (switch, in_port, in_vci).  The chaos InvariantChecker diffs this
+  /// (switch, in_port, in_vci).  core::check() diffs this
   /// against each AtmSwitch::route_table() in both directions.
   [[nodiscard]] std::vector<RouteAudit> audit_routes() const;
 
@@ -197,7 +197,7 @@ class AtmNetwork {
     [[nodiscard]] auto operator<=>(const ReservationAudit&) const = default;
   };
   /// Every (switch, output port) reservation ledger, sorted by (sw, port).
-  /// The chaos InvariantChecker's QoS-conservation rule asserts
+  /// The cross-layer audit's QoS-conservation rule asserts
   /// reserved <= capacity on each — admission control must never
   /// overcommit a trunk, whatever faults the run injected.
   [[nodiscard]] std::vector<ReservationAudit> audit_reservations() const;

@@ -161,7 +161,7 @@ class AtmSwitch {
   };
   /// Every installed route, in ascending (in_port, in_vci) order — the
   /// table's own order over route_key, so no re-sort happens.
-  /// The chaos InvariantChecker diffs this against the network controller's
+  /// core::check() diffs this against the network controller's
   /// active-VC hop state to find dangling or missing routes.
   [[nodiscard]] std::vector<RouteInfo> route_table() const;
 

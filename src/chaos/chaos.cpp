@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "obs/export.hpp"
+#include "util/json.hpp"
 
 namespace xunet::chaos {
 
@@ -240,47 +241,33 @@ std::string event_json(const ChaosEvent& e) {
   return buf;
 }
 
-std::string json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return {};
-  std::size_t start = pos + needle.size();
-  std::size_t end = start;
-  if (start < line.size() && line[start] == '"') {
-    end = line.find('"', start + 1);
-    if (end == std::string::npos) return {};
-    return line.substr(start + 1, end - start - 1);
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
-}
-
 bool event_from_json(const std::string& line, ChaosEvent& out) {
-  if (json_field(line, "rec") != "event") return false;
-  const std::string kind = json_field(line, "kind");
+  auto field = [&line](const char* key) {
+    return util::json_field(line, key).value_or("");
+  };
+  if (field("rec") != "event") return false;
+  const std::string kind = field("kind");
   if (kind == "wire_rule") out.kind = ChaosEventKind::wire_rule;
   else if (kind == "crash_restart") out.kind = ChaosEventKind::crash_restart;
   else if (kind == "trunk_cut") out.kind = ChaosEventKind::trunk_cut;
   else if (kind == "link_flap") out.kind = ChaosEventKind::link_flap;
   else if (kind == "cell_impair") out.kind = ChaosEventKind::cell_impair;
   else return false;
-  const std::string fault = json_field(line, "fault");
+  const std::string fault = field("fault");
   if (fault == "deliver") out.fault = sig::WireFault::deliver;
   else if (fault == "drop") out.fault = sig::WireFault::drop;
   else if (fault == "duplicate") out.fault = sig::WireFault::duplicate;
   else if (fault == "corrupt") out.fault = sig::WireFault::corrupt;
   else if (fault == "delay") out.fault = sig::WireFault::delay;
   else return false;
-  out.at = sim::nanoseconds(std::atoll(json_field(line, "at_ns").c_str()));
-  out.duration =
-      sim::nanoseconds(std::atoll(json_field(line, "duration_ns").c_str()));
-  out.node = std::atoi(json_field(line, "node").c_str());
-  out.probability = std::strtod(json_field(line, "probability").c_str(), nullptr);
-  out.delay = sim::nanoseconds(std::atoll(json_field(line, "delay_ns").c_str()));
-  out.jitter =
-      sim::nanoseconds(std::atoll(json_field(line, "jitter_ns").c_str()));
-  out.loss = std::strtod(json_field(line, "loss").c_str(), nullptr);
-  out.corrupt = std::strtod(json_field(line, "corrupt").c_str(), nullptr);
+  out.at = sim::nanoseconds(std::atoll(field("at_ns").c_str()));
+  out.duration = sim::nanoseconds(std::atoll(field("duration_ns").c_str()));
+  out.node = std::atoi(field("node").c_str());
+  out.probability = std::strtod(field("probability").c_str(), nullptr);
+  out.delay = sim::nanoseconds(std::atoll(field("delay_ns").c_str()));
+  out.jitter = sim::nanoseconds(std::atoll(field("jitter_ns").c_str()));
+  out.loss = std::strtod(field("loss").c_str(), nullptr);
+  out.corrupt = std::strtod(field("corrupt").c_str(), nullptr);
   return true;
 }
 

@@ -93,10 +93,4 @@ struct ChaosSchedule {
 [[nodiscard]] const char* kind_name(ChaosEventKind k) noexcept;
 [[nodiscard]] const char* fault_name(sig::WireFault f) noexcept;
 
-/// Extract the value of `"key":...` from one flat JSON object line (string
-/// values are returned unquoted).  Empty when absent.  Only suitable for
-/// the harness's own schema, whose strings never contain escaped quotes.
-[[nodiscard]] std::string json_field(const std::string& line,
-                                     const std::string& key);
-
 }  // namespace xunet::chaos

@@ -112,10 +112,10 @@ RunOutcome run_events(const ChaosCase& c,
     if (f == 0) ++out.workload.unresolved;
   }
 
-  out.violations = check(capture(*tb), out.workload);
+  out.violations = core::check(core::capture(*tb), out.workload);
   if (!out.violations.empty()) {
     obs::Observability& o = tb->sim().obs();
-    for (const Violation& v : out.violations) {
+    for (const core::Violation& v : out.violations) {
       o.flight_note("chaos", "violation", v.rule, v.detail);
     }
     o.flight().trigger("chaos:" + out.violations.front().rule);
@@ -141,8 +141,9 @@ ShrinkResult shrink(const ChaosCase& c, const RunOutcome& failing,
   auto still_fails = [&c, &res](const std::vector<ChaosEvent>& ev) {
     ++res.iterations;
     const RunOutcome o = run_events(c, ev);
-    return std::any_of(o.violations.begin(), o.violations.end(),
-                       [&res](const Violation& v) { return v.rule == res.rule; });
+    return std::any_of(
+        o.violations.begin(), o.violations.end(),
+        [&res](const core::Violation& v) { return v.rule == res.rule; });
   };
 
   // The empty schedule failing means the violation is fault-independent —
@@ -207,7 +208,7 @@ std::string to_artifact(const ChaosCase& c,
     out += event_json(e);
     out += '\n';
   }
-  for (const Violation& v : outcome.violations) {
+  for (const core::Violation& v : outcome.violations) {
     out += "{\"rec\":\"violation\",\"rule\":\"" + util::json_escape(v.rule) +
            "\",\"detail\":\"" + util::json_escape(v.detail) + "\"}\n";
   }
@@ -239,30 +240,31 @@ ReplayResult replay_artifact(const std::string& jsonl) {
   }
   if (lines.empty()) return res;
   const std::string& header = lines.front();
-  if (json_field(header, "schema") != kChaosSchema) return res;
+  auto field = [&header](const char* key) {
+    return util::json_field(header, key).value_or("");
+  };
+  if (field("schema") != kChaosSchema) return res;
 
   ChaosCase c;
   c.seed = static_cast<std::uint64_t>(
-      std::strtoull(json_field(header, "seed").c_str(), nullptr, 10));
-  c.routers = std::atoi(json_field(header, "routers").c_str());
-  c.hosts = std::atoi(json_field(header, "hosts").c_str());
+      std::strtoull(field("seed").c_str(), nullptr, 10));
+  c.routers = std::atoi(field("routers").c_str());
+  c.hosts = std::atoi(field("hosts").c_str());
   // Absent in pre-sharding artifacts (atoi("") == 0): clamp to 1.
-  c.shards = std::max(1, std::atoi(json_field(header, "shards").c_str()));
-  c.calls = std::atoi(json_field(header, "calls").c_str());
+  c.shards = std::max(1, std::atoi(field("shards").c_str()));
+  c.calls = std::atoi(field("calls").c_str());
   c.call_stagger =
-      sim::nanoseconds(std::atoll(json_field(header, "call_stagger_ns").c_str()));
-  c.close_every = std::atoi(json_field(header, "close_every").c_str());
-  c.frames_per_call = std::atoi(json_field(header, "frames_per_call").c_str());
-  c.sabotage_skip_audit = json_field(header, "sabotage") == "1";
-  c.profile.horizon =
-      sim::nanoseconds(std::atoll(json_field(header, "horizon_ns").c_str()));
-  c.profile.heal_by =
-      sim::nanoseconds(std::atoll(json_field(header, "heal_by_ns").c_str()));
+      sim::nanoseconds(std::atoll(field("call_stagger_ns").c_str()));
+  c.close_every = std::atoi(field("close_every").c_str());
+  c.frames_per_call = std::atoi(field("frames_per_call").c_str());
+  c.sabotage_skip_audit = field("sabotage") == "1";
+  c.profile.horizon = sim::nanoseconds(std::atoll(field("horizon_ns").c_str()));
+  c.profile.heal_by = sim::nanoseconds(std::atoll(field("heal_by_ns").c_str()));
   if (c.routers < 1 || c.calls < 0) return res;
 
   std::vector<ChaosEvent> events;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    if (json_field(lines[i], "rec") != "event") continue;
+    if (util::json_field(lines[i], "rec") != "event") continue;
     ChaosEvent e;
     if (!event_from_json(lines[i], e)) return res;
     events.push_back(e);

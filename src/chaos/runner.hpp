@@ -4,7 +4,7 @@
 // One ChaosCase fully determines a run: topology + workload + profile +
 // seed.  run_case() generates the schedule from the seed and drives it to
 // quiescence; run_events() replays an explicit event list (the shrinker's
-// and replayer's entry point).  When the InvariantChecker reports
+// and replayer's entry point).  When core::check() reports
 // violations, shrink() bisects the schedule down to a minimal repro
 // (ddmin) and to_artifact() emits the whole story — case, events,
 // violations, workload, flight-recorder post-mortem — as JSONL that
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "chaos/chaos.hpp"
-#include "chaos/invariant.hpp"
+#include "core/audit.hpp"
 
 namespace xunet::chaos {
 
@@ -43,9 +43,9 @@ struct ChaosCase {
 
 /// Result of one run to quiescence.
 struct RunOutcome {
-  ChaosSchedule schedule;             ///< what was injected
-  std::vector<Violation> violations;  ///< empty = all invariants held
-  WorkloadCounts workload;
+  ChaosSchedule schedule;  ///< what was injected
+  std::vector<core::Violation> violations;  ///< empty = all invariants held
+  core::WorkloadCounts workload;
   std::string post_mortem;  ///< flight-recorder dump when violations found
 };
 

@@ -176,6 +176,8 @@ class Testbed {
   util::Result<void> restart_sighost(std::size_t i);
 
   // -- audits ------------------------------------------------------------------
+  /// Count what calls left behind; copies nothing, so it is cheap at any
+  /// call load.  core/audit.hpp cross-checks every live call's state.
   [[nodiscard]] LeakReport audit() const;
 
  private:

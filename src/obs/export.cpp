@@ -162,14 +162,6 @@ std::string to_jsonl(const TraceBuffer& buf, const MetricsRegistry& metrics) {
 
 // ------------------------------------------------------------ JSONL check
 
-namespace {
-
-bool has_key(std::string_view line, std::string_view key) {
-  return line.find("\"" + std::string(key) + "\":") != std::string_view::npos;
-}
-
-}  // namespace
-
 util::Result<void> validate_jsonl(std::string_view text) {
   std::size_t line_no = 0;
   std::size_t pos = 0;
@@ -181,13 +173,13 @@ util::Result<void> validate_jsonl(std::string_view text) {
     if (line.empty()) continue;
     if (!util::validate_json(line).ok()) return Errc::protocol_error;
     if (line_no == 0) {
-      if (!has_key(line, "schema")) return Errc::protocol_error;
-    } else if (has_key(line, "metric")) {
-      if (!has_key(line, "type")) return Errc::protocol_error;
+      if (!util::json_field(line, "schema")) return Errc::protocol_error;
+    } else if (util::json_field(line, "metric")) {
+      if (!util::json_field(line, "type")) return Errc::protocol_error;
     } else {
       // Trace event: phase, timestamp, component, name, track are required.
       for (std::string_view k : {"ph", "ts_ns", "comp", "name", "track"}) {
-        if (!has_key(line, k)) return Errc::protocol_error;
+        if (!util::json_field(line, k)) return Errc::protocol_error;
       }
     }
     ++line_no;

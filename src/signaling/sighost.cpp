@@ -178,10 +178,8 @@ void Sighost::transmit_peer(Peer& p, const Msg& m) {
     }
     case WireFault::delay:
       k_.simulator().schedule(
-          v.delay, [this, guard = std::weak_ptr<char>(alive_),
-                    send_fd = p.send_fd, m] {
-            if (!guard.expired()) wire_send(send_fd, m);
-          });
+          v.delay,
+          guarded([this, send_fd = p.send_fd, m] { wire_send(send_fd, m); }));
       return;
     case WireFault::deliver:
       break;
@@ -249,12 +247,9 @@ void Sighost::reset_channel(Peer& p) {
 void Sighost::maintenance_log(const std::string& call,
                               std::function<void()> then,
                               std::uint64_t trace_id, obs::SpanId parent) {
-  auto guarded = [guard = std::weak_ptr<char>(alive_),
-                  then = std::move(then)] {
-    if (!guard.expired()) then();
-  };
+  auto job = guarded(std::move(then));
   if (!cfg_.maintenance_logging) {
-    k_.simulator().schedule(sim::SimDuration{}, std::move(guarded));
+    k_.simulator().schedule(sim::SimDuration{}, std::move(job));
     return;
   }
   // The per-call maintenance record: §9 identifies writing it as the
@@ -277,7 +272,7 @@ void Sighost::maintenance_log(const std::string& call,
                            "maint.log", track_, std::move(ids));
   }
   busy_until_ = busy_until_ + cfg_.per_call_log_cost;
-  k_.simulator().schedule_at(busy_until_, std::move(guarded));
+  k_.simulator().schedule_at(busy_until_, std::move(job));
 }
 
 void Sighost::fsm(const char* what, const std::string& call, std::int64_t vci,
@@ -763,7 +758,7 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
   atm::Qos qos = atm::parse_qos(qos_granted).value_or(atm::Qos{});
   net_.setup_vc(
       k_.atm_address(), atm::AtmAddress{dst}, qos,
-      [this, req_id, dst, qos_granted](util::Result<atm::VcHandle> r) {
+      guarded([this, req_id, dst, qos_granted](util::Result<atm::VcHandle> r) {
         auto oit2 = outgoing_.find(req_id);
         if (oit2 == outgoing_.end()) {
           if (r) (void)net_.teardown(r->id);
@@ -817,7 +812,7 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         est.vci2 = r->src_vci;
         est.qos = qos_granted;
         send_peer(dst, est);
-      },
+      }),
       call_name(k_.atm_address().name, req_id), trace_id, parent_span,
       // Constrain both endpoint VCIs to this shard's residue class so the
       // callee-side indications and recovery land on the callee's shard s.
@@ -1057,24 +1052,14 @@ std::string Sighost::management_report() const {
 
 Sighost::ListSnapshot Sighost::audit_snapshot() const {
   ListSnapshot snap;
-  for (const auto& [name, svc] : services_) snap.services.push_back(name);
   for (const auto& [id, out] : outgoing_) {
     snap.outgoing_calls.push_back(call_name(k_.atm_address().name, id));
   }
   for (const auto& [key, inc] : incoming_) snap.incoming_calls.push_back(key);
   for (const auto& [vci, wb] : wait_bind_) snap.wait_for_bind.push_back(vci);
   for (const auto& [vci, e] : vci_map_) {
-    VciAuditEntry a;
-    a.vci = vci;
-    a.call_key = call_key(e);
-    a.req_id = e.req_id;
-    a.originator = e.originator;
-    a.confirmed = e.confirmed;
-    a.recovered = e.recovered;
-    a.peer = e.peer;
-    a.endpoint_ip = e.endpoint_ip;
-    a.remote_vci = e.remote_vci;
-    snap.vci_mapping.push_back(std::move(a));
+    snap.vci_mapping.push_back(
+        {vci, call_key(e), e.confirmed, e.recovered, e.endpoint_ip});
   }
   // Every source is an ordered map, so the vectors are already sorted.
   return snap;
@@ -1131,7 +1116,7 @@ util::Result<void> Sighost::recover() {
   if (cfg_.recovery_skip_audit) {
     // Chaos-harness sabotage: pretend the audit ran and found nothing.
     // Every pre-crash call's socket and VC is now orphaned — exactly the
-    // cross-layer divergence the InvariantChecker must catch.
+    // cross-layer divergence core::check() must catch.
     maintenance_log("", [] {});
     record_lists();
     return {};

@@ -13,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atm/network.hpp"
@@ -78,7 +79,7 @@ struct SighostConfig {
   /// TEST-ONLY sabotage seam for the chaos harness: recover() skips the
   /// kernel/network audit, leaving every pre-crash call's kernel socket and
   /// network VC orphaned.  The chaos acceptance test plants this fault and
-  /// asserts the InvariantChecker finds it; never set it in real scenarios.
+  /// asserts core::check() finds it; never set it in real scenarios.
   bool recovery_skip_audit = false;
   /// Control-plane sharding: run `shard_count` sighosts per router, each
   /// owning the residue class `vci % shard_count == shard_id` of the
@@ -175,25 +176,20 @@ class Sighost {
   /// five lists and counters.
   [[nodiscard]] std::string management_report() const;
 
-  // -- cross-layer audit surface (the chaos InvariantChecker) --------------
-  /// One VCI_mapping entry flattened for audits: identity and bookkeeping
-  /// only, no live handles.
+  // -- cross-layer audit surface (core::capture) -----------------------------
+  /// One VCI_mapping entry flattened for audits: only what core::check()
+  /// reads, no live handles.
   struct VciAuditEntry {
     atm::Vci vci = atm::kInvalidVci;
     std::string call_key;
-    ReqId req_id = 0;
-    bool originator = false;
     bool confirmed = false;
     bool recovered = false;
-    std::string peer;
     ip::IpAddress endpoint_ip;  ///< 0 = the socket lives on this router
-    atm::Vci remote_vci = atm::kInvalidVci;
   };
-  /// The five lists flattened into value types, every vector sorted, so the
-  /// InvariantChecker can cross-audit signaling state against the kernel,
+  /// The call lists flattened into value types, every vector sorted, so
+  /// core::check() can cross-audit signaling state against the kernel,
   /// network and switch layers without reaching into live records.
   struct ListSnapshot {
-    std::vector<std::string> services;
     std::vector<std::string> outgoing_calls;  ///< call keys ("self#req_id")
     std::vector<std::string> incoming_calls;  ///< call keys
     std::vector<atm::Vci> wait_for_bind;
@@ -432,11 +428,19 @@ class Sighost {
   std::set<atm::Vci> pvc_vcis_;  ///< own signaling VCIs: ignore their indications
   ReqId next_req_ = 1;
   sim::SimTime busy_until_{};  ///< end of the queued maintenance-log work
-  /// Liveness token for raw simulator events that capture `this` (deferred
-  /// maintenance-log work, fault-injected wire delays).  Timers cancel
-  /// themselves on destruction; these events cannot, so they hold a weak
-  /// reference and no-op once the sighost is gone (crashed).
+  /// Liveness token for deferred callbacks that capture `this`: deferred
+  /// maintenance-log work, fault-injected wire delays and the network's
+  /// setup_vc completion.  Timers cancel themselves on destruction; these
+  /// callbacks cannot, so guarded() gives them a weak reference and they
+  /// no-op once the sighost is gone (crashed).
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  template <class F>
+  [[nodiscard]] auto guarded(F fn) const {
+    return [guard = std::weak_ptr<char>(alive_),
+            fn = std::move(fn)](auto&&... args) {
+      if (!guard.expired()) fn(std::forward<decltype(args)>(args)...);
+    };
+  }
   SighostStats stats_;
 
   // Observability: context + cached metric handles (resolved once).

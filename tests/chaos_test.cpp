@@ -1,7 +1,7 @@
 // chaos_test.cpp — the deterministic chaos harness end to end: schedule
 // generation (pure function of topology+profile+seed), the cross-layer
-// InvariantChecker (clean deployments audit clean; planted divergences are
-// named), the sabotage acceptance path (a deliberately skipped recovery
+// audit core::check() (clean deployments audit clean; planted divergences
+// are named), the sabotage acceptance path (a deliberately skipped recovery
 // audit is found, shrunk to a minimal repro, and replays byte-identically
 // from its artifact), deadline-budgeted call-setup retry in UserLib, and
 // the FaultPlan misuse contract.
@@ -10,9 +10,9 @@
 #include <algorithm>
 
 #include "chaos/chaos.hpp"
-#include "chaos/invariant.hpp"
 #include "chaos/runner.hpp"
 #include "core/apps.hpp"
+#include "core/audit.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault.hpp"
 
@@ -23,7 +23,7 @@ using chaos::ChaosCase;
 using chaos::ChaosEvent;
 using chaos::ChaosProfile;
 using chaos::ChaosSchedule;
-using chaos::Violation;
+using core::Violation;
 
 bool has_rule(const std::vector<Violation>& vs, const std::string& rule) {
   return std::any_of(vs.begin(), vs.end(),
@@ -80,8 +80,8 @@ TEST(ChaosSchedule, EventJsonRoundTripsByteIdentically) {
 
 // A minimal synthetic deployment snapshot that audits clean: one call,
 // consistent across all four layers.
-chaos::Snapshot consistent_snapshot() {
-  chaos::Snapshot s;
+core::Snapshot consistent_snapshot() {
+  core::Snapshot s;
   s.sighosts.push_back({"mh.rt", true, {}, {}, {}});
   s.sighosts.push_back({"berkeley.rt", true, {}, {}, {}});
   s.kernel_vcis.push_back({"mh.rt", "mh.rt", 40, /*bound=*/false});
@@ -96,119 +96,119 @@ chaos::Snapshot consistent_snapshot() {
   return s;
 }
 
-chaos::WorkloadCounts clean_counts() {
-  chaos::WorkloadCounts w;
+core::WorkloadCounts clean_counts() {
+  core::WorkloadCounts w;
   w.opened = 1;
   w.delivered = 1;
   return w;
 }
 
 TEST(InvariantChecker, ConsistentSnapshotAuditsClean) {
-  const auto vs = chaos::check(consistent_snapshot(), clean_counts());
+  const auto vs = core::check(consistent_snapshot(), clean_counts());
   EXPECT_TRUE(vs.empty()) << vs.size() << " violations, first: "
                           << (vs.empty() ? "" : vs[0].rule + " " + vs[0].detail);
 }
 
 TEST(InvariantChecker, NamesOrphanKernelVci) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.kernel_vcis.push_back({"mh.rt", "mh.rt", 55, false});
-  const auto vs = chaos::check(s, clean_counts());
-  ASSERT_TRUE(has_rule(vs, chaos::kOrphanKernelVci));
+  const auto vs = core::check(s, clean_counts());
+  ASSERT_TRUE(has_rule(vs, core::kOrphanKernelVci));
   // The detail pinpoints the offending socket.
   const auto it = std::find_if(vs.begin(), vs.end(), [](const Violation& v) {
-    return v.rule == chaos::kOrphanKernelVci;
+    return v.rule == core::kOrphanKernelVci;
   });
   EXPECT_NE(it->detail.find("vci=55"), std::string::npos) << it->detail;
 }
 
 TEST(InvariantChecker, NamesMissingKernelSocketAndOrphanRecord) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.call_records.push_back({"mh.rt", 60, "mh.rt#9", true, false, "mh.rt"});
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_TRUE(has_rule(vs, chaos::kMissingKernelSocket));
-  EXPECT_TRUE(has_rule(vs, chaos::kOrphanCallRecord));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_TRUE(has_rule(vs, core::kMissingKernelSocket));
+  EXPECT_TRUE(has_rule(vs, core::kOrphanCallRecord));
 }
 
 TEST(InvariantChecker, NamesOrphanNetworkVc) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.vcs.push_back({2, "mh.rt", "berkeley.rt", 70, 71});
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_TRUE(has_rule(vs, chaos::kOrphanNetworkVc));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_TRUE(has_rule(vs, core::kOrphanNetworkVc));
 }
 
 TEST(InvariantChecker, NamesDanglingSwitchRoute) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.routes_installed.push_back({"s1", 7, 99});
   std::sort(s.routes_installed.begin(), s.routes_installed.end());
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_TRUE(has_rule(vs, chaos::kDanglingSwitchRoute));
-  EXPECT_FALSE(has_rule(vs, chaos::kMissingSwitchRoute));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_TRUE(has_rule(vs, core::kDanglingSwitchRoute));
+  EXPECT_FALSE(has_rule(vs, core::kMissingSwitchRoute));
 }
 
 TEST(InvariantChecker, NamesMissingSwitchRoute) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.routes_expected.push_back({"s2", 7, 99});
   std::sort(s.routes_expected.begin(), s.routes_expected.end());
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_TRUE(has_rule(vs, chaos::kMissingSwitchRoute));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_TRUE(has_rule(vs, core::kMissingSwitchRoute));
 }
 
 TEST(InvariantChecker, NamesDoubleListedCall) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.sighosts[0].outgoing_calls.push_back("mh.rt#2");
   s.sighosts[0].incoming_calls.push_back("mh.rt#2");
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_TRUE(has_rule(vs, chaos::kDoubleListedCall));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_TRUE(has_rule(vs, core::kDoubleListedCall));
 }
 
 TEST(InvariantChecker, NamesConservationAndLivenessBreaches) {
-  chaos::WorkloadCounts w;
+  core::WorkloadCounts w;
   w.opened = 3;
   w.delivered = 1;
   w.unresolved = 1;  // 1 open vanished entirely: conservation AND liveness
-  auto vs = chaos::check(consistent_snapshot(), w);
-  EXPECT_TRUE(has_rule(vs, chaos::kCallConservation));
-  EXPECT_TRUE(has_rule(vs, chaos::kLiveness));
+  auto vs = core::check(consistent_snapshot(), w);
+  EXPECT_TRUE(has_rule(vs, core::kCallConservation));
+  EXPECT_TRUE(has_rule(vs, core::kLiveness));
 
   w.failed = 1;  // now conserved, but still unresolved at quiescence
-  vs = chaos::check(consistent_snapshot(), w);
-  EXPECT_FALSE(has_rule(vs, chaos::kCallConservation));
-  EXPECT_TRUE(has_rule(vs, chaos::kLiveness));
+  vs = core::check(consistent_snapshot(), w);
+  EXPECT_FALSE(has_rule(vs, core::kCallConservation));
+  EXPECT_TRUE(has_rule(vs, core::kLiveness));
 
-  chaos::WorkloadCounts multi = clean_counts();
+  core::WorkloadCounts multi = clean_counts();
   multi.multi_fired = 1;
-  vs = chaos::check(consistent_snapshot(), multi);
-  EXPECT_TRUE(has_rule(vs, chaos::kCallConservation));
+  vs = core::check(consistent_snapshot(), multi);
+  EXPECT_TRUE(has_rule(vs, core::kCallConservation));
 }
 
 TEST(InvariantChecker, CrashedSighostSuspendsItsAudits) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.sighosts[0].alive = false;
   // Its call records are unknowable, not violations...
   s.call_records.erase(s.call_records.begin());
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_FALSE(has_rule(vs, chaos::kOrphanKernelVci));
-  EXPECT_FALSE(has_rule(vs, chaos::kOrphanNetworkVc));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_FALSE(has_rule(vs, core::kOrphanKernelVci));
+  EXPECT_FALSE(has_rule(vs, core::kOrphanNetworkVc));
   // ...but a sighost still down at quiescence is itself a liveness breach.
-  EXPECT_TRUE(has_rule(vs, chaos::kLiveness));
+  EXPECT_TRUE(has_rule(vs, core::kLiveness));
 }
 
 TEST(InvariantChecker, ReservationLedgerWithinCapacityAuditsClean) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.reservations.push_back({"s1", 0, 1'000'000, 45'000'000});
   s.reservations.push_back({"s1", 1, 45'000'000, 45'000'000});  // exactly full
   s.reservations.push_back({"s2", 0, 5'000'000, 0});  // no output link: skip
-  const auto vs = chaos::check(s, clean_counts());
-  EXPECT_FALSE(has_rule(vs, chaos::kQosOvercommit));
+  const auto vs = core::check(s, clean_counts());
+  EXPECT_FALSE(has_rule(vs, core::kQosOvercommit));
 }
 
 TEST(InvariantChecker, NamesQosOvercommit) {
-  chaos::Snapshot s = consistent_snapshot();
+  core::Snapshot s = consistent_snapshot();
   s.reservations.push_back({"s1", 2, 46'000'000, 45'000'000});
-  const auto vs = chaos::check(s, clean_counts());
-  ASSERT_TRUE(has_rule(vs, chaos::kQosOvercommit));
+  const auto vs = core::check(s, clean_counts());
+  ASSERT_TRUE(has_rule(vs, core::kQosOvercommit));
   const auto it = std::find_if(vs.begin(), vs.end(), [](const Violation& v) {
-    return v.rule == chaos::kQosOvercommit;
+    return v.rule == core::kQosOvercommit;
   });
   EXPECT_NE(it->detail.find("sw=s1"), std::string::npos) << it->detail;
   EXPECT_NE(it->detail.find("port=2"), std::string::npos) << it->detail;
@@ -224,8 +224,8 @@ TEST(InvariantChecker, OverreserveSabotageSeamIsCaughtEndToEnd) {
   ASSERT_TRUE(tb->bring_up().ok());
   tb->sim().run_for(sim::milliseconds(500));
 
-  const auto before = chaos::check(chaos::capture(*tb), chaos::WorkloadCounts{});
-  EXPECT_FALSE(has_rule(before, chaos::kQosOvercommit));
+  const auto before = core::check(core::capture(*tb), core::WorkloadCounts{});
+  EXPECT_FALSE(has_rule(before, core::kQosOvercommit));
 
   atm::AtmSwitch* sw = tb->network().switch_by_name("s1");
   ASSERT_NE(sw, nullptr);
@@ -240,8 +240,8 @@ TEST(InvariantChecker, OverreserveSabotageSeamIsCaughtEndToEnd) {
   ASSERT_GE(port, 0) << "testbed switch has no output links";
   sw->debug_overreserve(port, sw->output_rate_bps(port) + 1);
 
-  const auto after = chaos::check(chaos::capture(*tb), chaos::WorkloadCounts{});
-  EXPECT_TRUE(has_rule(after, chaos::kQosOvercommit));
+  const auto after = core::check(core::capture(*tb), core::WorkloadCounts{});
+  EXPECT_TRUE(has_rule(after, core::kQosOvercommit));
 }
 
 // ------------------------------------------------------- end-to-end runs
@@ -326,8 +326,8 @@ TEST(ChaosAcceptance, SabotagedRecoveryAuditIsFoundShrunkAndReplayed) {
       << "no seed in budget surfaced the sabotaged audit";
   c.seed = found_seed;
   // The sabotage leaves pre-crash state orphaned across layers.
-  EXPECT_TRUE(has_rule(failing.violations, chaos::kOrphanKernelVci) ||
-              has_rule(failing.violations, chaos::kOrphanNetworkVc))
+  EXPECT_TRUE(has_rule(failing.violations, core::kOrphanKernelVci) ||
+              has_rule(failing.violations, core::kOrphanNetworkVc))
       << failing.violations[0].rule << " " << failing.violations[0].detail;
   EXPECT_FALSE(failing.post_mortem.empty());
 

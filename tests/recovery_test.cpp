@@ -403,6 +403,39 @@ TEST(CrashRecovery, CrashBetweenRetransmitBackoffAttemptsOfInflightConnect) {
   EXPECT_TRUE(rep.clean()) << rep.describe();
 }
 
+// The network answers setup_vc after the modeled setup latency (2 ms per
+// switch plus propagation).  An originator that crashes inside that window
+// must never see the answer: it would run on the destroyed sighost.  The
+// VC is already installed, so the restarted sighost's recovery finds it
+// unclaimed and tears it down; the callee's request times out.
+TEST(CrashRecovery, OriginatorCrashInsideVcSetupWindow) {
+  Rig rig;
+  atm::AtmNetwork& net = rig.tb->network();
+  const std::uint64_t setups = net.setups_attempted();
+  const std::size_t vcs = net.active_vc_count();
+  int fired = 0;
+  rig.client->open("berkeley.rt", "svc", "",
+                   [&](util::Result<CallClient::Call>) { ++fired; });
+  // Step until PEER_ACCEPT has reached the originator and it asked the
+  // network for the VC; the completion is then still pending.
+  for (int i = 0; i < 100'000 && net.setups_attempted() == setups; ++i) {
+    rig.tb->sim().run_for(sim::microseconds(10));
+  }
+  ASSERT_EQ(net.setups_attempted(), setups + 1);
+  ASSERT_EQ(net.active_vc_count(), vcs + 1);
+  rig.tb->crash_sighost(0);
+  rig.tb->sim().run_for(sim::milliseconds(20));  // past the completion
+  ASSERT_TRUE(rig.tb->restart_sighost(0).ok());
+  // The callee's undecided incoming request dies by its own watchdog.
+  rig.tb->sim().run_for(rig.tb->config().sighost.request_timeout +
+                        sim::seconds(1));
+
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rig.tb->router(0).sighost->stats().orphans_torn_down, 1u);
+  auto rep = rig.tb->audit();
+  EXPECT_TRUE(rep.clean()) << rep.describe();
+}
+
 // A restarted sighost resets its channel state when it first sends
 // PEER_RESYNC, but the peer keeps numbering its messages on the old channel
 // until that resync reaches it.  Here the resync is held up (trunk cut, then
@@ -482,7 +515,7 @@ TEST(CrashRecovery, ResyncAckClearsSequenceNumbersOfTheAbandonedChannel) {
   for (const Repro& r : repros) {
     const chaos::RunOutcome out = chaos::run_events(r.c, r.events);
     std::string found;
-    for (const chaos::Violation& v : out.violations) {
+    for (const core::Violation& v : out.violations) {
       found += v.rule + ": " + v.detail + "\n";
     }
     EXPECT_TRUE(out.violations.empty()) << "seed " << r.c.seed << "\n" << found;
