@@ -346,6 +346,44 @@ TEST(BenchJsonCheck, RejectsBalancedButMalformedReports) {
   EXPECT_EQ(run(head + R"("metrics": {"a": 1, "b": [1, 2]}})", 99), 0);
 }
 
+// A bench report is named only by a string: a number, null or boolean
+// "bench" value fails the gate as a missing name instead of passing as an
+// unknown bench with no key profile.  Likewise a chaos repro record whose
+// "rec" is not a string is an unknown record.
+TEST(BenchJsonCheck, RejectsNonStringNames) {
+  auto run = [](const std::string& doc, const std::string& tag) {
+    const std::string path =
+        testing::TempDir() + "bench_json_check_name_" + tag + ".json";
+    { std::ofstream(path) << doc; }
+    const std::string cmd = std::string(XUNET_BENCH_JSON_CHECK) + " " + path +
+                            " > /dev/null 2>&1";
+    return std::system(cmd.c_str());
+  };
+  for (const char* name : {"7", "null", "true"}) {
+    EXPECT_NE(run(std::string(R"({"schema": "xunet.bench.v1", "bench": )") +
+                      name + R"(, "metrics": {}})",
+                  name),
+              0)
+        << name;
+  }
+  const std::string chaos_head =
+      R"({"schema":"xunet.chaos.v1","seed":1,"routers":2,"calls":1,)"
+      R"("events":0,"violations":0})"
+      "\n";
+  EXPECT_NE(run(chaos_head + R"({"rec":7,"rule":"r","detail":"d"})" "\n",
+                "rec7"),
+            0);
+  // The string-named forms of the same documents pass.
+  EXPECT_EQ(run(R"({"schema": "xunet.bench.v1", "bench": "demo", )"
+                R"("metrics": {}})",
+                "demo"),
+            0);
+  EXPECT_EQ(run(chaos_head +
+                    R"({"rec":"violation","rule":"r","detail":"d"})" "\n",
+                "recstr"),
+            0);
+}
+
 // ------------------------------------------------------------- self-check
 
 TEST(LintSelfCheck, SrcTreeCleanModuloBaselineAndStateTable) {
