@@ -1,9 +1,9 @@
-// Fixture: strict DET-UNORD-ITER.  Loops over unordered containers that
-// build ordered artifacts (streams, JSON lines, sequences) in hash order are
-// only flagged with --strict-unord; the snapshot-then-sort idiom stays clean
-// in both modes.  Expected strict findings: 3 (render's stream append,
-// collect's push_back, the write_json_line loop); expected normal-mode
-// findings: 0.
+// Fixture: DET-UNORD-ITER on ordered artifacts.  Loops over unordered
+// containers that build ordered artifacts (streams, JSON lines, sequences)
+// in hash order are flagged even though none reaches the event queue or the
+// wire; the snapshot-then-sort idiom and pure aggregation stay clean.
+// Expected findings: 3 (render's stream append, collect's push_back, the
+// write_json_line loop).
 #include "det_unord_strict.hpp"
 
 #include <algorithm>

@@ -109,7 +109,7 @@ std::size_t match_forward(const std::vector<Token>& toks, std::size_t open) {
 }
 
 void lex_source(Unit& u, const std::string& text) {
-  // Raw lines, for baseline matching and annotation targeting.
+  // Raw lines, for annotation targeting.
   {
     std::istringstream in(text);
     std::string line;

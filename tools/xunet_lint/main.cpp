@@ -3,12 +3,9 @@
 // Usage:
 //   xunet_lint [options] [path...]
 //     --root DIR              report paths relative to DIR (default ".")
-//     --baseline FILE         grandfathered findings (rule|file|text|reason)
 //     --state-table FILE      declared sighost transitions (fn list op)
 //     --kern-state-table FILE declared kernel SocketState transitions
 //                             (fn from[,from...]|* to)
-//     --strict-unord          strict DET-UNORD-ITER: also flag unordered
-//                             walks that build ordered artifacts in place
 //     --compile-commands FILE add the translation units listed in a
 //                             compile_commands.json (build-derived file list)
 //     --filter PREFIX         keep only files whose root-relative path starts
@@ -81,11 +78,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--root") cfg.root = need_val("--root");
-    else if (a == "--baseline") cfg.baseline = need_val("--baseline");
     else if (a == "--state-table") cfg.state_table = need_val("--state-table");
     else if (a == "--kern-state-table")
       cfg.kern_state_table = need_val("--kern-state-table");
-    else if (a == "--strict-unord") cfg.strict_unord = true;
     else if (a == "--compile-commands")
       compile_commands = need_val("--compile-commands");
     else if (a == "--filter") filters.push_back(need_val("--filter"));
@@ -93,13 +88,11 @@ int main(int argc, char** argv) {
     else if (a == "--dump-state") dump_state = true;
     else if (a == "--help" || a == "-h") {
       std::fprintf(stderr,
-                   "usage: xunet_lint [--root DIR] [--baseline FILE] "
-                   "[--state-table FILE]\n"
+                   "usage: xunet_lint [--root DIR] [--state-table FILE]\n"
                    "                  [--kern-state-table FILE] "
-                   "[--strict-unord]\n"
-                   "                  [--compile-commands FILE] "
-                   "[--filter PREFIX] [--json FILE]\n"
-                   "                  [--dump-state] [path...]\n");
+                   "[--compile-commands FILE]\n"
+                   "                  [--filter PREFIX] [--json FILE] "
+                   "[--dump-state] [path...]\n");
       return 0;
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "xunet_lint: unknown option %s\n", a.c_str());

@@ -2,8 +2,8 @@
 //
 // Matchers are token-level heuristics, deliberately simple: each one is
 // calibrated against the fixture corpus in tests/lint_fixtures/, and every
-// justified real-world exception goes through an allow(...) annotation or
-// the baseline — never through loosening a matcher.
+// justified real-world exception goes through an allow(...) annotation —
+// never through loosening a matcher.
 #include "xunet_lint/rules.hpp"
 
 #include <algorithm>
@@ -87,7 +87,7 @@ void rule_det_banned(const Unit& u, std::vector<Finding>& out) {
 
 namespace {
 
-/// Strict mode: idents that build an ordered artifact (JSON/JSONL emitters
+/// Idents that build an ordered artifact (JSON/JSONL emitters
 /// and friends) directly from iteration order.
 bool ordered_artifact_ident(const std::string& s) {
   std::string lower;
@@ -98,7 +98,7 @@ bool ordered_artifact_ident(const std::string& s) {
          lower == "write_line" || lower == "writeline";
 }
 
-/// Strict mode exemption: a loop that fills a sequence and sorts it right
+/// Ordered-artifact exemption: a loop that fills a sequence and sorts it right
 /// after is the CORRECT pattern (snapshot-then-sort); look for sort /
 /// stable_sort in the loop body or shortly after it.
 bool sorted_nearby(const std::vector<Token>& t, std::size_t body_begin,
@@ -124,7 +124,7 @@ bool sorted_nearby(const std::vector<Token>& t, std::size_t body_begin,
 }  // namespace
 
 void rule_det_unord_iter(const Unit& u, const std::set<std::string>& unordered,
-                         bool strict, std::vector<Finding>& out) {
+                         std::vector<Finding>& out) {
   const std::vector<Token>& t = u.toks;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].text != "for" || t[i + 1].text != "(") continue;
@@ -170,15 +170,15 @@ void rule_det_unord_iter(const Unit& u, const std::set<std::string>& unordered,
         break;
       }
     }
-    if (!strict || flagged) continue;
-    // Strict mode: the body builds an ordered artifact in place.  A loop
-    // whose result is sorted in or right after the body is the sanctioned
-    // snapshot-then-sort idiom and stays clean.
+    if (flagged) continue;
+    // The body builds an ordered artifact in place.  A loop whose result is
+    // sorted in or right after the body is the sanctioned snapshot-then-sort
+    // idiom and stays clean.
     for (std::size_t j = body_begin; j < body_end && j < t.size(); ++j) {
       // `out << ...` in the body appends to a stream in hash order.
       if (t[j].text == "<<" && !sorted_nearby(t, body_begin, body_end)) {
         add(out, u, "DET-UNORD-ITER", t[i].line,
-            "strict: iteration over unordered container '" + name +
+            "iteration over unordered container '" + name +
                 "' appends to a stream in hash order; collect into a "
                 "snapshot and sort it before emitting");
         break;
@@ -191,7 +191,7 @@ void rule_det_unord_iter(const Unit& u, const std::set<std::string>& unordered,
           !sorted_nearby(t, body_begin, body_end);
       if (emitter || seq_build) {
         add(out, u, "DET-UNORD-ITER", t[i].line,
-            "strict: iteration over unordered container '" + name +
+            "iteration over unordered container '" + name +
                 "' builds an ordered artifact (via '" + t[j].text +
                 "') in hash order; collect into a snapshot and sort it "
                 "before emitting");

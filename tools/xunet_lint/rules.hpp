@@ -18,13 +18,12 @@ namespace xunet::lint {
 void rule_det_banned(const Unit& u, std::vector<Finding>& out);
 
 /// DET-UNORD-ITER: range-for over a name in `unordered` whose body schedules
-/// events or sends wire messages.  `unordered` is the union of the unit's
-/// own declarations and its sibling header's (foo.cpp pairs with foo.hpp).
-/// With `strict`, additionally flags loops that build ordered artifacts in
-/// place — JSON/JSONL emission, stream appends, or sequence push_back without
-/// a sort of the result in sight.
+/// events or sends wire messages, or builds an ordered artifact in place —
+/// JSON/JSONL emission, stream appends, or sequence push_back without a sort
+/// of the result in sight.  `unordered` is the union of the unit's own
+/// declarations and its sibling header's (foo.cpp pairs with foo.hpp).
 void rule_det_unord_iter(const Unit& u, const std::set<std::string>& unordered,
-                         bool strict, std::vector<Finding>& out);
+                         std::vector<Finding>& out);
 
 /// DET-PTR-KEY: std::map/std::set keyed by a pointer type.
 void rule_det_ptr_key(const Unit& u, std::vector<Finding>& out);

@@ -38,7 +38,7 @@ struct Unit {
   std::string path;  ///< as opened
   std::string rel;   ///< root-relative display path
   bool is_header = false;
-  std::vector<std::string> lines;  ///< raw text, for baseline matching
+  std::vector<std::string> lines;  ///< raw text, for annotation targeting
   std::vector<Token> toks;
   std::vector<Directive> directives;
   std::vector<Allow> allows;

@@ -2,6 +2,7 @@
 // loaders shared by xunet_lint and tools/xunet_model.
 #include "xunet_lint/statemachine.hpp"
 
+#include <array>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -71,6 +72,51 @@ const std::map<std::string, const char*>& list_ops() {
       {"clear", "clear"},
   };
   return k;
+}
+
+/// One row of a three-field table.
+struct TableRow {
+  std::array<std::string, 3> field;
+  int line = 0;
+};
+
+/// Read a `#`-commented table of whitespace-separated three-field rows,
+/// skipping blank and comment-only lines.  `kind` names the table in
+/// errors; `expected` and `shape` spell the row for a short and a long row.
+/// On a malformed row `err` is set and the result is empty.
+std::vector<TableRow> read_rows(const std::string& path, const char* kind,
+                                const char* expected, const char* shape,
+                                std::string& err) {
+  std::vector<TableRow> out;
+  std::ifstream in(path);
+  if (!in) {
+    err = std::string("cannot read ") + kind + " table: " + path;
+    return out;
+  }
+  std::string line;
+  int lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::size_t hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    std::istringstream ss(line);
+    TableRow r;
+    r.line = lineno;
+    if (!(ss >> r.field[0])) continue;  // blank / comment-only line
+    const std::string at =
+        std::string(kind) + " table line " + std::to_string(lineno);
+    if (!(ss >> r.field[1] >> r.field[2])) {
+      err = at + ": expected '" + expected + "'";
+      return {};
+    }
+    std::string extra;
+    if (ss >> extra) {
+      err = at + ": trailing tokens after '" + shape + "'";
+      return {};
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 }  // namespace
@@ -174,41 +220,16 @@ std::vector<Transition> extract_machine(const Unit& u,
   return out;
 }
 
-std::vector<Transition> extract_transitions(const Unit& u) {
-  return extract_machine(u, sighost_machine());
-}
-
 std::vector<Transition> load_state_table(const std::string& path,
                                          std::string& err) {
   std::vector<Transition> out;
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot read state table: " + path;
-    return out;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::istringstream ss(line);
+  for (TableRow& r : read_rows(path, "state", "<fn> <list> <op>",
+                               "<fn> <list> <op>", err)) {
     Transition tr;
-    tr.line = lineno;
-    if (!(ss >> tr.fn >> tr.list >> tr.op)) {
-      if (!tr.fn.empty()) {
-        err = "state table line " + std::to_string(lineno) +
-              ": expected '<fn> <list> <op>'";
-        return {};
-      }
-      continue;  // blank / comment-only line
-    }
-    std::string extra;
-    if (ss >> extra) {
-      err = "state table line " + std::to_string(lineno) +
-            ": trailing tokens after '<fn> <list> <op>'";
-      return {};
-    }
+    tr.fn = std::move(r.field[0]);
+    tr.list = std::move(r.field[1]);
+    tr.op = std::move(r.field[2]);
+    tr.line = r.line;
     out.push_back(std::move(tr));
   }
   return out;
@@ -217,40 +238,20 @@ std::vector<Transition> load_state_table(const std::string& path,
 std::vector<MachineEdge> load_machine_table(const std::string& path,
                                             std::string& err) {
   std::vector<MachineEdge> out;
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot read machine table: " + path;
-    return out;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::istringstream ss(line);
+  for (TableRow& r : read_rows(path, "machine", "<fn> <from[,from...]|*> <to>",
+                               "<fn> <from> <to>", err)) {
     MachineEdge e;
-    e.line = lineno;
-    std::string from;
-    if (!(ss >> e.fn)) continue;  // blank / comment-only line
-    if (!(ss >> from >> e.to)) {
-      err = "machine table line " + std::to_string(lineno) +
-            ": expected '<fn> <from[,from...]|*> <to>'";
-      return {};
-    }
-    std::string extra;
-    if (ss >> extra) {
-      err = "machine table line " + std::to_string(lineno) +
-            ": trailing tokens after '<fn> <from> <to>'";
-      return {};
-    }
+    e.fn = std::move(r.field[0]);
+    e.to = std::move(r.field[2]);
+    e.line = r.line;
+    const std::string& from = r.field[1];
     std::size_t b = 0;
     while (b <= from.size()) {
       std::size_t c = from.find(',', b);
       std::string one =
           from.substr(b, c == std::string::npos ? c : c - b);
       if (one.empty()) {
-        err = "machine table line " + std::to_string(lineno) +
+        err = "machine table line " + std::to_string(r.line) +
               ": empty source state in '" + from + "'";
         return {};
       }
@@ -275,52 +276,6 @@ std::vector<Transition> machine_to_transitions(
     tr.op = "assign";
     tr.line = e.line;
     out.push_back(std::move(tr));
-  }
-  return out;
-}
-
-std::vector<ModelAssume> load_model_assumes(const std::string& path,
-                                            std::string& err) {
-  std::vector<ModelAssume> out;
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot read table: " + path;
-    return out;
-  }
-  const std::string tag = "xunet-model:";
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::size_t at = line.find(tag);
-    if (at == std::string::npos) continue;
-    std::size_t open = line.find('(', at);
-    std::size_t close = open == std::string::npos
-                            ? std::string::npos
-                            : line.find(')', open);
-    std::size_t dash = close == std::string::npos
-                           ? std::string::npos
-                           : line.find("--", close);
-    if (line.find("assume-reached", at) == std::string::npos ||
-        close == std::string::npos || dash == std::string::npos) {
-      err = "table line " + std::to_string(lineno) +
-            ": malformed model annotation; expected '# xunet-model: "
-            "assume-reached(<fn> <a> <b>) -- <reason>'";
-      return {};
-    }
-    ModelAssume a;
-    a.line = lineno;
-    std::istringstream ss(line.substr(open + 1, close - open - 1));
-    std::string part;
-    while (ss >> part) a.key.push_back(std::move(part));
-    std::size_t rb = line.find_first_not_of(" \t", dash + 2);
-    if (rb != std::string::npos) a.reason = line.substr(rb);
-    if (a.key.empty() || a.reason.empty()) {
-      err = "table line " + std::to_string(lineno) +
-            ": assume-reached annotation needs a key and a reason";
-      return {};
-    }
-    out.push_back(std::move(a));
   }
   return out;
 }

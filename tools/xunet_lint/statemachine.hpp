@@ -26,21 +26,16 @@
 // attributed to the helper's name instead of being silently missed or glued
 // to the previous member (the PR 4 extractor only knew `Sighost ::`).
 //
-// Table formats (both `#`-commented, whitespace-separated):
+// Table formats (both `#`-commented, three whitespace-separated fields per
+// row, read by one row reader):
 //
 //   sighost_state.tbl       <fn> <list> <op>           op ∈ insert|erase|clear
 //   kern_socket_state.tbl   <fn> <from[,from...]|*> <to>
 //
 // The richer kern format keeps the source states the code guards on; the
 // lint diff only consumes its (fn, to) projection (machine_to_transitions),
-// the model checker consumes the full edges.
-//
-// Either table may carry model annotations:
-//
-//   # xunet-model: assume-reached(<fn> <a> <b>) -- <reason>
-//
-// naming a declared transition the model checker should count as reached
-// with the written justification (the analogue of lint's allow(...)).
+// the model checker consumes the full edges.  Tables carry no waivers: a
+// declared row the model checker cannot reach is a finding.
 #pragma once
 
 #include <map>
@@ -104,25 +99,9 @@ struct MachineEdge {
 [[nodiscard]] std::vector<Transition> machine_to_transitions(
     const std::vector<MachineEdge>& edges);
 
-/// Extract the sighost five-list transitions (compatibility wrapper around
-/// extract_machine(u, sighost_machine())).
-[[nodiscard]] std::vector<Transition> extract_transitions(const Unit& u);
-
 /// Parse the sighost transition table: `fn list op` per line, `#` comments.
 /// On malformed input `err` is set.
 [[nodiscard]] std::vector<Transition> load_state_table(const std::string& path,
                                                        std::string& err);
-
-/// One `# xunet-model: assume-reached(...)` annotation from a table file.
-struct ModelAssume {
-  std::vector<std::string> key;  ///< the fields inside the parentheses
-  std::string reason;
-  int line = 0;
-};
-
-/// Scan a table file for assume-reached annotations.  Malformed annotations
-/// (no reason, unbalanced parens) set `err`.
-[[nodiscard]] std::vector<ModelAssume> load_model_assumes(
-    const std::string& path, std::string& err);
 
 }  // namespace xunet::lint

@@ -69,19 +69,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "xunet_model: %s\n", err.c_str());
     return 2;
   }
-  auto assumes = xunet::lint::load_model_assumes(sighost_table, err);
-  if (!err.empty()) {
-    std::fprintf(stderr, "xunet_model: %s\n", err.c_str());
-    return 2;
-  }
-  auto kern_assumes = xunet::lint::load_model_assumes(kern_table, err);
-  if (!err.empty()) {
-    std::fprintf(stderr, "xunet_model: %s\n", err.c_str());
-    return 2;
-  }
-  assumes.insert(assumes.end(), kern_assumes.begin(), kern_assumes.end());
-
-  xunet::model::Result r = xunet::model::check(sighost, kern, assumes, opt);
+  xunet::model::Result r = xunet::model::check(sighost, kern, opt);
   std::fputs(xunet::model::render_text(r).c_str(), stdout);
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);

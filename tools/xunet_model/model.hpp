@@ -41,9 +41,8 @@
 // self-tests work — deleting close_xunet from a fixture table removes the
 // only exit from disconnected sockets and the checker must report the
 // resulting stuck states; adding a bogus entry must be reported unreachable.
-// `# xunet-model: assume-reached(...) -- reason` annotations in the tables
-// waive individual reachability obligations, with the reason carried into
-// the report (the analogue of lint's allow(...)).
+// No reachability obligation can be waived: a declared row the product never
+// fires is either dead or a gap in this model, and both need a human.
 //
 // Options::sabotage_recover mirrors the chaos harness's sabotage seam
 // (SighostConfig::recovery_skip_audit): recovery rebuilds nothing and skips
@@ -80,21 +79,16 @@ struct Result {
   std::size_t edges = 0;          ///< product transitions taken
   std::size_t sighost_declared = 0;
   std::size_t sighost_reached = 0;
-  std::size_t sighost_assumed = 0;
   std::size_t kern_declared = 0;
   std::size_t kern_reached = 0;
-  std::size_t kern_assumed = 0;
   std::vector<std::string> notes;
 
   [[nodiscard]] bool ok() const { return findings.empty(); }
 };
 
-/// Explore the product machine of the two declared tables.  `assumes` come
-/// from load_model_assumes over both table files; sighost keys are
-/// (fn list op), kernel keys are (fn to).
+/// Explore the product machine of the two declared tables.
 [[nodiscard]] Result check(const std::vector<lint::Transition>& sighost_table,
                            const std::vector<lint::MachineEdge>& kern_table,
-                           const std::vector<lint::ModelAssume>& assumes,
                            const Options& opt = {});
 
 /// Human-readable report.
