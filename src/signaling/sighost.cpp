@@ -512,15 +512,7 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   const obs::SpanId setup_span = out.setup.span;
   fsm("fsm.connect_req", key, -1, fd);
   out.timer = sim::Timer(k_.simulator());
-  out.timer.arm(cfg_.request_timeout, [this, id] {
-    // The peer never answered (partition, dead sighost, lost PVC): fail the
-    // request back to the client and withdraw it from the peer.
-    auto oit = outgoing_.find(id);
-    if (oit == outgoing_.end()) return;
-    ++stats_.request_timeouts;
-    send_peer(oit->second.dst_name, MsgType::peer_cancel, id);
-    fail_outgoing(id, Errc::timed_out);
-  });
+  arm_request_watchdog(out, id, cfg_.request_timeout, Errc::timed_out);
   outgoing_.emplace(id, std::move(out));
 
   Msg reply;
@@ -536,7 +528,8 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
   maintenance_log(key,
                   [this, id, dst = m.dst, service = m.service, qos = m.qos,
                    comment = m.comment, trace_id = m.trace_id, setup_span] {
-                    if (!outgoing_.contains(id)) return;
+                    auto oit = outgoing_.find(id);
+                    if (oit == outgoing_.end()) return;
                     if (!peers_.contains(dst)) {
                       fail_outgoing(id, Errc::no_route);
                       return;
@@ -552,8 +545,22 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
                     setup.trace_id = trace_id;
                     setup.parent_span = setup_span;
                     send_peer(dst, setup);
+                    oit->second.setup_sent = true;
                   },
                   m.trace_id, setup_span);
+}
+
+void Sighost::arm_request_watchdog(Outgoing& out, ReqId id,
+                                   sim::SimDuration after, Errc reason) {
+  out.timer.arm(after, [this, id, reason] {
+    // The peer never answered (partition, dead sighost, lost PVC): fail the
+    // request back to the client and withdraw it from the peer.
+    auto oit = outgoing_.find(id);
+    if (oit == outgoing_.end()) return;
+    ++stats_.request_timeouts;
+    send_peer(oit->second.dst_name, MsgType::peer_cancel, id);
+    fail_outgoing(id, reason);
+  });
 }
 
 void Sighost::handle_cancel_req(int fd, const Msg& m) {
@@ -1214,10 +1221,33 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
   }
   p.last_resync_seen = m.req_id;
   ++stats_.resyncs;
-  // The restarted side lost all sequence state; meet it at zero.  Requests
-  // of ours that were in flight toward it die by their own watchdogs.
+  // The restarted side lost all sequence state; meet it at zero.
   reset_channel(p);
   transmit_peer(p, ack);
+  // It also forgot every request an earlier incarnation had in flight with
+  // us.  Request ids and resync nonces come from the same per-incarnation
+  // band, so a request from a lower band than the nonce's is one of those:
+  // tell its server, and answer no one.
+  const std::uint32_t band = m.req_id >> kReqIdIncarnationShift;
+  const std::size_t before = incoming_.size();
+  for (auto iit = incoming_.begin(); iit != incoming_.end();) {
+    const Incoming& inc = iit->second;
+    if (inc.origin != origin || (inc.id >> kReqIdIncarnationShift) >= band) {
+      ++iit;
+      continue;
+    }
+    end_incoming(inc, Errc::connection_reset, std::nullopt);
+    iit = incoming_.erase(iit);
+  }
+  if (incoming_.size() != before) record_lists();
+  // A request of ours whose PEER_SETUP went out may have reached either
+  // incarnation, or neither.  The new one answers a request it holds within
+  // the resync grace; one it never saw fails then.
+  for (auto& [id, out] : outgoing_) {
+    if (out.dst_name == origin && out.setup_sent) {
+      arm_request_watchdog(out, id, cfg_.resync_grace, Errc::connection_reset);
+    }
+  }
   // Report every established call we share with the restarted host so it
   // can restore req_id on the VCI entries it audited back.  The
   // map iterates ascending, preserving the replay-pinned INFO order.

@@ -225,6 +225,7 @@ class Sighost {
   };
   struct Outgoing {  // outgoing_requests: client request awaiting peer reply
     int client_fd = -1;
+    bool setup_sent = false;  ///< PEER_SETUP has gone out to the peer
     std::string dst_name;
     Cookie client_cookie = 0;
     SetupTrace setup;
@@ -383,6 +384,10 @@ class Sighost {
   void teardown_vci(atm::Vci vci, bool notify_peer);
   void load_wait_for_bind(atm::Vci vci);
   void fail_outgoing(ReqId id, util::Errc reason);
+  /// (Re)arm a request's watchdog: unanswered `after` from now, it is
+  /// withdrawn from the peer and failed to the client with `reason`.
+  void arm_request_watchdog(Outgoing& out, ReqId id, sim::SimDuration after,
+                            util::Errc reason);
   /// The side effects of ending an undecided incoming call: drop its
   /// cookie, fail (`to_server`) and close the server's per-call connection,
   /// refuse the call to the originator (`to_origin`), end call.serve.  The

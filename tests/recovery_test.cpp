@@ -407,7 +407,7 @@ TEST(CrashRecovery, CrashBetweenRetransmitBackoffAttemptsOfInflightConnect) {
 // switch plus propagation).  An originator that crashes inside that window
 // must never see the answer: it would run on the destroyed sighost.  The
 // VC is already installed, so the restarted sighost's recovery finds it
-// unclaimed and tears it down; the callee's request times out.
+// unclaimed and tears it down; its PEER_RESYNC ends the callee's request.
 TEST(CrashRecovery, OriginatorCrashInsideVcSetupWindow) {
   Rig rig;
   atm::AtmNetwork& net = rig.tb->network();
@@ -426,12 +426,66 @@ TEST(CrashRecovery, OriginatorCrashInsideVcSetupWindow) {
   rig.tb->crash_sighost(0);
   rig.tb->sim().run_for(sim::milliseconds(20));  // past the completion
   ASSERT_TRUE(rig.tb->restart_sighost(0).ok());
-  // The callee's undecided incoming request dies by its own watchdog.
-  rig.tb->sim().run_for(rig.tb->config().sighost.request_timeout +
+  rig.tb->sim().run_for(rig.tb->config().sighost.resync_grace +
                         sim::seconds(1));
 
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(rig.tb->router(0).sighost->stats().orphans_torn_down, 1u);
+  auto rep = rig.tb->audit();
+  EXPECT_TRUE(rep.clean()) << rep.describe();
+}
+
+// A restarted sighost forgets every request it had in flight with a peer,
+// in both directions.  Its PEER_RESYNC must end them at the survivor within
+// the resync grace, not after request_timeout: the survivor's incoming
+// request from the old incarnation (its server is told connection_reset)
+// and its own outgoing request toward the restarted host (its client gets
+// CONN_FAILED).
+TEST(CrashRecovery, ResyncEndsRequestsTheRestartedPeerForgot) {
+  Rig rig;
+  auto& r0 = rig.tb->router(0);
+  auto& r1 = rig.tb->router(1);
+  CallServer back(*r0.kernel, r0.kernel->ip_node().address(), "back", 6201);
+  back.start([](util::Result<void>) {});
+  CallClient client1(*r1.kernel, r1.kernel->ip_node().address());
+  rig.tb->sim().run_for(sim::milliseconds(300));
+
+  // berkeley.rt's call toward mh.rt stays an outgoing request: mh.rt's
+  // accept never leaves it.
+  fault::FaultPlan plan(*rig.tb, 3);
+  fault::WireRule r;
+  r.node = "mh.rt";
+  r.type = sig::MsgType::peer_accept;
+  plan.add_rule(r);
+  plan.arm();
+
+  int fired0 = 0, fired1 = 0;
+  util::Errc err1{};
+  rig.client->open("berkeley.rt", "svc", "",
+                   [&](util::Result<CallClient::Call>) { ++fired0; });
+  client1.open("mh.rt", "back", "", [&](util::Result<CallClient::Call> res) {
+    ++fired1;
+    if (!res) err1 = res.error();
+  });
+  // Step until berkeley.rt holds mh.rt's call as an incoming request.
+  for (int i = 0; i < 100'000 &&
+                  r1.sighost->audit_snapshot().incoming_calls.empty();
+       ++i) {
+    rig.tb->sim().run_for(sim::microseconds(10));
+  }
+  const auto before = r1.sighost->audit_snapshot();
+  ASSERT_EQ(before.incoming_calls.size(), 1u);
+  ASSERT_EQ(before.outgoing_calls.size(), 1u);
+
+  rig.tb->crash_sighost(0);
+  rig.tb->sim().run_for(sim::milliseconds(20));
+  ASSERT_TRUE(rig.tb->restart_sighost(0).ok());
+  rig.tb->sim().run_for(rig.tb->config().sighost.resync_grace +
+                        sim::seconds(1));
+
+  EXPECT_EQ(fired0, 1);
+  EXPECT_EQ(fired1, 1);
+  EXPECT_EQ(err1, util::Errc::connection_reset);
   auto rep = rig.tb->audit();
   EXPECT_TRUE(rep.clean()) << rep.describe();
 }
