@@ -43,8 +43,8 @@ struct AbrParams {
 inline constexpr std::uint64_t kAbrFloorBps = 64'000;
 
 /// The source end of an ABR connection: buffers submitted cells and clocks
-/// them onto the uplink at ACR, inserting forward RM cells.  Feed backward
-/// RM cells (from the host interface's RM handler) to on_backward_rm.
+/// them onto the uplink at ACR, inserting forward RM cells.  The caller feeds
+/// backward RM cells to on_backward_rm (the host interface drops RM cells).
 class AbrSource {
  public:
   AbrSource(sim::Simulator& sim, CellLink& uplink, Vci vci, AbrParams params);

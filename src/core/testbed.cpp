@@ -11,6 +11,13 @@ using util::Errc;
 namespace {
 /// Host↔router links are FDDI (ip::kFddiBps, ip::kFddiMtu) of this length.
 constexpr sim::SimDuration kHostLinkPropagation = sim::microseconds(50);
+sig::SighostConfig shard_config(sig::SighostConfig c, int s, int shards) {
+  if (shards > 1) {
+    c.shard_count = static_cast<std::uint16_t>(shards);
+    c.shard_id = static_cast<std::uint16_t>(s);
+  }
+  return c;
+}
 }  // namespace
 
 std::string LeakReport::describe() const {
@@ -55,15 +62,11 @@ Router& Testbed::add_router(const std::string& atm_name, ip::IpAddress ip,
   (void)attached;
   r->sw = &sw;
   r->anand_server = std::make_unique<sig::AnandServerStub>(*r->kernel);
-  sig::SighostConfig scfg = cfg_.sighost;
-  if (cfg_.sighost_shards > 1) {
-    scfg.shard_count = static_cast<std::uint16_t>(cfg_.sighost_shards);
-  }
-  r->sighost = std::make_unique<sig::Sighost>(*r->kernel, *net_, scfg);
+  r->sighost = std::make_unique<sig::Sighost>(
+      *r->kernel, *net_, shard_config(cfg_.sighost, 0, cfg_.sighost_shards));
   for (int s = 1; s < cfg_.sighost_shards; ++s) {
-    scfg.shard_id = static_cast<std::uint16_t>(s);
-    r->extra_shards.push_back(
-        std::make_unique<sig::Sighost>(*r->kernel, *net_, scfg));
+    r->extra_shards.push_back(std::make_unique<sig::Sighost>(
+        *r->kernel, *net_, shard_config(cfg_.sighost, s, cfg_.sighost_shards)));
   }
   routers_.push_back(std::move(r));
   return *routers_.back();
@@ -196,12 +199,9 @@ util::Result<void> Testbed::restart_sighost(std::size_t i) {
   if (r.sighost) return Errc::duplicate;
   const std::size_t shards = r.shard_count();
   for (std::size_t s = 0; s < shards; ++s) {
-    sig::SighostConfig scfg = cfg_.sighost;
-    if (shards > 1) {
-      scfg.shard_count = static_cast<std::uint16_t>(shards);
-      scfg.shard_id = static_cast<std::uint16_t>(s);
-    }
-    auto sh = std::make_unique<sig::Sighost>(*r.kernel, *net_, scfg);
+    auto sh = std::make_unique<sig::Sighost>(
+        *r.kernel, *net_,
+        shard_config(cfg_.sighost, static_cast<int>(s), cfg_.sighost_shards));
     if (wire_fault_) sh->set_wire_fault(wire_fault_);
     if (auto rc = sh->start(); !rc) return rc;
     if (peer_pvcs_.size() > i) {
