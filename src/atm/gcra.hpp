@@ -101,9 +101,6 @@ class DualGcra {
     return true;
   }
 
-  [[nodiscard]] const Gcra& pcr_bucket() const noexcept { return pcr_; }
-  [[nodiscard]] const Gcra& scr_bucket() const noexcept { return scr_; }
-
  private:
   Gcra pcr_;
   Gcra scr_;

@@ -19,17 +19,21 @@ util::Result<Vci> VciAllocator::allocate(std::uint16_t mod, std::uint16_t rem) {
   const std::uint32_t key = (std::uint32_t(mod) << 16) | rem;
   ClassState& cls = classes_.try_emplace(key, ClassState{first, {}}).first->second;
   while (!cls.holes.empty()) {
-    auto node = cls.holes.extract(cls.holes.begin());
-    const Vci v = node.value();
-    if (used_.insert(std::move(node)).inserted) return v;
+    std::ranges::pop_heap(cls.holes, std::greater{});
+    const Vci v = cls.holes.back();
+    cls.holes.pop_back();
+    if (!taken(v)) {
+      take(v);
+      return v;
+    }
   }
   // The frontier only moves forward, so this scan is amortized O(1) per
   // allocation over the allocator's lifetime.
   for (; cls.frontier <= kMaxVci; cls.frontier += mod) {
-    const auto v = static_cast<Vci>(cls.frontier);
-    if (used_.insert(v).second) {
+    if (!taken(cls.frontier)) {
+      take(cls.frontier);
       cls.frontier += mod;
-      return v;
+      return static_cast<Vci>(cls.frontier - mod);
     }
   }
   return Errc::no_resources;
@@ -37,24 +41,30 @@ util::Result<Vci> VciAllocator::allocate(std::uint16_t mod, std::uint16_t rem) {
 
 util::Result<void> VciAllocator::reserve(Vci vci) {
   if (vci == kInvalidVci) return Errc::invalid_argument;
-  if (!used_.insert(vci).second) return Errc::duplicate;
+  if (taken(vci)) return Errc::duplicate;
+  take(vci);
   return {};
 }
 
 void VciAllocator::release(Vci vci) noexcept {
-  auto node = used_.extract(vci);
-  if (node.empty() || vci < kFirstSwitchedVci) return;
-  // Every class the freed VCI belongs to and whose frontier has passed it
-  // gains a hole.  The first such class takes over used_'s set node, so a
-  // release/allocate cycle within one class allocates nothing.
+  if (!taken(vci)) return;
+  used_[vci] = false;
+  if (vci < kFirstSwitchedVci) return;
+  // Every class the freed VCI belongs to and whose frontier passed it
+  // gains a hole.
   for (auto& [key, cls] : classes_) {
     const std::uint32_t mod = key >> 16;
     const std::uint32_t rem = key & 0xffffu;
     if (vci % mod != rem || vci >= cls.frontier) continue;
-    if (node.empty()) {
-      cls.holes.insert(vci);
-    } else {
-      node = std::move(cls.holes.insert(std::move(node)).node);
+    cls.holes.push_back(vci);
+    std::ranges::push_heap(cls.holes, std::greater{});
+    // Past twice the class's members below the frontier, holes are mostly
+    // stale or repeated: drop those (sorted, the rest is still a min-heap).
+    if (cls.holes.size() > 2 * (cls.frontier / mod)) {
+      std::ranges::sort(cls.holes);
+      const auto dup = std::ranges::unique(cls.holes);
+      cls.holes.erase(dup.begin(), dup.end());
+      std::erase_if(cls.holes, [this](Vci v) { return taken(v); });
     }
   }
 }
@@ -262,61 +272,43 @@ void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
   ++setups_attempted_;
   obs::Observability& o = sim_.obs();
   o.metrics().counter("atm.net.setups_attempted").inc();
-  // The VC-install span covers the modeled network-signaling latency:
-  // per-switch call processing plus the request/confirm propagation.
-  auto trace_setup = [&](sim::SimDuration latency, bool ok) {
-    if (!ok) o.metrics().counter("atm.net.setups_denied").inc();
-    if (!XOBS_TRACING(&o)) return;
+  // Admission and routing are evaluated now; the outcome arrives after each
+  // switch on the path processes the call once and the confirmation crosses
+  // every link twice (one switch's processing when there is no route).
+  util::Result<VcHandle> r = Errc::no_route;
+  sim::SimDuration latency = kPerSwitchSetup;
+  auto s = endpoint_nodes_.find(src);
+  auto d = endpoint_nodes_.find(dst);
+  std::vector<int> path;
+  if (s != endpoint_nodes_.end() && d != endpoint_nodes_.end() && src != dst) {
+    path = find_path(s->second, d->second);
+  }
+  if (!path.empty()) {
+    latency = {};
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      int ei = edge_between(path[i], path[i + 1]);
+      latency += edges_[static_cast<std::size_t>(ei)].link->propagation() * 2;
+    }
+    latency += kPerSwitchSetup * static_cast<std::int64_t>(path.size() - 2);
+    auto vc = install_path(path, qos, std::nullopt, part);
+    r = vc ? util::Result<VcHandle>(activate(std::move(*vc), src, dst)) : vc.error();
+  }
+  if (!r) {
+    ++setups_denied_;
+    o.metrics().counter("atm.net.setups_denied").inc();
+  }
+  // The VC-install span covers the modeled network-signaling latency.
+  if (XOBS_TRACING(&o)) {
     obs::TraceIds ids;
     ids.call_id = call;
     // The deepest hop of the causal call tree: a child of the callee
     // sighost's call.serve span (carried here via PEER_ACCEPT).
     ids.trace_id = trace_id;
     ids.parent_span = parent_span;
-    (void)o.complete(latency, "atm", ok ? "vc.setup" : "vc.setup_denied",
-                     "net", std::move(ids));
-  };
-  auto finish = [this, done = std::move(done)](
-                    util::Result<VcHandle> r, sim::SimDuration latency) {
-    sim_.schedule(latency, [done, r = std::move(r)] { done(r); });
-  };
-
-  auto s = endpoint_nodes_.find(src);
-  auto d = endpoint_nodes_.find(dst);
-  if (s == endpoint_nodes_.end() || d == endpoint_nodes_.end() || src == dst) {
-    ++setups_denied_;
-    trace_setup(kPerSwitchSetup, false);
-    finish(Errc::no_route, kPerSwitchSetup);
-    return;
+    (void)o.complete(latency, "atm", r ? "vc.setup" : "vc.setup_denied", "net",
+                     std::move(ids));
   }
-  std::vector<int> path = find_path(s->second, d->second);
-  if (path.empty()) {
-    ++setups_denied_;
-    trace_setup(kPerSwitchSetup, false);
-    finish(Errc::no_route, kPerSwitchSetup);
-    return;
-  }
-
-  // Model latency: each switch on the path processes the call once on the
-  // way out, and the confirmation crosses every link twice.
-  sim::SimDuration latency{};
-  int switches_on_path = 0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    int ei = edge_between(path[i], path[i + 1]);
-    latency += edges_[static_cast<std::size_t>(ei)].link->propagation() * 2;
-  }
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) ++switches_on_path;
-  latency += kPerSwitchSetup * switches_on_path;
-
-  auto vc = install_path(path, qos, std::nullopt, part);
-  if (!vc) {
-    ++setups_denied_;
-    trace_setup(latency, false);
-    finish(vc.error(), latency);
-    return;
-  }
-  trace_setup(latency, true);
-  finish(activate(std::move(*vc), src, dst), latency);
+  sim_.schedule(latency, [done = std::move(done), r = std::move(r)] { done(r); });
 }
 
 util::Result<VcHandle> AtmNetwork::setup_pvc(const AtmAddress& src,

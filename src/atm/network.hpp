@@ -9,11 +9,11 @@
 // call-processing latency.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -44,21 +44,28 @@ class VciAllocator {
   /// Reserve a specific VCI (PVC setup).  Fails with duplicate when taken.
   [[nodiscard]] util::Result<void> reserve(Vci vci);
   void release(Vci vci) noexcept;
-  [[nodiscard]] std::size_t in_use() const noexcept { return used_.size(); }
+  [[nodiscard]] std::size_t in_use() const noexcept { return std::ranges::count(used_, true); }
 
  private:
   /// Free-VCI bookkeeping for one residue class.  Every class member in
-  /// [first, frontier) that is free sits in `holes`; holes may also hold
-  /// members taken since by another class or by reserve(), which
-  /// allocate() discards when it meets them.  So the lowest valid hole, or
-  /// failing that the first free member at or past the frontier, is the
-  /// lowest free VCI of the class.
+  /// [first, frontier) that is free sits in `holes`, a vector min-heap;
+  /// holes may also hold members taken since by another class or by
+  /// reserve(), or repeated, which allocate() discards when it meets them.
+  /// So the lowest valid hole, or failing that the first free member at or
+  /// past the frontier, is the lowest free VCI of the class.
   struct ClassState {
     std::uint32_t frontier;
-    std::set<Vci> holes;
+    std::vector<Vci> holes;
   };
 
-  std::set<Vci> used_;
+  [[nodiscard]] bool taken(std::uint32_t v) const noexcept { return v < used_.size() && used_[v]; }
+  void take(std::uint32_t v) {
+    if (v >= used_.size()) used_.resize(v + 1);
+    used_[v] = true;
+  }
+
+  /// One bit per VCI up to the highest ever taken (at most 8 KiB).
+  std::vector<bool> used_;
   /// Keyed (mod << 16) | rem.
   std::map<std::uint32_t, ClassState> classes_;
 };
@@ -206,10 +213,6 @@ class AtmNetwork {
   [[nodiscard]] AtmSwitch* switch_by_name(const std::string& name) noexcept;
 
   /// Lookup: does this address exist?
-  [[nodiscard]] bool has_endpoint(const AtmAddress& addr) const noexcept {
-    return endpoint_nodes_.contains(addr);
-  }
-
   [[nodiscard]] std::uint64_t setups_attempted() const noexcept { return setups_attempted_; }
   [[nodiscard]] std::uint64_t setups_denied() const noexcept { return setups_denied_; }
 

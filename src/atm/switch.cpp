@@ -125,9 +125,10 @@ util::Result<void> AtmSwitch::install_route(int in_port, Vci in_vci,
   ++vq.refs;
   if (qos.service_class == ServiceClass::abr) ++out.abr_routes;
 
-  Route r{out_port, out_vci, reserve, qos.service_class, DualGcra{}};
-  if (qos.needs_policing()) r.police = DualGcra(qos);
-  table_.try_emplace(key, r);
+  const DualGcra police(qos);
+  table_.try_emplace(key, Route{out_port, out_vci, reserve, qos.service_class,
+                                police.enabled() ? std::make_unique<DualGcra>(police)
+                                                 : nullptr});
   return {};
 }
 
@@ -261,7 +262,7 @@ void AtmSwitch::handle_cell(Port& ingress, const Cell& cell,
   // dual GCRA here, at ingress, before the cell touches the fabric.  RM
   // cells are exempt — killing the feedback loop under overload would be
   // self-defeating.
-  if (!cell.rm && route->police.enabled() && !route->police.police(now)) {
+  if (!cell.rm && route->police && !route->police->police(now)) {
     drop_cell(ingress, route->svc_class, DiscardCause::policed);
     return;
   }
@@ -309,7 +310,7 @@ void AtmSwitch::stage(Port& out, sim::SimTime ready, const Cell& cell,
 
 bool AtmSwitch::run_append(Port& ingress, const Route& route, Port& out,
                            const TimedCell& tc, bool due) {
-  if (tc.cell.rm || route.police.enabled() || out.out == nullptr ||
+  if (tc.cell.rm || route.police || out.out == nullptr ||
       !out.out->clean()) {
     return false;
   }

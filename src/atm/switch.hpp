@@ -123,7 +123,6 @@ class AtmSwitch {
 
   /// Overload shedding policy for every output port of this switch.
   void set_discard_policy(DiscardPolicy p) noexcept { policy_ = p; }
-  [[nodiscard]] DiscardPolicy discard_policy() const noexcept { return policy_; }
 
   /// Install a VC route, performing admission control on the output port
   /// when `qos` requires a reservation (capacity = output link rate).
@@ -293,7 +292,8 @@ class AtmSwitch {
     Vci out_vci = kInvalidVci;
     std::uint64_t reserved_bps = 0;
     ServiceClass svc_class = ServiceClass::best_effort;
-    DualGcra police;  ///< armed only when the contract carries descriptors
+    /// Only a contract with traffic descriptors has a policer.
+    std::unique_ptr<DualGcra> police;
   };
 
   [[nodiscard]] static std::uint64_t route_key(int in_port, Vci in_vci) noexcept {

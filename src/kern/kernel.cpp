@@ -211,6 +211,9 @@ void Kernel::cleanup_descriptor(Proc& p, int fd, bool process_dying) {
           // 2×MSL of TIME_WAIT.  This is the paper's §10 fd-table pressure.
           // (A second close() of the same descriptor is a no-op.)
           ts.app_closed = true;
+          // The application reads nothing more from a closed descriptor.
+          ts.app_receive.reset();
+          ts.pending_data = util::Buffer{};
           if (ts.conn != 0) {
             // The close syscall crosses into the kernel like a send does;
             // deferring it by the same latency keeps the FIN ordered after
@@ -376,6 +379,7 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
     auto it = tsocks_.find(handle);
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
+    if (ts.app_closed) return;
     if (ts.app_receive) {
       deliver(ts.app_receive, std::move(data), cfg_.context_switch);
     } else if (ts.pending_data.empty()) {
@@ -428,9 +432,8 @@ void Kernel::tcp_released(tcp::ConnId conn) {
   }
   // Free the descriptor slot now that the connection has fully left the
   // state machine (post-TIME_WAIT, or reset).
-  TcpSock copy = ts;
+  if (Proc* p = proc(ts.owner)) free_fd(*p, ts.fd);
   tsocks_.erase(it);
-  if (Proc* p = proc(copy.owner)) free_fd(*p, copy.fd);
 }
 
 util::Result<void> Kernel::tcp_send(Pid pid, int fd, util::BytesView data) {

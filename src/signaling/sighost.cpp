@@ -19,6 +19,8 @@ constexpr sim::SimDuration kRetransmitBase = sim::milliseconds(250);
 constexpr sim::SimDuration kRetransmitJitter = sim::milliseconds(50);
 constexpr int kRetransmitMaxAttempts = 6;
 constexpr std::uint64_t kRetransmitSeed = 0x7e57'ab1e;
+// Unacked-message ring slots a drained channel keeps for its next burst.
+constexpr std::size_t kKeptPendingSlots = 64;
 // The sender's whole retry budget (every backoff at its longest jitter):
 // a sequence number still missing after this long was abandoned, so the
 // receiver's duplicate window stops waiting for it (~16 s).
@@ -154,11 +156,7 @@ sim::SimDuration Sighost::backoff(int attempts) {
              rng_.below(static_cast<std::uint64_t>(kRetransmitJitter.ns()))));
 }
 
-void Sighost::wire_send(int send_fd, const Msg& m) {
-  (void)k_.xunet_send(pid_, send_fd, serialize(m));
-}
-
-void Sighost::transmit_peer(Peer& p, const Msg& m) {
+void Sighost::transmit_peer(Peer& p, const Msg& m, util::Buffer wire) {
   if (trace_) trace_("->" + p.addr.name, k_.atm_address().name, m);
   WireVerdict v;
   if (wire_fault_) v = wire_fault_(k_.atm_address().name, p.addr.name, m);
@@ -166,57 +164,62 @@ void Sighost::transmit_peer(Peer& p, const Msg& m) {
     case WireFault::drop:
       return;
     case WireFault::duplicate:
-      wire_send(p.send_fd, m);
-      wire_send(p.send_fd, m);
-      return;
-    case WireFault::corrupt: {
-      util::Buffer wire = serialize(m);
+      (void)k_.xunet_send(pid_, p.send_fd, util::BytesView(wire));
+      break;
+    case WireFault::corrupt:
       wire[rng_.below(wire.size())] ^=
           static_cast<std::uint8_t>(1u << rng_.below(8));
-      (void)k_.xunet_send(pid_, p.send_fd, std::move(wire));
-      return;
-    }
+      break;
     case WireFault::delay:
       k_.simulator().schedule(
-          v.delay,
-          guarded([this, send_fd = p.send_fd, m] { wire_send(send_fd, m); }));
+          v.delay, guarded([this, send_fd = p.send_fd, wire = std::move(wire)] {
+            (void)k_.xunet_send(pid_, send_fd, util::BytesView(wire));
+          }));
       return;
     case WireFault::deliver:
       break;
   }
-  wire_send(p.send_fd, m);
+  (void)k_.xunet_send(pid_, p.send_fd, std::move(wire));
 }
 
-void Sighost::queue_retransmit(const std::string& peer, const Msg& m) {
-  Peer& p = peers_.at(peer);
-  PendingTx tx;
-  tx.msg = m;
-  tx.timer = sim::Timer(k_.simulator());
-  tx.timer.arm(backoff(0),
-               [this, peer, seq = m.seq] { retransmit(peer, seq); });
-  p.pending.emplace(m.seq, std::move(tx));
+Sighost::PendingTx* Sighost::Peer::unacked(std::uint32_t seq) {
+  const std::uint32_t i = seq - pending_base;
+  if (i >= pending.size() || pending[i].wire.empty()) return nullptr;
+  return &pending[i];
+}
+
+void Sighost::Peer::settle(std::uint32_t seq) {
+  if (PendingTx* tx = unacked(seq)) *tx = PendingTx{};
+  while (!pending.empty() && pending.front().wire.empty()) {
+    pending.pop_front();
+    ++pending_base;
+  }
+  // A drained burst's ring goes back, so held calls do not keep it.
+  if (pending.empty() && pending.capacity() > kKeptPendingSlots) pending = {};
 }
 
 void Sighost::retransmit(const std::string& peer, std::uint32_t seq) {
   auto pit = peers_.find(peer);
   if (pit == peers_.end()) return;
-  auto it = pit->second.pending.find(seq);
-  if (it == pit->second.pending.end()) return;  // acked meanwhile
-  PendingTx& tx = it->second;
-  if (++tx.attempts >= kRetransmitMaxAttempts) {
+  Peer& p = pit->second;
+  PendingTx* tx = p.unacked(seq);
+  if (tx == nullptr) return;  // acked meanwhile
+  if (++tx->attempts >= kRetransmitMaxAttempts) {
     // Give up; the request/bind watchdog timers convert the silence into a
     // clean failure at the call level.
     ++stats_.retx_abandoned;
-    pit->second.pending.erase(it);
+    p.settle(seq);
     return;
   }
   ++stats_.retransmits;
   m_retransmits_->inc();
   XOBS_FLIGHT(obs_, "sighost", "peer.retx", track_,
               peer + " seq=" + std::to_string(seq));
-  transmit_peer(pit->second, tx.msg);
-  tx.timer.arm(backoff(tx.attempts),
-               [this, peer, seq] { retransmit(peer, seq); });
+  // The frame goes out as first sent; only the hooks need the message.
+  Msg m;
+  if (trace_ || wire_fault_) m = *parse_msg(tx->wire);
+  transmit_peer(p, m, tx->wire);
+  tx->timer.arm(backoff(tx->attempts), [this, peer, seq] { retransmit(peer, seq); });
 }
 
 bool Sighost::note_received(Peer& p, std::uint32_t seq, sim::SimTime now) {
@@ -236,8 +239,11 @@ bool Sighost::note_received(Peer& p, std::uint32_t seq, sim::SimTime now) {
 }
 
 void Sighost::reset_channel(Peer& p) {
-  p.next_seq = 1;
-  p.pending.clear();  // Timer destructors cancel the pending retransmits.
+  // Unacked messages were for the peer's previous life.  Numbering goes on
+  // past the old channel, so no number the peer recorded from it suppresses
+  // a new message; its window skips the gap after kRecvGapHorizon.
+  p.pending.clear();
+  p.pending_base = p.next_seq;
   p.recv_floor = 0;
   p.recv_above.clear();
 }
@@ -312,15 +318,17 @@ void Sighost::send_app(int fd, const Msg& m) {
   (void)k_.tcp_send(pid_, fd, frame(m));
 }
 
-void Sighost::send_peer(const std::string& peer, const Msg& m) {
+void Sighost::send_peer(const std::string& peer, Msg m) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) return;
-  Msg out = m;
-  if (sequenced(m.type)) {
-    out.seq = it->second.next_seq++;
-    queue_retransmit(peer, out);
-  }
-  transmit_peer(it->second, out);
+  Peer& p = it->second;
+  if (!sequenced(m.type)) return transmit_peer(p, m, serialize(m));
+  m.seq = p.next_seq++;
+  PendingTx& tx = p.pending.emplace_back();
+  tx.wire = serialize(m);
+  tx.timer = sim::Timer(k_.simulator());
+  tx.timer.arm(backoff(0), [this, peer, seq = m.seq] { retransmit(peer, seq); });
+  transmit_peer(p, m, tx.wire);
 }
 
 void Sighost::send_peer(const std::string& peer, MsgType type, ReqId id,
@@ -329,7 +337,7 @@ void Sighost::send_peer(const std::string& peer, MsgType type, ReqId id,
   m.type = type;
   m.req_id = id;
   m.error = static_cast<std::uint8_t>(reason);
-  send_peer(peer, m);
+  send_peer(peer, std::move(m));
 }
 
 void Sighost::send_conn_failed(int fd, ReqId id, Cookie cookie, Errc reason) {
@@ -400,7 +408,7 @@ void Sighost::on_peer_msg(const std::string& peer, const Msg& m) {
   if (auto pit = peers_.find(peer); pit != peers_.end()) {
     Peer& p = pit->second;
     if (m.type == MsgType::peer_ack) {
-      p.pending.erase(m.seq);  // Timer destructor cancels the retransmit.
+      p.settle(m.seq);
       return;
     }
     if (m.seq != 0) {
@@ -409,7 +417,7 @@ void Sighost::on_peer_msg(const std::string& peer, const Msg& m) {
       Msg ack;
       ack.type = MsgType::peer_ack;
       ack.seq = m.seq;
-      transmit_peer(p, ack);
+      transmit_peer(p, ack, serialize(ack));
       if (note_received(p, m.seq, k_.simulator().now())) {
         ++stats_.dup_suppressed;
         m_dup_suppressed_->inc();
@@ -544,7 +552,7 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
                     // serve span becomes a child of our call.setup span.
                     setup.trace_id = trace_id;
                     setup.parent_span = setup_span;
-                    send_peer(dst, setup);
+                    send_peer(dst, std::move(setup));
                     oit->second.setup_sent = true;
                   },
                   m.trace_id, setup_span);
@@ -593,7 +601,7 @@ void Sighost::handle_accept_conn(int fd, const std::string& key, const Msg& m) {
   // will now perform becomes a child of our call.serve span.
   acc.trace_id = inc.trace_id;
   acc.parent_span = inc.serve_span;
-  send_peer(inc.origin, acc);
+  send_peer(inc.origin, std::move(acc));
 }
 
 void Sighost::handle_reject_conn(int fd, const std::string& key, const Msg& m) {
@@ -761,7 +769,7 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
                            std::uint64_t trace_id, std::uint64_t parent_span) {
   auto oit = outgoing_.find(req_id);
   assert(oit != outgoing_.end());
-  const std::string dst = oit->second.dst_name;
+  const std::string& dst = oit->second.dst_name;
   atm::Qos qos = atm::parse_qos(qos_granted).value_or(atm::Qos{});
   net_.setup_vc(
       k_.atm_address(), atm::AtmAddress{dst}, qos,
@@ -818,7 +826,7 @@ void Sighost::establish_vc(ReqId req_id, const std::string& qos_granted,
         // with us if we later crash and restart.
         est.vci2 = r->src_vci;
         est.qos = qos_granted;
-        send_peer(dst, est);
+        send_peer(dst, std::move(est));
       }),
       call_name(k_.atm_address().name, req_id), trace_id, parent_span,
       // Constrain both endpoint VCIs to this shard's residue class so the
@@ -1193,14 +1201,14 @@ void Sighost::send_resync(const std::string& peer) {
   Peer& p = it->second;
   if (p.resync_attempts == 0) {
     // First attempt: our reliable-channel state died with the old process,
-    // so meet the peer at sequence zero.
+    // so start the channel afresh.
     reset_channel(p);
     p.resync_nonce = next_resync_nonce_++;
   }
   Msg m;
   m.type = MsgType::peer_resync;
   m.req_id = p.resync_nonce;
-  transmit_peer(p, m);
+  transmit_peer(p, m, serialize(m));
   if (++p.resync_attempts > kRetransmitMaxAttempts) return;
   p.resync_timer.arm(backoff(p.resync_attempts - 1),
                      [this, peer] { send_resync(peer); });
@@ -1216,14 +1224,15 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
   if (m.req_id == p.last_resync_seen) {
     // Retried resync (our ack was lost).  Re-ack without resetting: the
     // RESYNC_INFOs from the first pass are sequenced and still retransmit.
-    transmit_peer(p, ack);
+    transmit_peer(p, ack, serialize(ack));
     return;
   }
   p.last_resync_seen = m.req_id;
   ++stats_.resyncs;
-  // The restarted side lost all sequence state; meet it at zero.
+  // The restarted side lost all sequence state: take its numbering afresh,
+  // and drop what we still owed its previous life.
   reset_channel(p);
-  transmit_peer(p, ack);
+  transmit_peer(p, ack, serialize(ack));
   // It also forgot every request an earlier incarnation had in flight with
   // us.  Request ids and resync nonces come from the same per-incarnation
   // band, so a request from a lower band than the nonce's is one of those:
@@ -1265,7 +1274,7 @@ void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
     info.vci = e.remote_vci;  // their VCI for this call
     info.vci2 = vci;          // ours
     info.qos = e.qos;
-    send_peer(origin, info);
+    send_peer(origin, std::move(info));
   }
   maintenance_log("", [] {});
 }
@@ -1275,11 +1284,6 @@ void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
   if (pit == peers_.end()) return;
   Peer& p = pit->second;
   if (m.req_id != p.resync_nonce) return;  // stale nonce
-  // The peer restarted its numbering toward us when our resync reached it.
-  // Sequence numbers recorded while we waited belong to the channel it
-  // abandoned; kept, they would suppress its new messages of those numbers.
-  p.recv_floor = 0;
-  p.recv_above.clear();
   p.resync_timer.cancel();
   p.resync_attempts = 0;
   p.resync_nonce = 0;

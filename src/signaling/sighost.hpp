@@ -23,6 +23,7 @@
 #include "signaling/messages.hpp"
 #include "signaling/stub_proto.hpp"
 #include "sim/timer.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 
 namespace xunet::sig {
@@ -270,17 +271,21 @@ class Sighost {
     /// to restore req_id (torn down if none arrives in grace).
     bool recovered = false;
   };
-  struct PendingTx {  ///< one unacked sequenced message awaiting retransmit
-    Msg msg;
+  struct PendingTx {  ///< one sequenced message awaiting its ack
+    util::Buffer wire;  ///< as first sent; empty once acked or abandoned
     int attempts = 0;
     sim::Timer timer;
   };
   struct Peer {
     atm::AtmAddress addr;
     int send_fd = -1;
-    // Reliable channel, sender side.
+    // Reliable channel, sender side.  pending[i] is sequence number
+    // pending_base + i: a ring, so steady traffic allocates no storage.
     std::uint32_t next_seq = 1;
-    std::map<std::uint32_t, PendingTx> pending;
+    util::RingQueue<PendingTx> pending;
+    std::uint32_t pending_base = 1;
+    [[nodiscard]] PendingTx* unacked(std::uint32_t seq);  ///< null once settled
+    void settle(std::uint32_t seq);  ///< acked or abandoned: drop it and its timer
     // Reliable channel, receiver side: everything <= recv_floor was
     // delivered; recv_above holds out-of-order deliveries beyond it.
     // gap_since is when the floor last moved or a gap above it opened.
@@ -301,7 +306,7 @@ class Sighost {
   void on_app_msg(int fd, const Msg& m);
   void on_app_conn_closed(int fd);
   void send_app(int fd, const Msg& m);
-  void send_peer(const std::string& peer, const Msg& m);
+  void send_peer(const std::string& peer, Msg m);
   /// A peer message carrying only its type, request id and reason.
   void send_peer(const std::string& peer, MsgType type, ReqId id,
                  util::Errc reason = util::Errc::ok);
@@ -315,10 +320,8 @@ class Sighost {
   /// Does this type carry a sequence number (and therefore get
   /// retransmitted until acked)?  Acks and resync handshakes do not.
   [[nodiscard]] static bool sequenced(MsgType t) noexcept;
-  /// Put the message on the wire, applying any wire-fault verdict.
-  void transmit_peer(Peer& p, const Msg& m);
-  void wire_send(int send_fd, const Msg& m);
-  void queue_retransmit(const std::string& peer, const Msg& m);
+  /// Send `wire`, the frame of `m`, applying any wire-fault verdict.
+  void transmit_peer(Peer& p, const Msg& m, util::Buffer wire);
   void retransmit(const std::string& peer, std::uint32_t seq);
   [[nodiscard]] sim::SimDuration backoff(int attempts);
   /// Duplicate-suppression bookkeeping; true when `seq` was already seen.

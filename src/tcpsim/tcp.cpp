@@ -336,6 +336,10 @@ void TcpLayer::report_close(Conn& c, Errc reason) {
 void TcpLayer::enter_time_wait(Conn& c) {
   c.state = State::time_wait;
   c.rto_timer.cancel();
+  // All sent is acked, nothing more is delivered: keep what re-ACKs a FIN.
+  c.send_buf = util::Buffer{};
+  c.on_receive.reset();
+  c.on_connect = nullptr;
   ConnId id = c.id;
   c.wait_timer.arm(cfg_.msl * 2, [this, id] { release(id); });
 }

@@ -380,57 +380,44 @@ void UserLib::open_connection(const std::string& dst,
                               const std::string& comment,
                               const std::string& qos, const OpenOptions& opts,
                               OpenFn on_done, CookieFn on_req_id) {
-  const sim::SimTime give_up = k_.simulator().now() + opts.deadline;
   // A typed contract in the options wins over the freeform string: render
   // it to the wire format once, here, so every retry carries it.
-  const std::string& wire_qos =
-      opts.qos.has_value() ? atm::to_string(*opts.qos) : qos;
-  retry_open(dst, service, comment, wire_qos, opts, give_up,
-             opts.retry_backoff, std::move(on_done),
-             std::make_shared<CookieFn>(std::move(on_req_id)));
+  retry_open(std::make_shared<OpenRequest>(OpenRequest{
+                 dst, service, comment,
+                 opts.qos.has_value() ? atm::to_string(*opts.qos) : qos,
+                 k_.simulator().now() + opts.deadline, opts.retry_backoff_max,
+                 std::move(on_done), std::move(on_req_id)}),
+             opts.retry_backoff);
 }
 
-void UserLib::retry_open(const std::string& dst, const std::string& service,
-                         const std::string& comment, const std::string& qos,
-                         OpenOptions opts, sim::SimTime give_up,
-                         sim::SimDuration backoff, OpenFn on_done,
-                         std::shared_ptr<CookieFn> on_req_id) {
-  if (sig::wire_size(dst.size() + service.size() + comment.size() + qos.size()) >
-      sig::kMaxMsgBytes) {
+void UserLib::retry_open(std::shared_ptr<OpenRequest> req,
+                         sim::SimDuration backoff) {
+  if (sig::wire_size(req->dst.size() + req->service.size() +
+                     req->comment.size() + req->qos.size()) > sig::kMaxMsgBytes) {
     // Its CONNECT_REQ could not be framed: a wrapped length prefix would
     // desynchronise the channel and lose the requests behind it.
-    if (*on_req_id) (*on_req_id)(Errc::message_too_long);
-    on_done(Errc::message_too_long);
+    if (req->on_req_id) req->on_req_id(Errc::message_too_long);
+    req->on_done(Errc::message_too_long);
     return;
   }
   CookieFn per_attempt;
-  if (*on_req_id) {
-    per_attempt = [on_req_id](util::Result<sig::Cookie> c) {
-      (*on_req_id)(std::move(c));
-    };
+  if (req->on_req_id) {
+    per_attempt = [req](util::Result<sig::Cookie> c) { req->on_req_id(std::move(c)); };
   }
   open_once(
-      dst, service, comment, qos,
-      [this, dst, service, comment, qos, opts, give_up, backoff,
-       on_done = std::move(on_done),
-       on_req_id](util::Result<OpenResult> r) mutable {
+      req->dst, req->service, req->comment, req->qos,
+      [this, req, backoff](util::Result<OpenResult> r) {
         if (r || !transient_error(r.error())) {
-          on_done(std::move(r));
+          req->on_done(std::move(r));
           return;
         }
         sim::Simulator& sim = k_.simulator();
-        if (sim.now() + backoff >= give_up || !k_.alive(pid_)) {
-          on_done(r.error());  // budget exhausted: the failure is final
+        if (sim.now() + backoff >= req->give_up || !k_.alive(pid_)) {
+          req->on_done(r.error());  // budget exhausted: the failure is final
           return;
         }
-        const sim::SimDuration next =
-            std::min(backoff + backoff, opts.retry_backoff_max);
-        sim.schedule(backoff, [this, dst, service, comment, qos, opts, give_up,
-                               next, on_done = std::move(on_done),
-                               on_req_id]() mutable {
-          retry_open(dst, service, comment, qos, opts, give_up, next,
-                     std::move(on_done), std::move(on_req_id));
-        });
+        const sim::SimDuration next = std::min(backoff + backoff, req->backoff_max);
+        sim.schedule(backoff, [this, req, next] { retry_open(req, next); });
       },
       std::move(per_attempt));
 }

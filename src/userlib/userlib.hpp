@@ -192,11 +192,16 @@ class UserLib {
   void open_once(const std::string& dst, const std::string& service,
                  const std::string& comment, const std::string& qos,
                  OpenFn on_done, CookieFn on_req_id);
-  void retry_open(const std::string& dst, const std::string& service,
-                  const std::string& comment, const std::string& qos,
-                  OpenOptions opts, sim::SimTime give_up,
-                  sim::SimDuration backoff, OpenFn on_done,
-                  std::shared_ptr<CookieFn> on_req_id);
+  /// One open_connection across its attempts, which share it: what each
+  /// sends (`qos` in wire form) and whom the outcome goes to.
+  struct OpenRequest {
+    std::string dst, service, comment, qos;
+    sim::SimTime give_up;
+    sim::SimDuration backoff_max;
+    OpenFn on_done;
+    CookieFn on_req_id;
+  };
+  void retry_open(std::shared_ptr<OpenRequest> req, sim::SimDuration backoff);
   void channel_send(const sig::Msg& m);
   void on_channel_msg(const sig::Msg& m);
   void on_percall_msg(int fd, const sig::Msg& m);

@@ -2,6 +2,7 @@
 // network controller (routing, admission, PVCs, teardown).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -9,6 +10,7 @@
 
 #include "atm/network.hpp"
 #include "atm/qos.hpp"
+#include "util/alloc_hook.hpp"
 #include "util/rng.hpp"
 
 namespace xunet::atm {
@@ -205,6 +207,68 @@ TEST(VciAllocator, MatchesLowestFreeModelUnderMixedClassChurn) {
   }
 }
 
+TEST(VciAllocator, ReservesTheTopVci) {
+  VciAllocator a;
+  EXPECT_TRUE(a.reserve(kMaxVci).ok());
+  EXPECT_EQ(a.reserve(kMaxVci).error(), util::Errc::duplicate);
+  EXPECT_EQ(a.in_use(), 1u);
+  a.release(kMaxVci);
+  EXPECT_EQ(a.in_use(), 0u);
+  EXPECT_TRUE(a.reserve(kMaxVci).ok());
+}
+
+TEST(VciAllocator, ReleasingAnUnusedVciChangesNothing) {
+  VciAllocator a;
+  auto v = a.allocate();
+  ASSERT_TRUE(v.ok());
+  a.release(static_cast<Vci>(*v + 1));  // never handed out
+  a.release(7);                         // never reserved
+  EXPECT_EQ(a.in_use(), 1u);
+  // The stray releases left no hole: the next VCI is the next in line.
+  auto next = a.allocate();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, *v + 1);
+}
+
+TEST(VciAllocator, InUseCountsReservedAndAllocated) {
+  VciAllocator a;
+  ASSERT_TRUE(a.reserve(5).ok());
+  ASSERT_TRUE(a.reserve(kFirstSwitchedVci).ok());
+  auto even = a.allocate(2, 0);  // skips the reserved floor VCI
+  auto odd = a.allocate(2, 1);
+  auto any = a.allocate();
+  ASSERT_TRUE(even.ok() && odd.ok() && any.ok());
+  EXPECT_EQ(*even, kFirstSwitchedVci + 2);
+  EXPECT_EQ(*odd, kFirstSwitchedVci + 1);
+  EXPECT_EQ(*any, kFirstSwitchedVci + 3);
+  EXPECT_EQ(a.in_use(), 5u);
+  a.release(*odd);
+  a.release(5);
+  EXPECT_EQ(a.in_use(), 3u);
+  // The freed odd VCI is the lowest free one for both classes it is in.
+  EXPECT_EQ(*a.allocate(), kFirstSwitchedVci + 1);
+  EXPECT_EQ(a.in_use(), 4u);
+}
+
+TEST(VciAllocator, ReleaseAllocateCycleAllocatesNothing) {
+  if (!util::alloc_hook_installed()) GTEST_SKIP() << "alloc hook not linked";
+  VciAllocator a;
+  std::vector<Vci> live;
+  for (int i = 0; i < 64; ++i) live.push_back(*a.allocate(2, 1));
+  // Warm up: each class's hole heap reaches its working capacity.
+  for (Vci v : live) a.release(v);
+  for (Vci& v : live) v = *a.allocate(2, 1);
+  const std::uint64_t before = util::alloc_count();
+  for (int round = 0; round < 100; ++round) {
+    for (std::size_t i = 0; i < live.size(); i += 3) {
+      a.release(live[i]);
+      live[i] = *a.allocate(2, 1);
+    }
+  }
+  EXPECT_EQ(util::alloc_count() - before, 0u);
+  EXPECT_EQ(a.in_use(), live.size());
+}
+
 // ---------------------------------------------------------------- CellLink
 
 struct SinkCapture : CellSink {
@@ -355,6 +419,47 @@ TEST(AtmSwitch, DestroyedMidTrainLeavesNoEventBehind) {
     EXPECT_EQ(sim.pending(), 0u);
   }
   force_per_cell(false);
+}
+
+TEST(AtmSwitch, PolicedRouteDropsNonConformingCells) {
+  sim::Simulator sim;
+  AtmSwitch sw(sim, "s");
+  SinkCapture out;
+  int p_in = sw.add_port();
+  int p_out = sw.add_port();
+  CellLink out_link(sim, kDs3Bps, sim::SimDuration{}, out);
+  sw.set_output(p_out, out_link);
+  Qos policed;
+  policed.pcr_bps = 1'000'000;  // one cell per 424 us
+  ASSERT_TRUE(sw.install_route(p_in, 50, p_out, 60, policed).ok());
+  ASSERT_TRUE(sw.install_route(p_in, 51, p_out, 61, Qos{}).ok());
+
+  // Ten back-to-back cells on each VC: the policed one passes only its
+  // first, the unpoliced one passes all.
+  for (int i = 0; i < 10; ++i) {
+    Cell c;
+    c.vci = 50;
+    sw.input(p_in).cell_arrival(c);
+    c.vci = 51;
+    sw.input(p_in).cell_arrival(c);
+  }
+  sim.run();
+  EXPECT_EQ(sw.cells_discarded(p_in, DiscardCause::policed), 9u);
+  const auto on = [&](Vci vci) {
+    return std::count_if(out.cells.begin(), out.cells.end(),
+                         [vci](const Cell& c) { return c.vci == vci; });
+  };
+  EXPECT_EQ(on(60), 1);
+  EXPECT_EQ(on(61), 10);
+
+  // A conforming cell one cell time later passes again.
+  sim.run_for(sim::microseconds(424));
+  Cell c;
+  c.vci = 50;
+  sw.input(p_in).cell_arrival(c);
+  sim.run();
+  EXPECT_EQ(on(60), 2);
+  EXPECT_EQ(sw.cells_discarded(p_in, DiscardCause::policed), 9u);
 }
 
 TEST(AtmSwitch, RemoveUnknownRouteFails) {

@@ -510,6 +510,51 @@ TEST_F(TwoKernelFixture, ClosedTcpFdLingersInTimeWaitFor2Msl) {
   EXPECT_EQ(kb->fds_in_time_wait(), 0u);
 }
 
+TEST_F(TwoKernelFixture, TimeWaitReAcksARetransmittedFinAfterReleasingItsBuffers) {
+  Pid server = kb->spawn("server");
+  Pid client = ka->spawn("client");
+  std::optional<int> afd, cfd;
+  ASSERT_TRUE(kb->tcp_listen(server, 80, [&](int fd) { afd = fd; }).ok());
+  (void)ka->tcp_connect(client, kb->ip_node().address(), 80,
+                        [&](util::Result<int> r) { cfd = *r; });
+  sim.run_for(sim::milliseconds(100));
+  ASSERT_TRUE(afd && cfd);
+  // Data both ways first, so each side has used its send buffer and
+  // receive upcall.
+  std::string at_server;
+  ASSERT_TRUE(kb->tcp_on_receive(server, *afd, [&](util::BytesView d) {
+                  at_server += util::to_text(d);
+                }).ok());
+  ASSERT_TRUE(ka->tcp_send(client, *cfd, util::to_buffer(std::string_view("hi"))).ok());
+  ASSERT_TRUE(kb->tcp_send(server, *afd, util::to_buffer(std::string_view("yo"))).ok());
+  sim.run_for(sim::milliseconds(100));
+  EXPECT_EQ(at_server, "hi");
+
+  const std::size_t before = kb->fd_in_use(server);
+  ASSERT_TRUE(kb->close(server, *afd).ok());  // active close
+  sim.run_for(sim::milliseconds(200));
+  // The client's FIN leaves one context switch after its close(); the
+  // server's ACK of it is lost, so the client retransmits the FIN to a
+  // connection that is already in TIME_WAIT.
+  ASSERT_TRUE(ka->close(client, *cfd).ok());
+  sim.run_for(cfg.context_switch);
+  link->set_down(true);
+  sim.run_for(sim::milliseconds(1));
+  link->set_down(false);
+  EXPECT_EQ(kb->fds_in_time_wait(), 1u);
+  EXPECT_EQ(ka->tcp().connection_count(), 1u);  // LAST_ACK, FIN unacked
+
+  sim.run_for(sim::seconds(1));
+  EXPECT_GT(ka->tcp().retransmits(), 0u);
+  EXPECT_EQ(ka->tcp().connection_count(), 0u);  // the re-ACK closed it
+  EXPECT_EQ(kb->fd_in_use(server), before);     // still pinned
+  EXPECT_EQ(kb->fds_in_time_wait(), 1u);
+
+  sim.run_for(kb->tcp().config().msl * 2);
+  EXPECT_EQ(kb->fd_in_use(server), before - 1);  // released after 2 MSL
+  EXPECT_EQ(kb->fds_in_time_wait(), 0u);
+}
+
 TEST_F(TwoKernelFixture, AcceptBeyondFdTableIsRefused) {
   Pid server = kb->spawn("server");
   int accepted = 0;

@@ -116,6 +116,14 @@ TEST(LintLife, RefCaptureFlaggedOnlyAtScheduleSinks) {
   EXPECT_EQ(r.findings.size(), 2u);
 }
 
+TEST(LintLife, RefCaptureNestedInScheduledLambdaReportedOnce) {
+  Report r = lint_files({"life_capture_nested.cpp"});
+  auto fs = with_rule(r, "LIFE-REF-CAPTURE");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0]->line, 16);
+  EXPECT_EQ(r.findings.size(), 1u);
+}
+
 TEST(LintLife, TimerRearmFlagsRefCapturesInSelfArmingChains) {
   Report r = lint_files({"life_rearm.cpp"});
   auto fs = with_rule(r, "LIFE-TIMER-REARM");

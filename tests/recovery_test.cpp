@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <set>
 #include <vector>
@@ -119,6 +120,66 @@ TEST(ReliableDelivery, CorruptedFramesAreCountedAndRetransmitted) {
   const auto& s1 = rig.tb->router(1).sighost->stats();
   EXPECT_GT(s0.peer_parse_errors + s1.peer_parse_errors, 0u);
   EXPECT_GT(plan.stats().corrupted, 0u);
+}
+
+// A retransmit resends the frame kept from the first transmission.  Every
+// ack of mh.rt's PEER_SETUP is lost, so it goes out until the retry budget
+// is spent: once as sent, then duplicated, then corrupted, then as sent
+// again.  Every copy berkeley.rt's interface receives is the original
+// frame, byte for byte, except the one corrupted copy, which is the
+// original with one bit flipped.
+TEST(ReliableDelivery, RetransmittedFramesAreTheOriginalFrame) {
+  Rig rig;
+  sig::Sighost& a = *rig.tb->router(0).sighost;
+  sig::Sighost& b = *rig.tb->router(1).sighost;
+  kern::Kernel& kb = *rig.tb->router(1).kernel;
+  std::vector<util::Buffer> arrived;
+  kb.hobbit()->set_frame_handler([&](atm::Vci vci, kern::MbufChain chain) {
+    arrived.push_back(util::to_buffer(chain.bytes()));
+    kb.orc().input(vci, std::move(chain));
+  });
+  util::Buffer original;
+  std::uint32_t setup_seq = 0;
+  int sends = 0;
+  a.set_wire_fault([&](const std::string&, const std::string&, const sig::Msg& m) {
+    sig::WireVerdict v;
+    if (m.type != sig::MsgType::peer_setup) return v;
+    if (++sends == 1) {
+      original = sig::serialize(m);
+      setup_seq = m.seq;
+    }
+    if (sends == 2) v.fault = sig::WireFault::duplicate;
+    if (sends == 3) v.fault = sig::WireFault::corrupt;
+    return v;
+  });
+  b.set_wire_fault([&](const std::string&, const std::string&, const sig::Msg& m) {
+    sig::WireVerdict v;
+    if (m.type == sig::MsgType::peer_ack && m.seq == setup_seq) {
+      v.fault = sig::WireFault::drop;
+    }
+    return v;
+  });
+  int ok = 0;
+  rig.client->open("berkeley.rt", "svc", "",
+                   [&](util::Result<CallClient::Call> r) { ok += r.ok(); });
+  rig.tb->sim().run_for(sim::seconds(30));
+  EXPECT_EQ(ok, 1);
+  ASSERT_GE(sends, 4);
+  EXPECT_EQ(a.stats().retransmits, static_cast<std::uint64_t>(sends - 1));
+
+  int same = 0, one_bit = 0;
+  for (const util::Buffer& f : arrived) {
+    if (f.size() != original.size()) continue;
+    int bits = 0;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      bits += std::popcount(static_cast<unsigned>(f[i] ^ original[i]));
+    }
+    same += bits == 0;
+    one_bit += bits == 1;
+  }
+  EXPECT_EQ(same, sends);  // one copy lost to corruption, one gained by duplication
+  EXPECT_EQ(one_bit, 1);
+  EXPECT_EQ(b.stats().peer_parse_errors, 1u);
 }
 
 TEST(ReliableDelivery, DuplicateWindowSkipsANumberItsSenderAbandoned) {
@@ -490,15 +551,62 @@ TEST(CrashRecovery, ResyncEndsRequestsTheRestartedPeerForgot) {
   EXPECT_TRUE(rep.clean()) << rep.describe();
 }
 
+// The survivor of a peer's restart keeps numbering past the old channel,
+// so losing its PEER_RESYNC_ACK costs nothing.  mh.rt restarts; its first
+// PEER_RESYNC is lost, and before the retry berkeley.rt sends it an
+// old-channel PEER_TEARDOWN (seq 3), which the restarted side records.
+// Every PEER_RESYNC_ACK is lost.  A survivor that restarted its numbering
+// at 1 would send the teardown of the next call as seq 3 again, and mh.rt
+// would suppress it as a duplicate and keep that call's record.
+TEST(CrashRecovery, LostResyncAckLeavesNoNumberToReuse) {
+  Rig rig;
+  int resyncs = 0;
+  rig.tb->set_wire_fault([&](const std::string& self, const std::string&,
+                             const sig::Msg& m) {
+    sig::WireVerdict v;
+    if ((self == "mh.rt" && m.type == sig::MsgType::peer_resync && ++resyncs == 1) ||
+        (self == "berkeley.rt" && m.type == sig::MsgType::peer_resync_ack)) {
+      v.fault = sig::WireFault::drop;
+    }
+    return v;
+  });
+  int ok = 0;
+  auto on_open = [&](util::Result<CallClient::Call> r) { ok += r.ok(); };
+  rig.client->open("berkeley.rt", "svc", "", on_open);
+  rig.tb->sim().run_for(sim::seconds(1));
+  ASSERT_EQ(ok, 1);
+
+  rig.tb->crash_sighost(0);
+  rig.tb->sim().run_for(sim::milliseconds(20));
+  ASSERT_TRUE(rig.tb->restart_sighost(0).ok());
+  rig.server->kill();  // berkeley.rt tears the call down on the old channel
+  rig.tb->sim().run_for(sim::seconds(1));
+  EXPECT_GE(resyncs, 2);
+
+  auto& r1 = rig.tb->router(1);
+  CallServer second(*r1.kernel, r1.kernel->ip_node().address(), "svc2", 6201);
+  second.start([](util::Result<void>) {});
+  rig.tb->sim().run_for(sim::milliseconds(300));
+  rig.client->open("berkeley.rt", "svc2", "", on_open);
+  rig.tb->sim().run_for(sim::seconds(1));
+  ASSERT_EQ(ok, 2);
+  second.kill();  // this teardown must reach mh.rt
+  rig.tb->sim().run_for(rig.tb->config().sighost.resync_grace + sim::seconds(1));
+
+  auto rep = rig.tb->audit();
+  EXPECT_TRUE(rep.clean()) << rep.describe();
+  EXPECT_TRUE(rig.tb->router(0).sighost->audit_snapshot().vci_mapping.empty());
+}
+
 // A restarted sighost resets its channel state when it first sends
 // PEER_RESYNC, but the peer keeps numbering its messages on the old channel
 // until that resync reaches it.  Here the resync is held up (trunk cut, then
 // a lost ack), so old-channel sequence numbers land in the restarted side's
-// duplicate window; the peer, once reset, reuses those numbers, and a later
-// PEER_TEARDOWN or PEER_ESTABLISHED was suppressed as a "duplicate",
+// duplicate window.  A peer that reused those numbers after the resync had a
+// later PEER_TEARDOWN or PEER_ESTABLISHED suppressed as a "duplicate",
 // leaving a call record or a VC behind.  Each schedule below is a shrunk
 // chaos_run repro (--crashes 2) of that leak.
-TEST(CrashRecovery, ResyncAckClearsSequenceNumbersOfTheAbandonedChannel) {
+TEST(CrashRecovery, ResyncNeverReusesSequenceNumbersOfTheAbandonedChannel) {
   using chaos::ChaosEvent;
   using chaos::ChaosEventKind;
   const auto event = [](ChaosEventKind kind, std::int64_t at_ms,

@@ -253,17 +253,21 @@ void rule_life_ref_capture(const Unit& u, std::vector<Finding>& out) {
       if (cb + 1 >= t.size()) continue;
       const std::string& nxt = t[cb + 1].text;
       if (nxt != "(" && nxt != "{" && nxt != "mutable") continue;
-      for (std::size_t c = j + 1; c < cb; ++c) {
-        bool capture_pos = c == j + 1 || t[c - 1].text == ",";
-        if (capture_pos && (t[c].text == "&" || t[c].text == "&&")) {
-          // Anchor at the sink call, not the capture: that is the statement
-          // line an annotation naturally sits above.
-          add(out, u, "LIFE-REF-CAPTURE", t[i].line,
-              "by-reference lambda capture passed to '" + t[i].text +
-                  "': the pooled engine runs this after the enclosing frame "
-                  "is gone — capture by value (or a weak liveness token)");
-          break;
-        }
+      bool by_ref = false;
+      for (std::size_t c = j + 1; c < cb && !by_ref; ++c) {
+        by_ref = (c == j + 1 || t[c - 1].text == ",") &&
+                 (t[c].text == "&" || t[c].text == "&&");
+      }
+      if (by_ref) {
+        // Anchor at the sink call, not the capture: that is the statement
+        // line an annotation naturally sits above.  One finding per sink
+        // call, so a by-reference lambda nested in the scheduled one is not
+        // reported a second time at the same line.
+        add(out, u, "LIFE-REF-CAPTURE", t[i].line,
+            "by-reference lambda capture passed to '" + t[i].text +
+                "': the pooled engine runs this after the enclosing frame "
+                "is gone — capture by value (or a weak liveness token)");
+        break;
       }
       j = cb;  // skip past this lambda's capture list
     }
