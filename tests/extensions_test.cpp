@@ -5,9 +5,14 @@
 // pattern), and the network-management view of sighost state (§5.1).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "core/apps.hpp"
 #include "core/duplex.hpp"
 #include "core/testbed.hpp"
+#include "userlib/userlib.hpp"
 
 namespace xunet {
 namespace {
@@ -288,6 +293,149 @@ TEST(Management, ReportShowsServicesAndLiveCalls) {
   std::string r0_report = tb->router(0).sighost->management_report();
   EXPECT_NE(r0_report.find("(originator)"), std::string::npos);
   EXPECT_NE(r0_report.find("bw=777"), std::string::npos);
+}
+
+/// A call's name and granted QoS reach text in two places: the management
+/// report and the audit snapshot's call keys.  Both are pinned byte for
+/// byte across originator and callee entries, an empty, a structured and
+/// an unparseable QoS, an unconfirmed entry, request ids on both sides of
+/// a digit boundary (string order puts #10 before #5), and the unclaimed
+/// entries a restarted sighost audits back.
+std::string golden_surfaces() {
+  auto tb = TestbedConfig{}.build_deferred();
+  EXPECT_TRUE(tb->bring_up().ok());
+  auto& r0 = *tb->router(0).kernel;
+  auto& r1 = *tb->router(1).kernel;
+  // A raw server: it grants each call the QoS text it asked for, binds the
+  // first three, leaves the fourth unbound and the rest undecided.
+  kern::Pid spid = r1.spawn("golden-server");
+  app::UserLib server(r1, spid, r1.ip_node().address());
+  int served = 0;
+  std::vector<app::IncomingRequest> undecided;
+  std::function<void()> serve = [&] {
+    server.await_service_request([&](util::Result<app::IncomingRequest> r) {
+      if (!r) return;
+      const app::IncomingRequest req = *r;
+      if (++served <= 4) {
+        const bool bind = served <= 3;
+        server.accept_connection(
+            req, req.qos, [&server, bind](util::Result<app::OpenResult> o) {
+              if (o && bind) (void)server.bind_data_socket(*o);
+            });
+      } else {
+        undecided.push_back(req);
+      }
+      serve();
+    });
+  };
+  server.export_service("golden", 4640, [](util::Result<void>) {});
+  serve();
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid cpid = r0.spawn("golden-client");
+  app::UserLib client(r0, cpid, r0.ip_node().address());
+  const char* qos[] = {"", "class=guaranteed,bw=777", "bw=lots;;=", "",
+                       "", "", "", "", "", "", ""};
+  for (const char* q : qos) {
+    client.open_connection("berkeley.rt", "golden", "", q,
+                           [&client](util::Result<app::OpenResult> o) {
+                             if (o) (void)client.connect_data_socket(*o);
+                           });
+    tb->sim().run_for(sim::seconds(1));
+  }
+
+  auto keys = [](const sig::Sighost& sh) {
+    const sig::Sighost::ListSnapshot s = sh.audit_snapshot();
+    std::string out = "  outgoing:";
+    for (const std::string& k : s.outgoing_calls) out += " " + k;
+    out += "\n  incoming:";
+    for (const std::string& k : s.incoming_calls) out += " " + k;
+    out += "\n  vci_mapping:";
+    for (const auto& e : s.vci_mapping) {
+      out += " " + std::to_string(e.vci) + "=" + e.call_key;
+    }
+    return out + "\n";
+  };
+  std::string text;
+  for (std::size_t i = 0; i < 2; ++i) {
+    text += tb->router(i).sighost->management_report();
+    text += keys(*tb->router(i).sighost);
+  }
+  tb->crash_sighost(1);
+  tb->sim().run_for(sim::milliseconds(100));
+  EXPECT_TRUE(tb->restart_sighost(1).ok());
+  text += "restarted:\n" + tb->router(1).sighost->management_report() +
+          keys(*tb->router(1).sighost);
+  tb->sim().run_for(sim::seconds(6));
+  text += "resynced:\n" + tb->router(1).sighost->management_report() +
+          keys(*tb->router(1).sighost);
+  return text;
+}
+
+TEST(Management, ReportAndCallKeysAreByteExact) {
+  const std::string golden = R"(sighost@mh.rt
+  service_list (0):
+  outgoing_requests: 7
+  incoming_requests: 0
+  wait_for_bind: 1
+  VCI_mapping (4):
+    vci=1024 call=mh.rt#1 (originator) confirmed qos=<>
+    vci=1025 call=mh.rt#2 (originator) confirmed qos=<class=guaranteed,bw=777>
+    vci=1026 call=mh.rt#3 (originator) confirmed qos=<bw=lots;;=>
+    vci=1027 call=mh.rt#4 (originator) unconfirmed qos=<>
+  stats: established=4 torn_down=0 rejects=0 auth_failures=0 bind_timeouts=0
+  reliability: retransmits=0 dup_suppressed=0 abandoned=0 sheds=0 resyncs=0 recovered=0 orphans=0
+  outgoing: mh.rt#5 mh.rt#6 mh.rt#7 mh.rt#8 mh.rt#9 mh.rt#10 mh.rt#11
+  incoming:
+  vci_mapping: 1024=mh.rt#1 1025=mh.rt#2 1026=mh.rt#3 1027=mh.rt#4
+sighost@berkeley.rt
+  service_list (1):
+    golden -> 10.0.1.1:4640
+  outgoing_requests: 0
+  incoming_requests: 7
+  wait_for_bind: 1
+  VCI_mapping (4):
+    vci=1024 call=mh.rt#1 (callee) confirmed qos=<>
+    vci=1025 call=mh.rt#2 (callee) confirmed qos=<class=guaranteed,bw=777>
+    vci=1026 call=mh.rt#3 (callee) confirmed qos=<bw=lots;;=>
+    vci=1027 call=mh.rt#4 (callee) unconfirmed qos=<>
+  stats: established=4 torn_down=0 rejects=0 auth_failures=0 bind_timeouts=0
+  reliability: retransmits=0 dup_suppressed=0 abandoned=0 sheds=0 resyncs=0 recovered=0 orphans=0
+  outgoing:
+  incoming: mh.rt#10 mh.rt#11 mh.rt#5 mh.rt#6 mh.rt#7 mh.rt#8 mh.rt#9
+  vci_mapping: 1024=mh.rt#1 1025=mh.rt#2 1026=mh.rt#3 1027=mh.rt#4
+restarted:
+sighost@berkeley.rt
+  service_list (0):
+  outgoing_requests: 0
+  incoming_requests: 0
+  wait_for_bind: 0
+  VCI_mapping (3):
+    vci=1024 call= (callee) confirmed qos=<>
+    vci=1025 call= (callee) confirmed qos=<>
+    vci=1026 call= (callee) confirmed qos=<>
+  stats: established=0 torn_down=0 rejects=0 auth_failures=0 bind_timeouts=0
+  reliability: retransmits=0 dup_suppressed=0 abandoned=0 sheds=0 resyncs=0 recovered=0 orphans=0
+  outgoing:
+  incoming:
+  vci_mapping: 1024= 1025= 1026=
+resynced:
+sighost@berkeley.rt
+  service_list (0):
+  outgoing_requests: 0
+  incoming_requests: 0
+  wait_for_bind: 0
+  VCI_mapping (3):
+    vci=1024 call=mh.rt#1 (callee) confirmed qos=<>
+    vci=1025 call=mh.rt#2 (callee) confirmed qos=<class=guaranteed,bw=777>
+    vci=1026 call=mh.rt#3 (callee) confirmed qos=<bw=lots;;=>
+  stats: established=0 torn_down=0 rejects=0 auth_failures=0 bind_timeouts=0
+  reliability: retransmits=0 dup_suppressed=0 abandoned=0 sheds=0 resyncs=0 recovered=3 orphans=0
+  outgoing:
+  incoming:
+  vci_mapping: 1024=mh.rt#1 1025=mh.rt#2 1026=mh.rt#3
+)";
+  EXPECT_EQ(golden_surfaces(), golden);
 }
 
 // ------------------------------------------- origin address in INCOMING_CONN

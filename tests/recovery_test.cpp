@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <optional>
 #include <set>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/apps.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault.hpp"
+#include "userlib/userlib.hpp"
 
 namespace xunet {
 namespace {
@@ -549,6 +551,53 @@ TEST(CrashRecovery, ResyncEndsRequestsTheRestartedPeerForgot) {
   EXPECT_EQ(err1, util::Errc::connection_reset);
   auto rep = rig.tb->audit();
   EXPECT_TRUE(rep.clean()) << rep.describe();
+}
+
+// The survivor ends a restarted peer's forgotten requests in call-key
+// order, which is string order: "mh.rt#10" and "mh.rt#11" come between
+// "mh.rt#1" and "mh.rt#2".  The servers' CONN_FAILEDs go out in that order.
+TEST(CrashRecovery, ResyncEndsForgottenRequestsInCallKeyOrder) {
+  auto tb = core::TestbedConfig{}.build_deferred();
+  ASSERT_TRUE(tb->bring_up().ok());
+  auto& r0 = *tb->router(0).kernel;
+  auto& r1 = *tb->router(1).kernel;
+  kern::Pid spid = r1.spawn("undecided-server");
+  app::UserLib server(r1, spid, r1.ip_node().address());
+  std::vector<app::IncomingRequest> held;
+  std::function<void()> serve = [&] {
+    server.await_service_request([&](util::Result<app::IncomingRequest> r) {
+      if (!r) return;
+      held.push_back(*r);
+      serve();
+    });
+  };
+  server.export_service("undecided", 6202, [](util::Result<void>) {});
+  serve();
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid cpid = r0.spawn("caller");
+  app::UserLib client(r0, cpid, r0.ip_node().address());
+  for (int i = 0; i < 11; ++i) {
+    client.open_connection("berkeley.rt", "undecided", "", "",
+                           [](util::Result<app::OpenResult>) {});
+  }
+  tb->sim().run_for(sim::seconds(2));
+  ASSERT_EQ(held.size(), 11u);
+  ASSERT_EQ(tb->router(1).sighost->incoming_requests_size(), 11u);
+
+  std::vector<sig::ReqId> failed;
+  tb->router(1).sighost->set_trace(
+      [&](std::string_view dir, std::string_view, const sig::Msg& m) {
+        if (dir == "->app" && m.type == sig::MsgType::conn_failed) {
+          failed.push_back(m.req_id);
+        }
+      });
+  tb->crash_sighost(0);
+  tb->sim().run_for(sim::milliseconds(20));
+  ASSERT_TRUE(tb->restart_sighost(0).ok());
+  tb->sim().run_for(sim::seconds(1));
+  EXPECT_EQ(failed, (std::vector<sig::ReqId>{1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(tb->router(1).sighost->incoming_requests_size(), 0u);
 }
 
 // The survivor of a peer's restart keeps numbering past the old channel,
