@@ -195,8 +195,10 @@ int AtmNetwork::edge_between(int a, int b) const {
 util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
     const std::vector<int>& path, const Qos& qos,
     std::optional<Vci> fixed_vci, VciPartition part) {
-  ActiveVc vc;
-  vc.hops.reserve(path.size() - 1);
+  ActiveVc vc{.src = path.front(), .dst = path.back()};
+  if (path.size() - 1 > kInlineHops) {
+    vc.far = std::make_unique<HopState[]>(path.size() - 1);
+  }
   // Allocate a VCI on every edge of the path.  The partition constraint
   // applies only to the two endpoint-facing edges: those VCIs are what the
   // endpoint kernels demux on, while interior trunk VCIs are private to the
@@ -219,13 +221,13 @@ util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
       uninstall(vc, 0);
       return vci.error();
     }
-    vc.hops.push_back(HopState{ei, *vci});
+    vc.push(HopState{ei, *vci});
   }
   // Install switch routes: the switch each hop but the last enters routes
   // (incoming edge's port, incoming VCI) -> (outgoing edge's port, out VCI).
-  for (std::size_t i = 0; i + 1 < vc.hops.size(); ++i) {
-    const HopState& in = vc.hops[i];
-    const HopState& out = vc.hops[i + 1];
+  for (std::size_t i = 0; i + 1 < vc.hop_count; ++i) {
+    const HopState& in = vc.hops()[i];
+    const HopState& out = vc.hops()[i + 1];
     const Edge& in_e = edges_[static_cast<std::size_t>(in.edge)];
     const Edge& out_e = edges_[static_cast<std::size_t>(out.edge)];
     const Node& n = nodes_[static_cast<std::size_t>(in_e.to)];
@@ -242,25 +244,22 @@ util::Result<AtmNetwork::ActiveVc> AtmNetwork::install_path(
 
 void AtmNetwork::uninstall(ActiveVc& vc, std::size_t routes) {
   for (std::size_t i = 0; i < routes; ++i) {
-    const HopState& h = vc.hops[i];
+    const HopState& h = vc.hops()[i];
     const Edge& e = edges_[static_cast<std::size_t>(h.edge)];
     (void)nodes_[static_cast<std::size_t>(e.to)].sw->remove_route(e.to_port, h.vci);
   }
-  for (const HopState& h : vc.hops) {
+  for (const HopState& h : vc.hops()) {
     edges_[static_cast<std::size_t>(h.edge)].vcis->release(h.vci);
   }
-  vc.hops.clear();
+  vc.hop_count = 0;
 }
 
-VcHandle AtmNetwork::activate(ActiveVc vc, const AtmAddress& src,
-                              const AtmAddress& dst) {
+VcHandle AtmNetwork::activate(ActiveVc vc) {
   VcHandle h;
   h.id = next_vc_id_++;
-  h.src_vci = vc.hops.front().vci;
-  h.dst_vci = vc.hops.back().vci;
-  h.hop_count = static_cast<int>(vc.hops.size());
-  vc.src = src;
-  vc.dst = dst;
+  h.src_vci = vc.hops().front().vci;
+  h.dst_vci = vc.hops().back().vci;
+  h.hop_count = static_cast<int>(vc.hop_count);
   active_.try_emplace(h.id, std::move(vc));
   return h;
 }
@@ -291,7 +290,7 @@ void AtmNetwork::setup_vc(const AtmAddress& src, const AtmAddress& dst,
     }
     latency += kPerSwitchSetup * static_cast<std::int64_t>(path.size() - 2);
     auto vc = install_path(path, qos, std::nullopt, part);
-    r = vc ? util::Result<VcHandle>(activate(std::move(*vc), src, dst)) : vc.error();
+    r = vc ? util::Result<VcHandle>(activate(std::move(*vc))) : vc.error();
   }
   if (!r) {
     ++setups_denied_;
@@ -323,21 +322,14 @@ util::Result<VcHandle> AtmNetwork::setup_pvc(const AtmAddress& src,
   if (path.empty()) return Errc::no_route;
   auto vc = install_path(path, qos, vci);
   if (!vc) return vc.error();
-  return activate(std::move(*vc), src, dst);
+  return activate(std::move(*vc));
 }
 
 std::size_t AtmNetwork::set_trunk_down(const AtmSwitch& a, const AtmSwitch& b,
                                        bool down) {
-  int na = node_of_switch(a);
-  int nb = node_of_switch(b);
-  std::size_t touched = 0;
-  for (Edge& e : edges_) {
-    if ((e.from == na && e.to == nb) || (e.from == nb && e.to == na)) {
-      e.link->set_down(down);
-      ++touched;
-    }
-  }
-  return touched;
+  const std::vector<CellLink*> links = trunk_links(a, b);
+  for (CellLink* l : links) l->set_down(down);
+  return links.size();
 }
 
 std::vector<CellLink*> AtmNetwork::trunk_links(const AtmSwitch& a,
@@ -366,18 +358,20 @@ std::vector<CellLink*> AtmNetwork::endpoint_links(const AtmAddress& addr) {
 std::vector<AtmNetwork::VcAudit> AtmNetwork::audit_vcs(
     const AtmAddress& endpoint) const {
   std::vector<VcAudit> out;
+  auto ep = endpoint_nodes_.find(endpoint);
+  if (ep == endpoint_nodes_.end()) return out;
   for (const auto& [id, vc] : active_) {
     VcAudit a;
     a.id = id;
-    if (vc.src == endpoint) {
-      a.local_vci = vc.hops.front().vci;
-      a.remote_vci = vc.hops.back().vci;
-      a.remote = vc.dst;
+    if (vc.src == ep->second) {
+      a.local_vci = vc.hops().front().vci;
+      a.remote_vci = vc.hops().back().vci;
+      a.remote = AtmAddress{node_name(vc.dst)};
       a.originator = true;
-    } else if (vc.dst == endpoint) {
-      a.local_vci = vc.hops.back().vci;
-      a.remote_vci = vc.hops.front().vci;
-      a.remote = vc.src;
+    } else if (vc.dst == ep->second) {
+      a.local_vci = vc.hops().back().vci;
+      a.remote_vci = vc.hops().front().vci;
+      a.remote = AtmAddress{node_name(vc.src)};
       a.originator = false;
     } else {
       continue;
@@ -394,8 +388,9 @@ std::vector<AtmNetwork::VcAudit> AtmNetwork::audit_vcs(
 std::vector<AtmNetwork::VcSummary> AtmNetwork::audit_all_vcs() const {
   std::vector<VcSummary> out;
   for (const auto& [id, vc] : active_) {
-    out.push_back(VcSummary{id, vc.src, vc.dst, vc.hops.front().vci,
-                            vc.hops.back().vci});
+    out.push_back(VcSummary{id, AtmAddress{node_name(vc.src)},
+                            AtmAddress{node_name(vc.dst)}, vc.hops().front().vci,
+                            vc.hops().back().vci});
   }
   return out;
 }
@@ -403,10 +398,10 @@ std::vector<AtmNetwork::VcSummary> AtmNetwork::audit_all_vcs() const {
 std::vector<AtmNetwork::RouteAudit> AtmNetwork::audit_routes() const {
   std::vector<RouteAudit> out;
   for (const auto& [id, vc] : active_) {
-    for (std::size_t i = 0; i + 1 < vc.hops.size(); ++i) {
-      const Edge& e = edges_[static_cast<std::size_t>(vc.hops[i].edge)];
+    for (std::size_t i = 0; i + 1 < vc.hop_count; ++i) {
+      const Edge& e = edges_[static_cast<std::size_t>(vc.hops()[i].edge)];
       out.push_back(RouteAudit{nodes_[static_cast<std::size_t>(e.to)].sw->name(),
-                               e.to_port, vc.hops[i].vci, id});
+                               e.to_port, vc.hops()[i].vci, id});
     }
   }
   std::sort(out.begin(), out.end());
@@ -442,7 +437,7 @@ util::Result<void> AtmNetwork::teardown(VcId id) {
   auto it = active_.find(id);
   if (it == active_.end()) return Errc::not_found;
   ActiveVc& vc = it->second;
-  uninstall(vc, vc.hops.size() - 1);
+  uninstall(vc, vc.hop_count - 1);
   active_.erase(it);
   return {};
 }

@@ -10,10 +10,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -241,15 +243,28 @@ class AtmNetwork {
     int edge = -1;
     Vci vci = kInvalidVci;
   };
+  /// Hops a VC keeps in its own record: a call between two routers on
+  /// adjacent switches crosses three links.
+  static constexpr std::size_t kInlineHops = 3;
   /// Every hop but the last enters a switch, where the VC owns the route
   /// (edge.to_port, hop.vci) of `nodes_[edge.to]`.
   struct ActiveVc {
-    std::vector<HopState> hops;  ///< one per traversed edge
-    AtmAddress src;  ///< source endpoint (for post-crash audits)
-    AtmAddress dst;  ///< destination endpoint
+    int src = -1;  ///< source endpoint node (for post-crash audits)
+    int dst = -1;  ///< destination endpoint node
+    std::uint32_t hop_count = 0;
+    std::array<HopState, kInlineHops> near{};
+    std::unique_ptr<HopState[]> far{};  ///< every hop of a longer path
+    /// One hop per traversed edge.
+    [[nodiscard]] std::span<const HopState> hops() const noexcept {
+      return {far ? far.get() : near.data(), hop_count};
+    }
+    void push(HopState h) noexcept { (far ? far.get() : near.data())[hop_count++] = h; }
   };
 
   int add_node(Node n);
+  [[nodiscard]] const std::string& node_name(int n) const noexcept {
+    return nodes_[static_cast<std::size_t>(n)].name;
+  }
   int node_of_switch(const AtmSwitch& sw) const;
   /// BFS route; empty when unreachable.
   [[nodiscard]] std::vector<int> find_path(int src, int dst) const;
@@ -262,7 +277,7 @@ class AtmNetwork {
   /// every hop's VCI.
   void uninstall(ActiveVc& vc, std::size_t routes);
   /// Record an installed VC as active and build its handle.
-  VcHandle activate(ActiveVc vc, const AtmAddress& src, const AtmAddress& dst);
+  VcHandle activate(ActiveVc vc);
 
   sim::Simulator& sim_;
   std::vector<Node> nodes_;

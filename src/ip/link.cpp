@@ -23,12 +23,6 @@ void IpLink::attach(IpNode& a, IpNode& b) {
   b.register_interface(*this);
 }
 
-IpNode* IpLink::peer_of(const IpNode& n) const noexcept {
-  if (&n == a_) return b_;
-  if (&n == b_) return a_;
-  return nullptr;
-}
-
 void IpLink::transmit(const IpNode& from, util::Buffer wire) {
   assert(&from == a_ || &from == b_);
   Direction& dir = (&from == a_) ? to_b_ : to_a_;

@@ -76,7 +76,6 @@ class IpLink : public IpEgress {
   [[nodiscard]] std::size_t mtu() const noexcept override { return mtu_; }
   [[nodiscard]] std::uint64_t rate_bps() const noexcept { return rate_bps_; }
   [[nodiscard]] sim::SimDuration propagation() const noexcept { return propagation_; }
-  [[nodiscard]] IpNode* peer_of(const IpNode& n) const noexcept;
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_dropped() const noexcept { return frames_dropped_; }
   [[nodiscard]] std::uint64_t frames_reordered() const noexcept { return frames_reordered_; }

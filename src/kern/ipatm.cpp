@@ -13,7 +13,6 @@ IpOverAtm::IpOverAtm(Kernel& k, atm::Vci send_vci, atm::Vci recv_vci,
   m_encap_ = &mx.counter("ipatm." + k_.name() + ".encap");
   m_decap_ = &mx.counter("ipatm." + k_.name() + ".decap");
   k_.orc().set_vci_handler(recv_vci_, [this](atm::Vci, MbufChain chain) {
-    ++in_;
     m_decap_->inc();
     obs::Observability& o = k_.simulator().obs();
     if (XOBS_TRACING(&o)) {
@@ -27,7 +26,6 @@ IpOverAtm::IpOverAtm(Kernel& k, atm::Vci send_vci, atm::Vci recv_vci,
 
 void IpOverAtm::transmit(const ip::IpNode& from, util::Buffer wire) {
   (void)from;
-  ++out_;
   m_encap_->inc();
   obs::Observability& o = k_.simulator().obs();
   if (XOBS_TRACING(&o)) {

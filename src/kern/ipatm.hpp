@@ -35,8 +35,6 @@ class IpOverAtm : public ip::IpEgress {
 
   [[nodiscard]] atm::Vci send_vci() const noexcept { return send_vci_; }
   [[nodiscard]] atm::Vci recv_vci() const noexcept { return recv_vci_; }
-  [[nodiscard]] std::uint64_t packets_out() const noexcept { return out_; }
-  [[nodiscard]] std::uint64_t packets_in() const noexcept { return in_; }
 
  private:
   Kernel& k_;
@@ -45,8 +43,6 @@ class IpOverAtm : public ip::IpEgress {
   std::size_t mtu_;
   obs::Counter* m_encap_ = nullptr;  ///< ipatm.<kernel>.encap
   obs::Counter* m_decap_ = nullptr;  ///< ipatm.<kernel>.decap
-  std::uint64_t out_ = 0;
-  std::uint64_t in_ = 0;
 };
 
 }  // namespace xunet::kern

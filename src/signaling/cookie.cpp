@@ -2,10 +2,14 @@
 
 namespace xunet::sig {
 
-Cookie CookieTable::mint() {
+util::Result<Cookie> CookieTable::mint() {
+  if (count_ == 0xFFFF) return util::Errc::no_buffer_space;
   for (;;) {
     auto c = static_cast<Cookie>(rng_.below(0xFFFF) + 1);  // in [1, 0xFFFF]
-    if (outstanding_.try_emplace(c, true).second) return c;
+    if (outstanding_[c]) continue;
+    outstanding_[c] = true;
+    ++count_;
+    return c;
   }
 }
 

@@ -9,9 +9,10 @@
 // keeps the outstanding ones unique.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "signaling/messages.hpp"
+#include "util/result.hpp"
 #include "util/rng.hpp"
 
 namespace xunet::sig {
@@ -23,20 +24,23 @@ class CookieTable {
 
   /// Mint a fresh cookie.  Never returns 0 (0 means "no cookie") and never
   /// collides with another outstanding cookie, so a guess succeeds with
-  /// probability < 2^-16 per attempt.
-  [[nodiscard]] Cookie mint();
+  /// probability < 2^-16 per attempt.  Fails with no_buffer_space when all
+  /// 65,535 cookies are outstanding.
+  [[nodiscard]] util::Result<Cookie> mint();
 
   /// "Cookies last for the lifetime of a connection": end one when its
   /// call does (or when its setup fails).
-  void discard(Cookie cookie) { outstanding_.erase(cookie); }
-
-  [[nodiscard]] std::size_t outstanding_count() const noexcept {
-    return outstanding_.size();
+  void discard(Cookie cookie) {
+    if (outstanding_[cookie]) --count_;
+    outstanding_[cookie] = false;
   }
+
+  [[nodiscard]] std::size_t outstanding_count() const noexcept { return count_; }
 
  private:
   util::Rng rng_;
-  std::unordered_map<Cookie, bool> outstanding_;
+  std::vector<bool> outstanding_ = std::vector<bool>(0x10000);  ///< by cookie
+  std::size_t count_ = 0;
 };
 
 }  // namespace xunet::sig

@@ -86,10 +86,10 @@ struct Msg {
   /// peer_resync_info carries the reporter's local VCI.
   atm::Vci vci2 = atm::kInvalidVci;
   std::uint16_t port = 0;        ///< export_srv notify port / connect_req reply port
-  std::string service;           ///< service name
-  std::string qos;               ///< uninterpreted QoS string
-  std::string dst;               ///< destination ATM address (connect_req, peer_setup src)
-  std::string comment;           ///< free-form comment passed client->server
+  std::string service{};         ///< service name
+  std::string qos{};             ///< uninterpreted QoS string
+  std::string dst{};             ///< destination ATM address (connect_req, peer_setup src)
+  std::string comment{};         ///< free-form comment passed client->server
   std::uint8_t error = 0;        ///< reason code on reject/failure (util::Errc)
   /// Causal-trace propagation (obs::TraceIds): the end-to-end trace this
   /// message belongs to and the sender-side span that caused it.  0/0 when

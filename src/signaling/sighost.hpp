@@ -12,7 +12,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -202,8 +204,8 @@ class Sighost {
   /// Sequence numbers from `peer` held above the delivered floor (the
   /// duplicate window's backlog); 0 for an unknown peer.
   [[nodiscard]] std::size_t recv_backlog(const std::string& peer) const {
-    auto it = peers_.find(peer);
-    return it == peers_.end() ? 0 : it->second.recv_above.size();
+    const PeerIdx i = find_peer(peer);
+    return i == kNoPeer ? 0 : peers_[i].recv_above.size();
   }
   [[nodiscard]] kern::Pid pid() const noexcept { return pid_; }
   [[nodiscard]] const atm::AtmAddress& address() const noexcept {
@@ -211,6 +213,20 @@ class Sighost {
   }
 
  private:
+  // ---- call identity ----
+  /// A peer sighost: its position in peers_, in add_peer order.  Each peer
+  /// takes two of the PVC VCIs below 1024, so no index nears kNoPeer.
+  using PeerIdx = std::uint16_t;
+  static constexpr PeerIdx kSelf = 0xFFFF;    ///< this sighost
+  static constexpr PeerIdx kNoPeer = 0xFFFE;  ///< a name that is no peer of ours
+  /// A call: its originating sighost and that sighost's request id (0 names
+  /// no call).  Its text "origin#id" is rendered only where it is emitted.
+  struct CallKey {
+    PeerIdx origin = kNoPeer;
+    ReqId id = 0;
+    auto operator<=>(const CallKey&) const = default;
+  };
+
   // ---- records ----
   struct Service {
     ip::IpAddress server_ip;
@@ -227,14 +243,12 @@ class Sighost {
   struct Outgoing {  // outgoing_requests: client request awaiting peer reply
     int client_fd = -1;
     bool setup_sent = false;  ///< PEER_SETUP has gone out to the peer
-    std::string dst_name;
+    PeerIdx dst = kNoPeer;
     Cookie client_cookie = 0;
     SetupTrace setup;
     sim::Timer timer;  ///< request_timeout watchdog
   };
   struct Incoming {  // incoming_requests: call awaiting server accept/reject
-    std::string origin;  ///< peer sighost name
-    ReqId id = 0;
     int server_fd = -1;  ///< per-call TCP connection to the server
     Cookie server_cookie = 0;
     bool decided = false;
@@ -253,20 +267,20 @@ class Sighost {
     /// call_key(const VciEntry&)); 0 on a recovered entry no peer has
     /// claimed yet.
     ReqId req_id = 0;
-    bool originator = false;
+    PeerIdx peer = kNoPeer;
     Cookie cookie = 0;    ///< the call's §7.1 capability
     atm::VcId vc_id = 0;  ///< network handle; only at the originator
-    std::string peer;     ///< peer sighost name
-    ip::IpAddress endpoint_ip;  ///< machine holding the socket (0=unknown/router)
-    bool confirmed = false;     ///< bind/connect indication authenticated
-    std::string qos;            ///< granted QoS (for deferred client delivery)
+    const std::string* qos = nullptr;  ///< granted QoS text (see intern_qos)
+    SetupTrace setup;  ///< open while pending_client_fd >= 0
     /// Originator side: the client's VCI_FOR_CONN is held back until the
     /// callee reports PEER_BOUND, so data can never beat the server's bind.
     int pending_client_fd = -1;
-    SetupTrace setup;  ///< open while pending_client_fd >= 0
+    ip::IpAddress endpoint_ip;  ///< machine holding the socket (0=unknown/router)
+    atm::Vci remote_vci = atm::kInvalidVci;  ///< the far endpoint's VCI
+    bool originator = false;
+    bool confirmed = false;     ///< bind/connect indication authenticated
     /// Callee side: report PEER_BOUND to the originator on bind confirm.
     bool notify_origin_on_confirm = false;
-    atm::Vci remote_vci = atm::kInvalidVci;  ///< the far endpoint's VCI
     /// Rebuilt from a post-crash audit; awaiting a peer's PEER_RESYNC_INFO
     /// to restore req_id (torn down if none arrives in grace).
     bool recovered = false;
@@ -306,14 +320,14 @@ class Sighost {
   void on_app_msg(int fd, const Msg& m);
   void on_app_conn_closed(int fd);
   void send_app(int fd, const Msg& m);
-  void send_peer(const std::string& peer, Msg m);
+  void send_peer(PeerIdx peer, Msg m);
   /// A peer message carrying only its type, request id and reason.
-  void send_peer(const std::string& peer, MsgType type, ReqId id,
+  void send_peer(PeerIdx peer, MsgType type, ReqId id,
                  util::Errc reason = util::Errc::ok);
   void send_conn_failed(int fd, ReqId id, Cookie cookie, util::Errc reason);
   /// Downward disconnect: the kernel marks the socket on `vci` unusable.
   void send_down_disconnect(atm::Vci vci, ip::IpAddress machine);
-  void on_peer_msg(const std::string& peer, const Msg& m);
+  void on_peer_msg(PeerIdx peer, const Msg& m);
   void on_stub_msg(const StubMsg& m);
 
   // ---- reliable peer delivery ----
@@ -322,17 +336,17 @@ class Sighost {
   [[nodiscard]] static bool sequenced(MsgType t) noexcept;
   /// Send `wire`, the frame of `m`, applying any wire-fault verdict.
   void transmit_peer(Peer& p, const Msg& m, util::Buffer wire);
-  void retransmit(const std::string& peer, std::uint32_t seq);
+  void retransmit(PeerIdx peer, std::uint32_t seq);
   [[nodiscard]] sim::SimDuration backoff(int attempts);
   /// Duplicate-suppression bookkeeping; true when `seq` was already seen.
   [[nodiscard]] static bool note_received(Peer& p, std::uint32_t seq,
                                           sim::SimTime now);
 
   // ---- crash-restart recovery ----
-  void handle_peer_resync(const std::string& origin, const Msg& m);
-  void handle_peer_resync_ack(const std::string& origin, const Msg& m);
-  void handle_peer_resync_info(const std::string& origin, const Msg& m);
-  void send_resync(const std::string& peer);
+  void handle_peer_resync(PeerIdx origin, const Msg& m);
+  void handle_peer_resync_ack(PeerIdx origin, const Msg& m);
+  void handle_peer_resync_info(PeerIdx origin, const Msg& m);
+  void send_resync(PeerIdx peer);
   void reset_channel(Peer& p);
   void expire_unclaimed_recoveries();
   /// Charge the §9 per-call maintenance-information write.  `call` is the
@@ -340,13 +354,13 @@ class Sighost {
   /// the MetricsRegistry counters the logging-cost bench reads.  When the
   /// caller knows the causal context, `trace_id`/`parent` link the record
   /// into the call's cross-host span tree.
-  void maintenance_log(const std::string& call, std::function<void()> then,
+  void maintenance_log(CallKey call, std::function<void()> then,
                        std::uint64_t trace_id = 0,
                        obs::SpanId parent = obs::kInvalidSpan);
 
   // ---- observability ----
   /// FSM-transition instant event (call key + optional VCI/fd identifiers).
-  void fsm(const char* what, const std::string& call, std::int64_t vci = -1,
+  void fsm(const char* what, CallKey call, std::int64_t vci = -1,
            std::int64_t fd = -1);
   /// Refresh the five-list gauges (and, when tracing, counter events).
   void record_lists();
@@ -360,18 +374,18 @@ class Sighost {
   void handle_cancel_req(int fd, const Msg& m);
   /// ACCEPT_CONN / REJECT_CONN on the per-call server connection `fd` of
   /// the incoming call `key`.
-  void handle_accept_conn(int fd, const std::string& key, const Msg& m);
-  void handle_reject_conn(int fd, const std::string& key, const Msg& m);
+  void handle_accept_conn(int fd, CallKey key, const Msg& m);
+  void handle_reject_conn(int fd, CallKey key, const Msg& m);
 
   // ---- peer-side handlers ----
-  void handle_peer_setup(const std::string& origin, const Msg& m);
-  void handle_peer_accept(const std::string& origin, const Msg& m);
-  void handle_peer_reject(const std::string& origin, const Msg& m);
-  void handle_peer_established(const std::string& origin, const Msg& m);
-  void handle_peer_bound(const std::string& origin, const Msg& m);
-  void handle_peer_setup_failed(const std::string& origin, const Msg& m);
-  void handle_peer_teardown(const std::string& origin, const Msg& m);
-  void handle_peer_cancel(const std::string& origin, const Msg& m);
+  void handle_peer_setup(PeerIdx origin, const Msg& m);
+  void handle_peer_accept(PeerIdx origin, const Msg& m);
+  void handle_peer_reject(PeerIdx origin, const Msg& m);
+  void handle_peer_established(PeerIdx origin, const Msg& m);
+  void handle_peer_bound(PeerIdx origin, const Msg& m);
+  void handle_peer_setup_failed(PeerIdx origin, const Msg& m);
+  void handle_peer_teardown(PeerIdx origin, const Msg& m);
+  void handle_peer_cancel(PeerIdx origin, const Msg& m);
 
   // ---- kernel-indication handlers ----
   void handle_indication(const StubMsg& m);
@@ -395,16 +409,29 @@ class Sighost {
   /// cookie, fail (`to_server`) and close the server's per-call connection,
   /// refuse the call to the originator (`to_origin`), end call.serve.  The
   /// caller erases the record.
-  void end_incoming(const Incoming& inc, std::optional<util::Errc> to_server,
+  using IncomingCall = std::pair<const CallKey, Incoming>;
+  void end_incoming(const IncomingCall& call, std::optional<util::Errc> to_server,
                     std::optional<util::Errc> to_origin);
-  /// The end-to-end call key of a VCI_mapping entry; empty while a
+  /// The end-to-end call key of a VCI_mapping entry; names no call while a
   /// recovered entry is unclaimed.
-  [[nodiscard]] std::string call_key(const VciEntry& e) const {
-    return e.req_id == 0 ? std::string{}
-                         : call_name(e.originator ? k_.atm_address().name : e.peer,
-                                     e.req_id);
+  [[nodiscard]] static CallKey call_key(const VciEntry& e) noexcept {
+    return {e.originator ? kSelf : e.peer, e.req_id};
   }
-  [[nodiscard]] atm::Vci vci_for_call(const std::string& key) const;
+  [[nodiscard]] atm::Vci vci_for_call(CallKey key) const;
+
+  // ---- names, rendered only at the edges ----
+  [[nodiscard]] PeerIdx find_peer(const std::string& name) const;  ///< or kNoPeer
+  /// The sighost's name; empty for kNoPeer.
+  [[nodiscard]] const std::string& origin_name(PeerIdx i) const noexcept;
+  /// "origin#id", or empty when `key` names no call.
+  [[nodiscard]] std::string call_text(CallKey key) const;
+  /// The same text cut to `buf`, as the flight recorder cuts a detail.
+  [[nodiscard]] std::string_view call_text(CallKey key,
+                                           std::span<char> buf) const noexcept;
+  /// Granted QoS texts, one copy per distinct text, with the number of
+  /// VCI_mapping entries holding each.
+  [[nodiscard]] const std::string* intern_qos(const std::string& text);
+  void release_qos(const std::string* text);
 
   kern::Kernel& k_;
   atm::AtmNetwork& net_;
@@ -423,16 +450,18 @@ class Sighost {
   // The five lists.
   std::map<std::string, Service> services_;          // service_list
   std::map<ReqId, Outgoing> outgoing_;               // outgoing_requests
-  std::map<std::string, Incoming> incoming_;         // incoming_requests
+  std::map<CallKey, Incoming> incoming_;             // incoming_requests
   std::map<atm::Vci, WaitBind> wait_bind_;           // wait_for_bind
   std::map<atm::Vci, VciEntry> vci_map_;             // VCI_mapping
   /// Reverse index call key → VCI, maintained strictly alongside vci_map_
   /// (entries with a non-zero req_id only), so finding a call's VCI never
   /// walks VCI_mapping.
-  std::map<std::string, atm::Vci> call_by_key_;
+  std::map<CallKey, atm::Vci> call_by_key_;
+  std::map<std::string, std::uint32_t> qos_texts_;  ///< text -> entries holding it
 
   std::map<int, MsgFramer> app_conns_;  ///< application connections by fd
-  std::map<std::string, Peer> peers_;
+  std::vector<Peer> peers_;  ///< by PeerIdx
+  std::map<std::string, PeerIdx> peer_by_name_;  ///< names interned by add_peer
   std::set<atm::Vci> pvc_vcis_;  ///< own signaling VCIs: ignore their indications
   ReqId next_req_ = 1;
   sim::SimTime busy_until_{};  ///< end of the queued maintenance-log work

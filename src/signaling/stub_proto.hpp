@@ -28,7 +28,7 @@ struct StubMsg {
   std::uint16_t vci = 0;
   std::uint16_t cookie = 0;
   /// up: origin machine; down: target machine.  0 = the router itself.
-  ip::IpAddress machine;
+  ip::IpAddress machine{};
 };
 
 /// Wire size of a StubMsg.

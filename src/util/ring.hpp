@@ -18,7 +18,6 @@ template <typename T>
 class RingQueue {
  public:
   RingQueue() = default;
-  explicit RingQueue(std::size_t initial_capacity) { grow_to(round_up(initial_capacity)); }
 
   RingQueue(RingQueue&&) noexcept = default;
   RingQueue& operator=(RingQueue&&) noexcept = default;
@@ -97,16 +96,6 @@ class RingQueue {
     --size_;
   }
 
-  /// Pop the front element by move.
-  [[nodiscard]] T take_front() {
-    assert(size_ > 0);
-    T v = std::move(buf_[head_]);
-    scrub(buf_[head_]);
-    head_ = (head_ + 1) & (cap_ - 1);
-    --size_;
-    return v;
-  }
-
   void clear() {
     while (size_ > 0) pop_front();
   }
@@ -115,12 +104,6 @@ class RingQueue {
   /// Release owned resources of a vacated slot promptly; free for PODs.
   static void scrub(T& slot) {
     if constexpr (!std::is_trivially_destructible_v<T>) slot = T{};
-  }
-
-  static std::size_t round_up(std::size_t n) {
-    std::size_t c = 8;
-    while (c < n) c *= 2;
-    return c;
   }
 
   void grow_to(std::size_t new_cap) {

@@ -146,16 +146,44 @@ TEST(Cookies, MintedCookiesAreNonZeroAndDistinct) {
   CookieTable t(1);
   std::set<Cookie> seen;
   for (int i = 0; i < 1000; ++i) {
-    Cookie c = t.mint();
+    Cookie c = *t.mint();
     EXPECT_NE(c, 0);
     EXPECT_TRUE(seen.insert(c).second);
   }
 }
 
+// Every one of the 65,535 cookies can be outstanding at once; then mint()
+// fails instead of drawing forever, and a discard makes room again.
+TEST(Cookies, FullTableFailsInsteadOfHanging) {
+  CookieTable t(9);
+  std::vector<bool> seen(0x10000);
+  for (int i = 0; i < 0xFFFF; ++i) {
+    auto c = t.mint();
+    ASSERT_TRUE(c.ok());
+    ASSERT_NE(*c, 0);
+    ASSERT_FALSE(seen[*c]);
+    seen[*c] = true;
+  }
+  EXPECT_EQ(t.outstanding_count(), 0xFFFFu);
+  EXPECT_EQ(t.mint().error(), util::Errc::no_buffer_space);
+  t.discard(777);
+  EXPECT_EQ(*t.mint(), 777);
+}
+
+TEST(Cookies, DiscardingACookieNotOutstandingChangesNothing) {
+  CookieTable t(5), twin(5);
+  const Cookie c = *t.mint();
+  EXPECT_EQ(*twin.mint(), c);
+  t.discard(static_cast<Cookie>(c + 1));
+  t.discard(0);
+  EXPECT_EQ(t.outstanding_count(), 1u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(*t.mint(), *twin.mint());
+}
+
 TEST(Cookies, DiscardEndsTheLifetime) {
   CookieTable t(3);
-  const Cookie c = t.mint();
-  const Cookie d = t.mint();
+  const Cookie c = *t.mint();
+  const Cookie d = *t.mint();
   EXPECT_EQ(t.outstanding_count(), 2u);
   t.discard(c);
   EXPECT_EQ(t.outstanding_count(), 1u);
@@ -164,6 +192,29 @@ TEST(Cookies, DiscardEndsTheLifetime) {
   EXPECT_EQ(t.outstanding_count(), 1u);
   t.discard(d);
   EXPECT_EQ(t.outstanding_count(), 0u);
+}
+
+// The cookies a seeded table mints, with discards interleaved, are pinned:
+// a change of the table's storage must leave every cookie the same.
+TEST(Cookies, SeededSequenceIsPinned) {
+  CookieTable t(0x5163'4057);
+  std::vector<Cookie> minted;
+  for (int i = 0; i < 64; ++i) {
+    auto c = t.mint();
+    ASSERT_TRUE(c.ok());
+    minted.push_back(*c);
+    if (i % 3 == 2) t.discard(minted[static_cast<std::size_t>(i - 1)]);
+  }
+  const std::vector<Cookie> golden = {
+      30670, 51051, 59871, 34105, 46886, 19238, 5978,  57407, 11871, 28245,
+      3029,  13207, 52127, 44769, 15612, 34583, 63298, 8064,  7705,  35511,
+      9332,  46715, 22408, 61040, 21672, 34365, 11949, 17821, 55909, 42828,
+      9740,  51519, 5940,  58663, 1894,  17950, 64358, 4309,  35687, 64067,
+      32116, 42754, 38919, 46566, 26044, 50257, 8975,  65363, 37537, 43934,
+      15206, 64846, 18600, 29565, 61295, 21900, 38658, 35289, 1567,  36656,
+      64768, 61445, 51332, 48428};
+  EXPECT_EQ(minted, golden);
+  EXPECT_EQ(t.outstanding_count(), 64u - 21u);
 }
 
 // ------------------------------------------------- sighost via the testbed
